@@ -176,7 +176,11 @@ class ExperimentConfig:
 
 def load_config(path: str) -> ExperimentConfig:
     cp = configparser.ConfigParser()
-    if not cp.read(path):
+    try:
+        found = cp.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    if not found:
         raise ConfigError(f"cannot read config file {path}")
     resolved = {}
     explicit = {}
@@ -321,9 +325,8 @@ def compute_effect_reports(model, dataset, config: ExperimentConfig,
     return reports, errors
 
 
-def run_single_seed(config: ExperimentConfig, seed: int) -> dict:
-    """One gen -> train -> effects pass; the core of the repeat protocol."""
-    dataset, truth = generate_dataset(config, seed)
+def fit_model(config: ExperimentConfig, dataset: SpatialDataset, seed: int):
+    """Train stage: optional validation split, build, train -> (model, trace)."""
     train_ds, val_ds = dataset, None
     if config.resolved["train"]["use_split"]:
         data = config.resolved["data"]
@@ -333,14 +336,25 @@ def run_single_seed(config: ExperimentConfig, seed: int) -> dict:
                         coords=train_ds.coords)
     trace = train(model, train_ds, train_config_from(config, seed),
                   val_dataset=val_ds)
-    out = {"seed": seed, "dataset": dataset, "truth": truth, "model": model,
-           "trace": trace, "reports": {}, "errors": {}}
+    return model, trace
+
+
+def estimate_variants(model, dataset, config: ExperimentConfig, truth=None):
+    """Effects stage: (reports, errors), each keyed by weighting variant."""
+    reports, errors = {}, {}
     for label, weighted in _variants(config):
-        reports, errors = compute_effect_reports(model, dataset, config,
-                                                 weighted, truth=truth)
-        out["reports"][label] = reports
-        out["errors"][label] = errors
-    return out
+        reports[label], errors[label] = compute_effect_reports(
+            model, dataset, config, weighted, truth=truth)
+    return reports, errors
+
+
+def run_single_seed(config: ExperimentConfig, seed: int) -> dict:
+    """One gen -> train -> effects pass; the core of the repeat protocol."""
+    dataset, truth = generate_dataset(config, seed)
+    model, trace = fit_model(config, dataset, seed)
+    reports, errors = estimate_variants(model, dataset, config, truth)
+    return {"seed": seed, "dataset": dataset, "truth": truth, "model": model,
+            "trace": trace, "reports": reports, "errors": errors}
 
 
 def run_protocol(config: ExperimentConfig) -> dict:
@@ -392,6 +406,20 @@ def write_errors_csv(rows, path: str) -> None:
         w.writerow(["mean"] + [_fmt(v) for v in means] + [_fmt(v) for v in stds])
 
 
+def write_effect_tables(out_dir: str, reports: dict, prefix: str = "") -> None:
+    """One effects_<prefix><variant>.csv per weighting variant."""
+    for label, reps in reports.items():
+        write_effects_csv(reps, os.path.join(out_dir, f"effects_{prefix}{label}.csv"))
+
+
+def write_error_tables(out_dir: str, records) -> None:
+    """errors_<variant>.csv over the (seed, errors by variant) records with truth."""
+    for label in records[0][1]:
+        rows = [(seed, errs[label]) for seed, errs in records if errs[label]]
+        if rows:
+            write_errors_csv(rows, os.path.join(out_dir, f"errors_{label}.csv"))
+
+
 def _flatten_metrics(metrics: dict) -> dict:
     out = {}
     for stratum, vals in metrics.items():
@@ -406,16 +434,22 @@ def _resolve_dataset_path(data_arg: str) -> str:
     return data_arg
 
 
-def _load_dataset(data_arg: str):
-    """Dataset plus (dataset, truth) regenerated from a sidecar if present."""
-    manifest_path = _resolve_dataset_path(data_arg)
-    dataset = extract_units(load_manifest(manifest_path))
-    truth = None
-    sidecar = os.path.join(os.path.dirname(manifest_path), "truth.json")
-    if os.path.exists(sidecar):
+def _load_dataset(data_arg: str) -> SpatialDataset:
+    """Units of the dataset named by a manifest path or its directory."""
+    return extract_units(load_manifest(_resolve_dataset_path(data_arg)))
+
+
+def _load_truth(data_arg: str):
+    """Truth regenerated from the truth.json beside the manifest, else None."""
+    sidecar = os.path.join(os.path.dirname(_resolve_dataset_path(data_arg)),
+                           "truth.json")
+    if not os.path.exists(sidecar):
+        return None
+    try:
         with open(sidecar) as fh:
-            _, truth = regenerate_truth(json.load(fh))
-    return dataset, truth
+            return regenerate_truth(json.load(fh))[1]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{sidecar}: cannot regenerate truth: {exc!r}") from None
 
 
 def cmd_gen(config: ExperimentConfig, out_dir: str, seed: int | None) -> int:
@@ -467,17 +501,8 @@ def cmd_gen(config: ExperimentConfig, out_dir: str, seed: int | None) -> int:
 
 def cmd_train(config: ExperimentConfig, data_arg: str, out_dir: str,
               seed: int | None) -> int:
-    dataset, _ = _load_dataset(data_arg)
-    train_seed = seed if seed is not None else 0
-    train_ds, val_ds = dataset, None
-    if config.resolved["train"]["use_split"]:
-        data = config.resolved["data"]
-        train_ds, val_ds, _ = split_dataset(dataset, data["split_ratios"],
-                                            data["split_seed"])
-    model = build_model(model_config_from(config, train_ds, train_seed),
-                        coords=train_ds.coords)
-    trace = train(model, train_ds, train_config_from(config, train_seed),
-                  val_dataset=val_ds)
+    model, trace = fit_model(config, _load_dataset(data_arg),
+                             seed if seed is not None else 0)
     os.makedirs(out_dir, exist_ok=True)
     save_model(model, os.path.join(out_dir, "model.ckpt"))
     write_trace_csv(trace, os.path.join(out_dir, "loss_trace.csv"))
@@ -491,7 +516,7 @@ def cmd_effects(config: ExperimentConfig, ckpt: str | None, data_arg: str | None
     if ckpt is not None:
         if data_arg is None:
             raise ConfigError("effects with --ckpt also needs --data")
-        dataset, truth = _load_dataset(data_arg)
+        dataset = _load_dataset(data_arg)
         model = load_model(ckpt)
         if model.m != dataset.n_treatments \
                 or model.config.patch_shape != dataset.patch_shape:
@@ -500,14 +525,10 @@ def cmd_effects(config: ExperimentConfig, ckpt: str | None, data_arg: str | None
                               f"{dataset.n_treatments} / {dataset.patch_shape}")
         if seed is not None:
             config.resolved["effects"]["seed"] = seed
-        for label, weighted in _variants(config):
-            reports, errors = compute_effect_reports(model, dataset, config,
-                                                     weighted, truth=truth)
-            write_effects_csv(reports,
-                              os.path.join(out_dir, f"effects_{label}.csv"))
-            if errors is not None:
-                write_errors_csv([(0, errors)],
-                                 os.path.join(out_dir, f"errors_{label}.csv"))
+        reports, errors = estimate_variants(model, dataset, config,
+                                            _load_truth(data_arg))
+        write_effect_tables(out_dir, reports)
+        write_error_tables(out_dir, [(0, errors)])
         print(f"effects\t{len(_variants(config))} variant files -> {out_dir}")
         return 0
 
@@ -518,10 +539,7 @@ def cmd_effects(config: ExperimentConfig, ckpt: str | None, data_arg: str | None
               "seeds": list(config.resolved["run"]["seeds"]),
               "wall_clock_s": result["wall_clock_s"], "per_seed": []}
     for rec in result["per_seed"]:
-        for label, _ in _variants(config):
-            write_effects_csv(rec["reports"][label],
-                              os.path.join(out_dir,
-                                           f"effects_s{rec['seed']}_{label}.csv"))
+        write_effect_tables(out_dir, rec["reports"], prefix=f"s{rec['seed']}_")
         write_trace_csv(rec["trace"],
                         os.path.join(out_dir, f"loss_trace_s{rec['seed']}.csv"))
         report["per_seed"].append({
@@ -529,11 +547,8 @@ def cmd_effects(config: ExperimentConfig, ckpt: str | None, data_arg: str | None
             "final_train_mse": rec["trace"][-1][1],
             "errors": rec["errors"],
         })
-    for label, _ in _variants(config):
-        rows = [(rec["seed"], rec["errors"][label])
-                for rec in result["per_seed"] if rec["errors"][label]]
-        if rows:
-            write_errors_csv(rows, os.path.join(out_dir, f"errors_{label}.csv"))
+    write_error_tables(out_dir, [(rec["seed"], rec["errors"])
+                                 for rec in result["per_seed"]])
     report["summary"] = result["summary"]
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         json.dump(report, fh, sort_keys=True, indent=1)
@@ -543,7 +558,7 @@ def cmd_effects(config: ExperimentConfig, ckpt: str | None, data_arg: str | None
 
 def cmd_eval(config: ExperimentConfig, ckpt: str, data_arg: str,
              out_dir: str) -> int:
-    dataset, _ = _load_dataset(data_arg)
+    dataset = _load_dataset(data_arg)
     model = load_model(ckpt)
     metrics = _flatten_metrics(evaluate(model, dataset))
     os.makedirs(out_dir, exist_ok=True)
@@ -640,6 +655,9 @@ def _gradcheck_cases():
     cases.append(("gp_lengthscale",
                   lambda: E.tsum(term_l.values_op(coords)),
                   term_l.parameters()))
+    # drawn last so that every case above keeps its inputs
+    h4, hb4 = param(2, 3, 2, 2), param(3)
+    cases.append(("bias_add_4d", lambda: E.tsum(E.bias_add(h4, hb4)), [h4, hb4]))
     return cases
 
 

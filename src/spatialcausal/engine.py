@@ -484,16 +484,6 @@ _OPS: dict[str, Callable] = {
 }
 
 
-def forward_op(kind: str, *inputs, **kwargs) -> Tensor:
-    """Dispatch an operation by name; unknown kinds raise ContractError."""
-    fn = _OPS.get(kind)
-    if fn is None:
-        raise ContractError(f"unknown op kind {kind!r}")
-    if kind == "concat":
-        return fn(inputs, **kwargs)
-    return fn(*inputs, **kwargs)
-
-
 def op_kinds() -> tuple:
     return tuple(sorted(_OPS))
 

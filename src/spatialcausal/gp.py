@@ -223,17 +223,26 @@ class GpTerm:
         """Plain-numpy features at the current parameter values."""
         if not self.train_lengthscale:
             return self.map.features(coords)
-        kernel = self.map.kernel
-        ls = float(self.lengthscale.data.reshape(()))
-        pts = self.map.inducing.points
-        kq = kernel_matrix_from_dist(kernel, cdist(pts, pts), ls)
-        kq = 0.5 * (kq + kq.T)
-        knq = kernel_matrix_from_dist(kernel, cdist(_as_coords(coords), pts), ls)
-        factor, _ = chol_with_jitter(kq, kernel.noise)
-        return solve_triangular(factor, knq.T, lower=True).T
+        return _trained_forward(self, coords)[-1].T
 
     def values_np(self, coords) -> np.ndarray:
         return (self.features_np(coords) @ self.weights.data).reshape(-1)
+
+
+def _trained_forward(term: GpTerm, coords):
+    """(ls, d_qq, d_nq, Kq, Knq, L, Z^T) at the trained lengthscale."""
+    ls = float(term.lengthscale.data.reshape(()))
+    if ls <= 0:
+        raise NumericError(f"lengthscale became nonpositive during training: {ls}")
+    kernel = term.map.kernel
+    pts = term.map.inducing.points
+    d_qq = cdist(pts, pts)
+    d_nq = cdist(_as_coords(coords), pts)
+    kq = kernel_matrix_from_dist(kernel, d_qq, ls)
+    kq = 0.5 * (kq + kq.T)
+    knq = kernel_matrix_from_dist(kernel, d_nq, ls)
+    factor, _ = chol_with_jitter(kq, kernel.noise)
+    return ls, d_qq, d_nq, kq, knq, factor, solve_triangular(factor, knq.T, lower=True)
 
 
 def _features_with_lengthscale_grad(term: GpTerm, coords) -> Tensor:
@@ -246,19 +255,7 @@ def _features_with_lengthscale_grad(term: GpTerm, coords) -> Tensor:
     """
     kernel = term.map.kernel
     l_param = term.lengthscale
-    ls = float(l_param.data.reshape(()))
-    if ls <= 0:
-        raise NumericError(f"lengthscale became nonpositive during training: {ls}")
-    pts = term.map.inducing.points
-    coords = _as_coords(coords)
-    d_qq = cdist(pts, pts)
-    d_nq = cdist(coords, pts)
-    kq = kernel_matrix_from_dist(kernel, d_qq, ls)
-    kq = 0.5 * (kq + kq.T)
-    knq = kernel_matrix_from_dist(kernel, d_nq, ls)
-    factor, _ = chol_with_jitter(kq, kernel.noise)
-    zt = solve_triangular(factor, knq.T, lower=True)
-
+    ls, d_qq, d_nq, kq, knq, factor, zt = _trained_forward(term, coords)
     dkq = _dkernel_dl_from_dist(kernel, kq, d_qq, ls)
     dknq = _dkernel_dl_from_dist(kernel, knq, d_nq, ls)
     inner = solve_triangular(factor, dkq, lower=True)

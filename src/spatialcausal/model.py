@@ -315,6 +315,8 @@ class TrainConfig:
             raise ContractError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ContractError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.patience is not None and self.patience < 1:
+            raise ContractError(f"patience must be >= 1 or None, got {self.patience}")
         if self.optimizer not in ("auto", "sgd", "adam"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
 
@@ -397,7 +399,7 @@ def train(model: SpatialModel, dataset: SpatialDataset, cfg: TrainConfig,
             else:
                 stale += 1
         trace.append((epoch, train_mse, val_mse))
-        if (cfg.patience is not None and val_obs is not None and stale > cfg.patience):
+        if (cfg.patience is not None and val_obs is not None and stale >= cfg.patience):
             break
     if best_snap is not None and cfg.patience is not None:
         _restore(model, best_snap)
@@ -498,27 +500,35 @@ def load_model(path: str) -> SpatialModel:
         blob = fh.read()
     if blob[:4] != _CKPT_MAGIC:
         raise FormatError(f"bad checkpoint magic {blob[:4]!r} at byte 0")
+    if len(blob) < 8:
+        raise FormatError(f"checkpoint header length truncated at byte {len(blob)}")
     (hlen,) = struct.unpack("<I", blob[4:8])
     if len(blob) < 8 + hlen:
         raise FormatError(f"checkpoint header truncated at byte {len(blob)}")
-    head = json.loads(blob[8:8 + hlen].decode("utf-8"))
+    try:
+        head = json.loads(blob[8:8 + hlen].decode("utf-8"))
+    except ValueError as exc:   # UnicodeDecodeError, JSONDecodeError
+        raise FormatError(f"checkpoint header is not UTF-8 JSON: {exc}") from None
     stream = np.frombuffer(blob[8 + hlen:], dtype="<f8")
 
-    cfg = ModelConfig(m=head["m"], patch_shape=tuple(head["patch_shape"]),
-                      x_dim=head["x_dim"], interference=head["interference_kind"],
-                      confounder=head["confounder"]["kind"])
-    if head["gp"] is not None:
-        cfg.gp = True
-        cfg.kernel = G.KernelSpec(**head["gp"]["kernel"])
-        cfg.train_lengthscale = head["gp"]["train_lengthscale"]
-    nets = [N.build_from_header(h) for h in head["interference"]]
-    conf_net = N.build_from_header(head["confounder"])
-    gp_term = None
-    if head["gp"] is not None:
-        kern = G.KernelSpec(**head["gp"]["kernel"])
-        inducing = G.InducingSet(np.asarray(head["gp"]["inducing"], dtype=np.float64))
-        gp_term = G.GpTerm(G.build_nystrom(inducing, kern),
-                           train_lengthscale=head["gp"]["train_lengthscale"])
+    try:
+        cfg = ModelConfig(m=head["m"], patch_shape=tuple(head["patch_shape"]),
+                          x_dim=head["x_dim"], interference=head["interference_kind"],
+                          confounder=head["confounder"]["kind"])
+        if head["gp"] is not None:
+            cfg.gp = True
+            cfg.kernel = G.KernelSpec(**head["gp"]["kernel"])
+            cfg.train_lengthscale = head["gp"]["train_lengthscale"]
+        nets = [N.build_from_header(h) for h in head["interference"]]
+        conf_net = N.build_from_header(head["confounder"])
+        gp_term = None
+        if head["gp"] is not None:
+            kern = G.KernelSpec(**head["gp"]["kernel"])
+            inducing = G.InducingSet(np.asarray(head["gp"]["inducing"], dtype=np.float64))
+            gp_term = G.GpTerm(G.build_nystrom(inducing, kern),
+                               train_lengthscale=head["gp"]["train_lengthscale"])
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"malformed checkpoint header: {exc!r}") from None
     alphas = Tensor(np.zeros((head["m"], 1)), requires_grad=True)
     model = SpatialModel(cfg, alphas, nets, conf_net, gp_term)
     model.noise_sigma = float(head.get("noise_sigma", 0.0))

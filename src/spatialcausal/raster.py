@@ -236,7 +236,11 @@ def save_manifest(manifest: Manifest, path: str) -> None:
 
 def load_manifest(path: str) -> Manifest:
     cp = configparser.ConfigParser()
-    if not cp.read(path):
+    try:
+        found = cp.read(path)
+    except configparser.Error as exc:
+        raise FormatError(f"manifest {path}: {exc}") from None
+    if not found:
         raise FormatError(f"cannot read manifest {path}")
     if not cp.has_section("manifest"):
         raise FormatError("manifest file lacks a [manifest] section")
@@ -246,8 +250,15 @@ def load_manifest(path: str) -> Manifest:
     def resolve(p: str) -> str:
         return p if os.path.isabs(p) else os.path.join(base, p)
 
+    def number(kind, key: str, raw: str):
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ConfigError(f"manifest {key}: cannot parse {raw!r} as "
+                              f"{kind.__name__}") from None
+
     t_keys = sorted((k for k in keys if k.startswith("treatment.")),
-                    key=lambda k: int(k.split(".", 1)[1]))
+                    key=lambda k: number(int, k, k.split(".", 1)[1]))
     known = set(t_keys) | {"confounder", "outcome", "d_s", "split.seed",
                            "split.ratios"}
     unknown = set(keys) - known
@@ -258,11 +269,13 @@ def load_manifest(path: str) -> Manifest:
             raise ConfigError(f"manifest missing required key '{req}'")
     if not t_keys:
         raise ConfigError("manifest missing treatment.<i> keys")
-    ratios = tuple(float(r) for r in keys.get("split.ratios", "0.6,0.2,0.2").split(","))
+    ratios = tuple(number(float, "split.ratios", r)
+                   for r in keys.get("split.ratios", "0.6,0.2,0.2").split(","))
     return Manifest(treatments=tuple(resolve(keys[k]) for k in t_keys),
                     confounder=resolve(keys["confounder"]),
-                    outcome=resolve(keys["outcome"]), d_s=int(keys["d_s"]),
-                    split_seed=int(keys.get("split.seed", "0")),
+                    outcome=resolve(keys["outcome"]),
+                    d_s=number(int, "d_s", keys["d_s"]),
+                    split_seed=number(int, "split.seed", keys.get("split.seed", "0")),
                     split_ratios=ratios)
 
 

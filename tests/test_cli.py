@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import shutil
+import struct
 import textwrap
 
 import numpy as np
@@ -446,3 +448,71 @@ class TestMainErrors:
     def test_no_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit):
             cli.main([])
+
+
+def _drop_key(key):
+    return lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                    if k != key})
+
+
+def _ckpt(header: bytes) -> bytes:
+    return b"SCKP" + struct.pack("<I", len(header)) + header
+
+
+# (id, file, replacement bytes/text or edit of the good text, error code)
+MALFORMED_FILES = [
+    ("ckpt_shorter_than_8_bytes", "model.ckpt", b"SCKP\x01", "format_error"),
+    ("ckpt_header_not_json", "model.ckpt", _ckpt(b"{oops"), "format_error"),
+    ("ckpt_header_not_utf8", "model.ckpt", _ckpt(b"\xff\xfe"), "format_error"),
+    ("ckpt_header_missing_key", "model.ckpt", _ckpt(b'{"m": 1}'), "format_error"),
+    ("config_duplicate_key", "exp.ini", "[data]\nn = 5\nn = 6\n", "config_error"),
+    ("config_no_section_header", "exp.ini", "n = 5\n", "config_error"),
+    ("manifest_d_s_not_int", "run.manifest",
+     lambda t: t.replace("d_s = 3", "d_s = three"), "config_error"),
+    ("manifest_split_seed_not_int", "run.manifest",
+     lambda t: t.replace("split.seed = 0", "split.seed = zero"), "config_error"),
+    ("manifest_treatment_index_not_int", "run.manifest",
+     lambda t: t.replace("treatment.1", "treatment.x"), "config_error"),
+    ("manifest_split_ratios_not_float", "run.manifest",
+     lambda t: t.replace("0.6,0.2,0.2", "0.6,0.2,rest"), "config_error"),
+    ("manifest_duplicate_key", "run.manifest",
+     lambda t: t.rstrip() + "\nd_s = 5\n", "format_error"),
+    ("truth_truncated_json", "truth.json", lambda t: t[:len(t) // 2], "data_error"),
+    ("truth_missing_seed", "truth.json", _drop_key("seed"), "data_error"),
+    ("truth_missing_data", "truth.json", _drop_key("data"), "data_error"),
+    ("truth_missing_generator", "truth.json", _drop_key("generator"), "data_error"),
+]
+
+
+class TestMalformedFiles:
+    """Every loader ends a malformed file as code<TAB>message, exit 2."""
+
+    @pytest.mark.parametrize("target,content,code",
+                             [row[1:] for row in MALFORMED_FILES],
+                             ids=[row[0] for row in MALFORMED_FILES])
+    def test_error_line_not_traceback(self, workspace, tmp_path, capsys,
+                                      target, content, code):
+        data = str(tmp_path / "data")
+        shutil.copytree(workspace["data"], data)
+        ckpt = str(tmp_path / "model.ckpt")
+        shutil.copy(workspace["ckpt"], ckpt)
+        ini = write_ini(tmp_path, TINY_INI)
+        path = {"model.ckpt": ckpt, "exp.ini": ini}.get(
+            target, os.path.join(data, target))
+        if callable(content):
+            with open(path) as fh:
+                content = content(fh.read())
+        with open(path, "wb") as fh:
+            fh.write(content if isinstance(content, bytes) else content.encode())
+        out = ["--out", str(tmp_path / "out")]
+        argv = {
+            "model.ckpt": ["eval", "--config", ini, "--ckpt", ckpt, "--data", data],
+            "exp.ini": ["gen", "--config", ini],
+            "run.manifest": ["train", "--config", ini, "--data", data],
+            "truth.json": ["effects", "--config", ini, "--ckpt", ckpt,
+                           "--data", data],
+        }[target] + out
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.partition("\t")[0] == code, err
+        assert "Traceback" not in err

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from spatialcausal import cli
 from spatialcausal import engine as E
 from spatialcausal.errors import ContractError, DimensionError, NumericError
 
@@ -83,12 +84,6 @@ class TestForward:
         with pytest.raises(NumericError):
             E.Tensor(np.array([1.0, np.nan]))
 
-    def test_forward_op_dispatch(self):
-        out = E.forward_op("relu", E.Tensor(np.array([-2.0, 2.0])))
-        npt.assert_array_equal(out.data, [0.0, 2.0])
-        with pytest.raises(ContractError):
-            E.forward_op("no_such_op", E.Tensor(np.zeros(1)))
-
 
 class TestBackward:
     def test_linear_grad_is_input(self):
@@ -134,87 +129,9 @@ class TestBackward:
         assert w.grad is None
 
 
-def _kind_cases():
-    """One finite-diff case per op kind, every parameter at most 64 elements."""
-    rng = np.random.default_rng(2024)
-
-    def param(*shape):
-        return E.Tensor(rng.normal(size=shape) * 0.7, requires_grad=True)
-
-    cases = []
-
-    a, b = param(3, 4), param(4, 2)
-    cases.append(("matmul", lambda: E.tsum(E.matmul(a, b)), [a, b]))
-
-    c, d = param(5), param(5)
-    cases.append(("add", lambda: E.tsum(E.add(c, d)), [c, d]))
-
-    c2, d2 = param(5), param(5)
-    cases.append(("sub", lambda: E.tsum(E.sub(c2, d2)), [c2, d2]))
-
-    e, f = param(6), param(6)
-    cases.append(("mul", lambda: E.tsum(E.mul(e, f)), [e, f]))
-
-    g, s = param(7), param()
-    cases.append(("scale", lambda: E.tsum(E.scale(g, s)), [g, s]))
-
-    h, hb = param(4, 3), param(3)
-    cases.append(("bias_add_2d", lambda: E.tsum(E.bias_add(h, hb)), [h, hb]))
-
-    h4, hb4 = param(2, 3, 2, 2), param(3)
-    cases.append(("bias_add_4d", lambda: E.tsum(E.bias_add(h4, hb4)), [h4, hb4]))
-
-    r = param(9)
-    r.data += np.where(np.abs(r.data) < 0.05, 0.2, 0.0)  # keep clear of the kink
-    cases.append(("relu", lambda: E.tsum(E.relu(r)), [r]))
-
-    el = param(9)
-    el.data += np.where(np.abs(el.data) < 0.05, 0.2, 0.0)
-    cases.append(("elu", lambda: E.tsum(E.elu(el)), [el]))
-
-    ci, ck, cb = param(2, 2, 4, 4), param(2, 2, 3, 3), param(2)
-    cases.append(("conv2d", lambda: E.tsum(E.conv2d(ci, ck, cb, padding=1)), [ci, ck, cb]))
-
-    mp = param(1, 2, 4, 4)
-    # well-separated entries so the argmax is stable under the probe step
-    mp.data = np.linspace(-1.0, 1.0, mp.data.size).reshape(mp.data.shape)
-    cases.append(("maxpool2", lambda: E.tsum(E.maxpool2(mp)), [mp]))
-
-    up = param(1, 2, 3, 3)
-    cases.append(("upsample2", lambda: E.tsum(E.upsample2(up)), [up]))
-
-    cc1, cc2 = param(1, 2, 3, 3), param(1, 1, 3, 3)
-    cases.append(("concat", lambda: E.tsum(E.concat_channels([cc1, cc2])), [cc1, cc2]))
-
-    pd = param(1, 1, 3, 4)
-    cases.append(("pad2d", lambda: E.tsum(E.pad2d(pd, 1, 0, 2, 1)), [pd]))
-
-    cr = param(1, 2, 4, 4)
-    cases.append(("crop2d", lambda: E.tsum(E.crop2d(cr, 1, 3, 0, 2)), [cr]))
-
-    cp = param(2, 2, 3, 3)
-    cases.append(("center_pixel", lambda: E.tsum(E.center_pixel(cp)), [cp]))
-
-    gp = param(2, 3, 2, 2)
-    cases.append(("gap2d", lambda: E.tsum(E.global_avg_pool(gp)), [gp]))
-
-    rs = param(3, 4)
-    cases.append(("reshape", lambda: E.tsum(E.reshape(rs, (2, 6))), [rs]))
-
-    sm = param(4, 3)
-    cases.append(("sum", lambda: E.tsum(E.mul(sm, sm)), [sm]))
-
-    mn = param(4, 3)
-    cases.append(("mean", lambda: E.tmean(E.mul(mn, mn)), [mn]))
-
-    ms, mt = param(6, 1), param(6, 1)
-    cases.append(("mse", lambda: E.mse(ms, mt), [ms, mt]))
-
-    return cases
-
-
 class TestFiniteDiff:
-    @pytest.mark.parametrize("kind,fn,params", _kind_cases(), ids=lambda v: v if isinstance(v, str) else "")
+    @pytest.mark.parametrize("kind,fn,params", cli._gradcheck_cases(),
+                             ids=lambda v: v if isinstance(v, str) else "")
     def test_every_op_kind(self, kind, fn, params):
         report = E.finite_diff_check(fn, params, tolerance=1e-4, step=1e-5)
         assert report.passed, f"{kind}: max rel err {report.max_rel_err:.3e}"

@@ -221,6 +221,21 @@ class TestTrain:
         assert len(trace) <= 500
         assert np.isfinite(trace[-1][2])
 
+    def test_early_stopping_after_exactly_patience_stale_epochs(self):
+        # zero targets leave the zeroed model's gradient at zero, so the
+        # validation MSE never improves after epoch 0
+        train_data = line_dataset(n=20, seed=2, y_fn=lambda t, p, x: 0.0 * t[:, 0])
+        val_data = line_dataset(n=10, seed=3)
+        model = M.build_model(linear_cfg())
+        trace = M.train(model, train_data,
+                        M.TrainConfig(epochs=50, lr=0.1, optimizer="sgd", patience=3),
+                        val_dataset=val_data)
+        assert len(trace) == 1 + 3
+        assert len({row[2] for row in trace}) == 1
+        with pytest.raises(ContractError):
+            M.train(model, train_data, M.TrainConfig(epochs=5, patience=0),
+                    val_dataset=val_data)
+
 
 class TestEvaluate:
     def test_perfect_predictions(self):
