@@ -177,8 +177,8 @@ class ExperimentConfig:
 def load_config(path: str) -> ExperimentConfig:
     cp = configparser.ConfigParser()
     try:
-        found = cp.read(path)
-    except configparser.Error as exc:
+        found = cp.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     if not found:
         raise ConfigError(f"cannot read config file {path}")
@@ -677,27 +677,30 @@ def cmd_gradcheck() -> int:
 def cmd_report(out_dir: str) -> int:
     lines = []
     report_path = os.path.join(out_dir, "report.json")
-    if os.path.exists(report_path):
-        with open(report_path) as fh:
-            rep = json.load(fh)
-        lines.append(f"config hash: {rep['config_hash']}")
-        lines.append(f"seeds: {rep['seeds']}")
-        lines.append(f"wall clock: {rep['wall_clock_s']:.1f}s")
-        for label, stats in sorted(rep.get("summary", {}).items()):
-            lines.append(f"{label}: "
-                         + "  ".join(f"{k} {v:.4g}"
-                                     for k, v in sorted(stats.items())))
-    for name in sorted(os.listdir(out_dir)):
-        if name.startswith("errors_") and name.endswith(".csv"):
-            with open(os.path.join(out_dir, name)) as fh:
-                rows = list(csv.reader(fh))
-            lines.append(f"{name}: {len(rows) - 2} seed rows + summary")
     metrics_path = os.path.join(out_dir, "metrics.json")
-    if os.path.exists(metrics_path):
-        with open(metrics_path) as fh:
-            metrics = json.load(fh)
-        lines.append("metrics: " + "  ".join(f"{k} {v:.4g}"
-                                             for k, v in sorted(metrics.items())))
+    try:
+        if os.path.exists(report_path):
+            with open(report_path, encoding="utf-8") as fh:
+                rep = json.load(fh)
+            lines.append(f"config hash: {rep['config_hash']}")
+            lines.append(f"seeds: {rep['seeds']}")
+            lines.append(f"wall clock: {rep['wall_clock_s']:.1f}s")
+            for label, stats in sorted(rep.get("summary", {}).items()):
+                lines.append(f"{label}: "
+                             + "  ".join(f"{k} {v:.4g}"
+                                         for k, v in sorted(stats.items())))
+        for name in sorted(os.listdir(out_dir)):
+            if name.startswith("errors_") and name.endswith(".csv"):
+                with open(os.path.join(out_dir, name)) as fh:
+                    rows = list(csv.reader(fh))
+                lines.append(f"{name}: {len(rows) - 2} seed rows + summary")
+        if os.path.exists(metrics_path):
+            with open(metrics_path, encoding="utf-8") as fh:
+                metrics = json.load(fh)
+            lines.append("metrics: " + "  ".join(f"{k} {v:.4g}"
+                                                 for k, v in sorted(metrics.items())))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise DataError(f"malformed run artifact in {out_dir}: {exc!r}") from None
     if not lines:
         raise DataError(f"no run artifacts found in {out_dir}")
     text = "\n".join(lines) + "\n"

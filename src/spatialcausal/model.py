@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -230,6 +230,17 @@ def build_model(config: ModelConfig, coords: np.ndarray | None = None) -> Spatia
     ``coords`` supplies inducing-point candidates and is required when the
     spatial term is enabled.
     """
+    inducing = None
+    if config.gp:
+        if coords is None:
+            raise ConfigError("gp-enabled model needs coordinates for inducing points")
+        inducing = G.select_inducing(coords, config.q, config.inducing_strategy,
+                                    seed=config.seed + 13)
+    return _assemble(config, inducing)
+
+
+def _assemble(config: ModelConfig, inducing: G.InducingSet | None) -> SpatialModel:
+    """Every component of the model once its inducing points are known."""
     config.validate()
     alphas = Tensor(np.zeros((config.m, 1)), requires_grad=True)
     patch_size = int(np.prod(config.patch_shape))
@@ -257,10 +268,6 @@ def build_model(config: ModelConfig, coords: np.ndarray | None = None) -> Spatia
             N.MlpSpec(config.x_dim, config.mlp_width, config.mlp_depth), config.seed + 7)
     gp_term = None
     if config.gp:
-        if coords is None:
-            raise ConfigError("gp-enabled model needs coordinates for inducing points")
-        inducing = G.select_inducing(coords, config.q, config.inducing_strategy,
-                                    seed=config.seed + 13)
         gp_term = G.GpTerm(G.build_nystrom(inducing, config.kernel),
                            train_lengthscale=config.train_lengthscale)
     return SpatialModel(config, alphas, nets, conf_net, gp_term)
@@ -449,50 +456,27 @@ def evaluate(model: SpatialModel, dataset: SpatialDataset,
 # ---------------------------------------------------------------------------
 
 _CKPT_MAGIC = b"SCKP"
+_CKPT_VERSION = 2
 
 
 def _model_header(model: SpatialModel) -> dict:
-    cfg = model.config
-    head = {
-        "m": cfg.m,
-        "patch_shape": list(cfg.patch_shape),
-        "x_dim": cfg.x_dim,
-        "interference": [N.spec_header(net) for net in model.interference_nets],
-        "interference_kind": cfg.interference,
-        "confounder": N.spec_header(model.confounder_net),
-        "noise_sigma": model.noise_sigma,
-        "param_order": "alphas, interference nets by treatment, confounder net, "
-                       "gp weights, gp lengthscale",
-    }
+    """The config rebuilds every net; inducing points depend on training coords."""
+    inducing = None
     if model.gp_term is not None:
-        k = model.gp_term.map.kernel
-        head["gp"] = {
-            "kernel": {"family": k.family, "sigma": k.sigma,
-                       "lengthscale": k.lengthscale, "noise": k.noise},
-            "inducing": model.gp_term.map.inducing.points.tolist(),
-            "train_lengthscale": model.gp_term.train_lengthscale,
-        }
-    else:
-        head["gp"] = None
-    return head
+        inducing = model.gp_term.map.inducing.points.tolist()
+    return {"version": _CKPT_VERSION, "config": asdict(model.config),
+            "inducing": inducing, "noise_sigma": model.noise_sigma}
 
 
 def save_model(model: SpatialModel, path: str) -> None:
+    """Write the header, then ``model.parameters()`` in order as float64."""
     head = json.dumps(_model_header(model), sort_keys=True).encode("utf-8")
-    flat = [model.alphas.data.reshape(-1)]
-    for net in model.interference_nets:
-        flat.append(N.flatten_params(net))
-    flat.append(N.flatten_params(model.confounder_net))
-    if model.gp_term is not None:
-        flat.append(model.gp_term.weights.data.reshape(-1))
-        if model.gp_term.train_lengthscale:
-            flat.append(model.gp_term.lengthscale.data.reshape(1))
-    payload = np.concatenate(flat).astype("<f8")
+    payload = np.concatenate([p.data.reshape(-1) for p in model.parameters()])
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<I", len(head)))
         fh.write(head)
-        fh.write(payload.tobytes())
+        fh.write(payload.astype("<f8").tobytes())
 
 
 def load_model(path: str) -> SpatialModel:
@@ -507,52 +491,33 @@ def load_model(path: str) -> SpatialModel:
         raise FormatError(f"checkpoint header truncated at byte {len(blob)}")
     try:
         head = json.loads(blob[8:8 + hlen].decode("utf-8"))
-    except ValueError as exc:   # UnicodeDecodeError, JSONDecodeError
-        raise FormatError(f"checkpoint header is not UTF-8 JSON: {exc}") from None
-    stream = np.frombuffer(blob[8 + hlen:], dtype="<f8")
-
-    try:
-        cfg = ModelConfig(m=head["m"], patch_shape=tuple(head["patch_shape"]),
-                          x_dim=head["x_dim"], interference=head["interference_kind"],
-                          confounder=head["confounder"]["kind"])
-        if head["gp"] is not None:
-            cfg.gp = True
-            cfg.kernel = G.KernelSpec(**head["gp"]["kernel"])
-            cfg.train_lengthscale = head["gp"]["train_lengthscale"]
-        nets = [N.build_from_header(h) for h in head["interference"]]
-        conf_net = N.build_from_header(head["confounder"])
-        gp_term = None
-        if head["gp"] is not None:
-            kern = G.KernelSpec(**head["gp"]["kernel"])
-            inducing = G.InducingSet(np.asarray(head["gp"]["inducing"], dtype=np.float64))
-            gp_term = G.GpTerm(G.build_nystrom(inducing, kern),
-                               train_lengthscale=head["gp"]["train_lengthscale"])
-    except (KeyError, TypeError) as exc:
+        version = head.get("version") if isinstance(head, dict) else None
+        if version != _CKPT_VERSION:
+            raise FormatError(f"unsupported checkpoint version {version!r} "
+                              f"(expected {_CKPT_VERSION}); retrain the model")
+        fields = dict(head["config"])
+        fields["patch_shape"] = tuple(fields["patch_shape"])
+        if fields["kernel"] is not None:
+            fields["kernel"] = G.KernelSpec(**fields["kernel"])
+        config = ModelConfig(**fields)
+        inducing = G.InducingSet(head["inducing"]) if config.gp else None
+        model = _assemble(config, inducing)
+        model.noise_sigma = float(head["noise_sigma"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed checkpoint header: {exc!r}") from None
-    alphas = Tensor(np.zeros((head["m"], 1)), requires_grad=True)
-    model = SpatialModel(cfg, alphas, nets, conf_net, gp_term)
-    model.noise_sigma = float(head.get("noise_sigma", 0.0))
-
+    if (len(blob) - 8 - hlen) % 8:
+        raise FormatError(f"parameter stream of {len(blob) - 8 - hlen} bytes is not "
+                          "whole float64 values")
+    stream = np.frombuffer(blob[8 + hlen:], dtype="<f8")
+    params = model.parameters()
+    need = sum(p.data.size for p in params)
+    if stream.size < need:
+        raise FormatError(f"parameter stream truncated: need {need} values, "
+                          f"have {stream.size}")
+    if stream.size > need:
+        raise FormatError(f"parameter stream has {stream.size - need} trailing values")
     off = 0
-
-    def take(count: int) -> np.ndarray:
-        nonlocal off
-        if off + count > stream.size:
-            raise FormatError(f"parameter stream truncated: need {count} values "
-                              f"at offset {off}, have {stream.size - off}")
-        out = stream[off:off + count]
-        off += count
-        return out
-
-    model.alphas.data = take(head["m"]).reshape(head["m"], 1).copy()
-    for net in nets:
-        N.set_flat_params(net, take(net.param_count()))
-    N.set_flat_params(conf_net, take(conf_net.param_count()))
-    if gp_term is not None:
-        q = gp_term.map.q
-        gp_term.weights.data = take(q).reshape(q, 1).copy()
-        if gp_term.train_lengthscale:
-            gp_term.lengthscale.data = np.asarray(take(1)[0])
-    if off != stream.size:
-        raise FormatError(f"parameter stream has {stream.size - off} trailing values")
+    for p in params:
+        p.data = stream[off:off + p.data.size].reshape(p.data.shape).copy()
+        off += p.data.size
     return model

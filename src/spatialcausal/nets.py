@@ -300,7 +300,7 @@ def unet_reduce(output_map: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# closed-form parameter counts and flat serialization
+# closed-form parameter counts
 # ---------------------------------------------------------------------------
 
 def expected_param_count(spec) -> int:
@@ -334,45 +334,3 @@ def expected_param_count(spec) -> int:
     if isinstance(spec, LinearSpec):
         return spec.in_dim + (1 if spec.bias else 0)
     raise ContractError(f"unknown spec type {type(spec).__name__}")
-
-
-def flatten_params(net: Network) -> np.ndarray:
-    """Concatenate parameters in builder order as one float64 vector."""
-    if not net.params:
-        return np.zeros(0)
-    return np.concatenate([p.data.reshape(-1) for p in net.params])
-
-
-def set_flat_params(net: Network, vec: np.ndarray) -> None:
-    vec = np.asarray(vec, dtype=np.float64)
-    total = net.param_count()
-    if vec.shape != (total,):
-        raise DimensionError(f"expected flat vector of length {total}, got {vec.shape}")
-    off = 0
-    for p in net.params:
-        size = p.data.size
-        p.data = vec[off:off + size].reshape(p.data.shape).copy()
-        off += size
-
-
-def spec_header(net: Network) -> dict:
-    """JSON-ready description sufficient to rebuild the network shape."""
-    fields = {k: getattr(net.spec, k) for k in net.spec.__dataclass_fields__}
-    return {"kind": net.kind, "spec": fields}
-
-
-def build_from_header(header: dict, seed: int = 0) -> Network:
-    kind = header.get("kind")
-    fields = dict(header.get("spec", {}))
-    if kind == "mlp":
-        return build_mlp(MlpSpec(**fields), seed)
-    if kind == "cnn":
-        return build_cnn(CnnSpec(**fields), seed)
-    if kind == "unet":
-        return build_unet(UnetSpec(**fields), seed)
-    if kind == "linear":
-        spec = LinearSpec(**fields)
-        if spec.bias:
-            return build_affine(spec.in_dim, seed)
-        return build_linear_interference((spec.in_dim,), seed)
-    raise ContractError(f"unknown network kind {kind!r}")

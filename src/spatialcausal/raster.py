@@ -230,15 +230,15 @@ def save_manifest(manifest: Manifest, path: str) -> None:
     cp.set("manifest", "split.seed", str(manifest.split_seed))
     cp.set("manifest", "split.ratios",
            ",".join(format(r, "g") for r in manifest.split_ratios))
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         cp.write(fh)
 
 
 def load_manifest(path: str) -> Manifest:
     cp = configparser.ConfigParser()
     try:
-        found = cp.read(path)
-    except configparser.Error as exc:
+        found = cp.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise FormatError(f"manifest {path}: {exc}") from None
     if not found:
         raise FormatError(f"cannot read manifest {path}")

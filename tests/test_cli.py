@@ -459,12 +459,30 @@ def _ckpt(header: bytes) -> bytes:
     return b"SCKP" + struct.pack("<I", len(header)) + header
 
 
-# (id, file, replacement bytes/text or edit of the good text, error code)
+def _v1_header(blob: bytes) -> bytes:
+    """The checkpoint's parameters behind a header without a format version."""
+    (hlen,) = struct.unpack("<I", blob[4:8])
+    head = {"m": 1, "patch_shape": [3], "x_dim": 2, "interference_kind": "linear",
+            "interference": [{"kind": "linear", "spec": {"in_dim": 3, "bias": False}}],
+            "confounder": {"kind": "linear", "spec": {"in_dim": 2, "bias": True}},
+            "gp": None, "noise_sigma": 1.0,
+            "param_order": "alphas, interference nets by treatment, confounder net, "
+                           "gp weights, gp lengthscale"}
+    return _ckpt(json.dumps(head, sort_keys=True).encode()) + blob[8 + hlen:]
+
+
+# (id, file, replacement bytes/text or edit of the good file, error code);
+# edits get the checkpoint as bytes and every other file as text
 MALFORMED_FILES = [
     ("ckpt_shorter_than_8_bytes", "model.ckpt", b"SCKP\x01", "format_error"),
     ("ckpt_header_not_json", "model.ckpt", _ckpt(b"{oops"), "format_error"),
     ("ckpt_header_not_utf8", "model.ckpt", _ckpt(b"\xff\xfe"), "format_error"),
     ("ckpt_header_missing_key", "model.ckpt", _ckpt(b'{"m": 1}'), "format_error"),
+    ("ckpt_payload_not_whole_float64", "model.ckpt", lambda b: b + b"\x00" * 3,
+     "format_error"),
+    ("ckpt_trailing_values", "model.ckpt", lambda b: b + b"\x00" * 8, "format_error"),
+    ("ckpt_v1_header", "model.ckpt", _v1_header, "format_error"),
+    ("config_not_utf8", "exp.ini", b"[data]\nn = \xff\n", "config_error"),
     ("config_duplicate_key", "exp.ini", "[data]\nn = 5\nn = 6\n", "config_error"),
     ("config_no_section_header", "exp.ini", "n = 5\n", "config_error"),
     ("manifest_d_s_not_int", "run.manifest",
@@ -477,10 +495,16 @@ MALFORMED_FILES = [
      lambda t: t.replace("0.6,0.2,0.2", "0.6,0.2,rest"), "config_error"),
     ("manifest_duplicate_key", "run.manifest",
      lambda t: t.rstrip() + "\nd_s = 5\n", "format_error"),
+    ("manifest_not_utf8", "run.manifest", lambda t: t.encode() + b"; \xff\n",
+     "format_error"),
     ("truth_truncated_json", "truth.json", lambda t: t[:len(t) // 2], "data_error"),
     ("truth_missing_seed", "truth.json", _drop_key("seed"), "data_error"),
     ("truth_missing_data", "truth.json", _drop_key("data"), "data_error"),
     ("truth_missing_generator", "truth.json", _drop_key("generator"), "data_error"),
+    ("report_truncated_json", "report.json", b'{"config_hash": "x", "seeds": [0]',
+     "data_error"),
+    ("report_missing_seeds", "report.json", b'{"config_hash": "x"}', "data_error"),
+    ("metrics_truncated_json", "metrics.json", b'{"r2_all": 0.5', "data_error"),
 ]
 
 
@@ -497,21 +521,26 @@ class TestMalformedFiles:
         ckpt = str(tmp_path / "model.ckpt")
         shutil.copy(workspace["ckpt"], ckpt)
         ini = write_ini(tmp_path, TINY_INI)
-        path = {"model.ckpt": ckpt, "exp.ini": ini}.get(
+        out_dir = str(tmp_path / "out")
+        os.makedirs(out_dir)
+        path = {"model.ckpt": ckpt, "exp.ini": ini,
+                "report.json": os.path.join(out_dir, target),
+                "metrics.json": os.path.join(out_dir, target)}.get(
             target, os.path.join(data, target))
         if callable(content):
-            with open(path) as fh:
+            with open(path, "rb" if target == "model.ckpt" else "r") as fh:
                 content = content(fh.read())
         with open(path, "wb") as fh:
             fh.write(content if isinstance(content, bytes) else content.encode())
-        out = ["--out", str(tmp_path / "out")]
         argv = {
             "model.ckpt": ["eval", "--config", ini, "--ckpt", ckpt, "--data", data],
             "exp.ini": ["gen", "--config", ini],
             "run.manifest": ["train", "--config", ini, "--data", data],
             "truth.json": ["effects", "--config", ini, "--ckpt", ckpt,
                            "--data", data],
-        }[target] + out
+            "report.json": ["report"],
+            "metrics.json": ["report"],
+        }[target] + ["--out", out_dir]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.partition("\t")[0] == code, err

@@ -1,5 +1,7 @@
 """Tests for the additive model: construction, prediction, training, metrics."""
 
+import struct
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -276,22 +278,50 @@ class TestEvaluate:
         assert out["all"]["mae"] == pytest.approx(0.25)
 
 
+def patch_dataset(shape, n=24, m=2, seed=0):
+    """Random center-zero patches of ``shape``, coordinates of the same rank."""
+    rng = np.random.default_rng(seed)
+    patches = rng.normal(size=(n, m) + shape)
+    patches[(slice(None), slice(None)) + tuple(k // 2 for k in shape)] = 0.0
+    coords = rng.uniform(0.0, 1.0, size=(n, len(shape)))
+    return M.SpatialDataset(coords, rng.normal(size=(n, m)), patches,
+                            rng.normal(size=(n, 2)), rng.normal(size=n), d_s=shape[0])
+
+
 class TestCheckpoint:
-    def test_roundtrip_preserves_predictions(self, tmp_path):
-        data = line_dataset(seed=13)
-        kernel = G.KernelSpec("rbf", 1.0, 0.4, 1e-8)
-        model = M.build_model(M.ModelConfig(m=1, patch_shape=(3,), x_dim=2,
-                                            interference="mlp", confounder="linear",
-                                            mlp_width=5, mlp_depth=2, gp=True,
-                                            kernel=kernel, q=6, seed=3),
-                              coords=data.coords)
+    @pytest.mark.parametrize("gp", ["off", "fixed", "trained"])
+    @pytest.mark.parametrize("interference", ["linear", "mlp", "cnn", "unet", "none"])
+    def test_roundtrip_preserves_predictions(self, tmp_path, interference, gp):
+        data = patch_dataset((5, 5) if interference in ("cnn", "unet") else (3,), seed=13)
+        gp_kw = {}
+        if gp != "off":
+            gp_kw = dict(gp=True, kernel=G.KernelSpec("rbf", 1.0, 0.4, 1e-8), q=6,
+                         train_lengthscale=gp == "trained",
+                         inducing_strategy="subsample" if gp == "trained" else "grid")
+        model = M.build_model(M.ModelConfig(
+            m=2, patch_shape=data.patch_shape, x_dim=2, interference=interference,
+            confounder="mlp", mlp_width=5, mlp_depth=2, cnn_channels=3, cnn_depth=2,
+            unet_base=2, unet_depth=1, seed=3 + len(interference), **gp_kw),
+            coords=data.coords)
         rng = np.random.default_rng(2)
-        model.alphas.data[0, 0] = -0.3
-        model.gp_term.weights.data = rng.normal(size=model.gp_term.weights.data.shape)
+        for p in model.parameters():
+            p.data = rng.normal(size=p.data.shape)
+        if gp == "trained":
+            model.gp_term.lengthscale.data = np.asarray(0.55)
+        model.noise_sigma = 0.7
         path = str(tmp_path / "model.ckpt")
         M.save_model(model, path)
         clone = M.load_model(path)
+        assert clone.config == model.config
+        assert clone.noise_sigma == model.noise_sigma
         npt.assert_array_equal(model.predict_dataset(data), clone.predict_dataset(data))
+
+    def test_header_without_config_rejected(self, tmp_path):
+        head = b'{"version": 2}'
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"SCKP" + struct.pack("<I", len(head)) + head)
+        with pytest.raises(FormatError, match="config"):
+            M.load_model(str(path))
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"

@@ -30,9 +30,11 @@ class TestMlp:
     def test_same_seed_same_params(self):
         a = N.build_mlp(N.MlpSpec(2, 7, 2), seed=42)
         b = N.build_mlp(N.MlpSpec(2, 7, 2), seed=42)
-        npt.assert_array_equal(N.flatten_params(a), N.flatten_params(b))
+        for pa, pb in zip(a.params, b.params, strict=True):
+            npt.assert_array_equal(pa.data, pb.data)
         c = N.build_mlp(N.MlpSpec(2, 7, 2), seed=43)
-        assert not np.array_equal(N.flatten_params(a), N.flatten_params(c))
+        assert not all(np.array_equal(pa.data, pc.data)
+                       for pa, pc in zip(a.params, c.params, strict=True))
 
     def test_glorot_limits_and_zero_biases(self):
         spec = N.MlpSpec(in_dim=9, width=16, depth=1)
@@ -172,25 +174,3 @@ class TestLinear:
         net = N.build_affine(3)
         net.params[1].data = np.array([2.5])
         npt.assert_array_equal(net.forward(np.zeros((2, 3))).data, 2.5)
-
-
-class TestSerialization:
-    @pytest.mark.parametrize("builder,spec", [
-        (N.build_mlp, N.MlpSpec(3, 6, 2)),
-        (N.build_cnn, N.CnnSpec(1, 3, 2, 8)),
-        (N.build_unet, N.UnetSpec(1, 2, 16)),
-    ])
-    def test_flat_roundtrip(self, builder, spec):
-        net = builder(spec, 7)
-        vec = N.flatten_params(net)
-        clone = N.build_from_header(N.spec_header(net), seed=0)
-        N.set_flat_params(clone, vec)
-        x = (np.random.default_rng(1).normal(size=(2, spec.in_channels, spec.input_side, spec.input_side))
-             if net.kind in ("cnn", "unet")
-             else np.random.default_rng(1).normal(size=(2, spec.in_dim)))
-        npt.assert_array_equal(net.forward(x).data, clone.forward(x).data)
-
-    def test_wrong_length_rejected(self):
-        net = N.build_mlp(N.MlpSpec(2, 3, 1), 0)
-        with pytest.raises(DimensionError):
-            N.set_flat_params(net, np.zeros(net.param_count() + 1))
