@@ -234,7 +234,7 @@ def relu(x) -> Tensor:
     def vjp(g):
         return (g * mask,)
 
-    return _record("relu", (x,), np.where(mask, x.data, 0.0), vjp)
+    return _record("relu", (x,), np.maximum(x.data, 0.0), vjp)
 
 
 def elu(x, alpha: float = 1.0) -> Tensor:
@@ -249,11 +249,30 @@ def elu(x, alpha: float = 1.0) -> Tensor:
     return _record("elu", (x,), out, vjp)
 
 
+def _sum_shifted_gemms(mats: list, src: np.ndarray, starts: list, span: int) -> np.ndarray:
+    """Sum of ``mats[i] @ src[:, starts[i]:starts[i] + span]`` over i."""
+    acc = mats[0] @ src[:, starts[0]:starts[0] + span]
+    tmp = np.empty_like(acc)
+    for m, s in zip(mats[1:], starts[1:]):
+        np.matmul(m, src[:, s:s + span], out=tmp)
+        acc += tmp
+    return acc
+
+
 def conv2d(x, w, bias=None, padding: int = 0) -> Tensor:
     """2-d convolution, stride 1, square kernel, optional zero padding.
 
-    ``x`` is (n, c_in, h, w); ``w`` is (c_out, c_in, kh, kw).  Implemented by
-    unrolling patches to columns so the inner product is a single matmul.
+    ``x`` is (n, c_in, h, w); ``w`` is (c_out, c_in, kh, kw).  The padded
+    input is laid out channel-major, flattened over (n, hp, wp) and followed
+    by ``reach`` zeros, so what kernel offset (di, dj) sees is the contiguous
+    slice ``xf[:, o:o + span]`` with ``o = di * wp + dj``.  Each offset is one
+    (c_out, c_in) @ (c_in, span) GEMM on that view, summed over the offsets,
+    and the backward pass runs the same shifted GEMMs.  No im2col column
+    buffer (kh * kw copies of the input) is built: on the small maps of the
+    U-Net its copies, and the scatter of its gradient, cost more than the
+    GEMMs, as each is a strided numpy pass over image rows a few floats long.
+    Outputs whose window wraps past a row or image edge are computed and
+    dropped.
     """
     x, w = as_tensor(x), as_tensor(w)
     xd, wd = x.data, w.data
@@ -265,24 +284,26 @@ def conv2d(x, w, bias=None, padding: int = 0) -> Tensor:
     ho, wo = h + 2 * p - kh + 1, wdt + 2 * p - kw + 1
     if ho <= 0 or wo <= 0:
         raise DimensionError(f"kernel {kh}x{kw} too large for input {h}x{wdt} pad {p}")
-    xp = np.pad(xd, ((0, 0), (0, 0), (p, p), (p, p))) if p else xd
-    cols = np.empty((n, cin, kh, kw, ho, wo), dtype=np.float64)
-    for di in range(kh):
-        for dj in range(kw):
-            cols[:, :, di, dj] = xp[:, :, di:di + ho, dj:dj + wo]
-    cols2 = cols.reshape(n, cin * kh * kw, ho * wo)
-    wmat = wd.reshape(cout, cin * kh * kw)
-    out = (wmat[None] @ cols2).reshape(n, cout, ho, wo)
+    hp, wp = h + 2 * p, wdt + 2 * p
+    span = n * hp * wp
+    reach = (kh - 1) * wp + kw - 1
+    starts = [di * wp + dj for di in range(kh) for dj in range(kw)]
+    wtaps = list(wd.reshape(cout, cin, kh * kw).transpose(2, 0, 1))
+    xf = np.zeros((cin, span + reach), dtype=np.float64)
+    xf[:, :span].reshape(cin, n, hp, wp)[:, :, p:p + h, p:p + wdt] = xd.transpose(1, 0, 2, 3)
+    acc = _sum_shifted_gemms(wtaps, xf, starts, span)
+    out = acc.reshape(cout, n, hp, wp)[:, :, :ho, :wo].transpose(1, 0, 2, 3)
 
     def vjp(g):
-        gm = g.reshape(n, cout, ho * wo)
-        gw = np.einsum("nfp,nkp->fk", gm, cols2).reshape(wd.shape)
-        gcols = (wmat.T[None] @ gm).reshape(n, cin, kh, kw, ho, wo)
-        gxp = np.zeros_like(xp)
-        for di in range(kh):
-            for dj in range(kw):
-                gxp[:, :, di:di + ho, dj:dj + wo] += gcols[:, :, di, dj]
-        gx = gxp[:, :, p:p + h, p:p + wdt] if p else gxp
+        # g sits at gext[:, reach:]; the leading zeros give every offset a full-length slice
+        gext = np.zeros((cout, reach + span), dtype=np.float64)
+        gl = gext[:, reach:]
+        gl.reshape(cout, n, hp, wp)[:, :, :ho, :wo] = g.transpose(1, 0, 2, 3)
+        gw = np.stack([gl @ xf[:, o:o + span].T for o in starts], axis=-1).reshape(wd.shape)
+        if not x.requires_grad:
+            return None, gw
+        gxf = _sum_shifted_gemms([m.T for m in wtaps], gext, [reach - o for o in starts], span)
+        gx = gxf.reshape(cin, n, hp, wp)[:, :, p:p + h, p:p + wdt].transpose(1, 0, 2, 3)
         return gx, gw
 
     out_t = _record("conv2d", (x, w), out, vjp)

@@ -26,7 +26,7 @@ from . import gp as G
 from . import nets as N
 from .engine import Tensor
 from .errors import (ConfigError, ContractError, DataError, DimensionError,
-                     FormatError, NumericError)
+                     FormatError, NumericError, SpatialCausalError)
 
 
 @dataclass
@@ -503,7 +503,9 @@ def load_model(path: str) -> SpatialModel:
         inducing = G.InducingSet(head["inducing"]) if config.gp else None
         model = _assemble(config, inducing)
         model.noise_sigma = float(head["noise_sigma"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except FormatError:
+        raise
+    except (KeyError, TypeError, ValueError, SpatialCausalError) as exc:
         raise FormatError(f"malformed checkpoint header: {exc!r}") from None
     if (len(blob) - 8 - hlen) % 8:
         raise FormatError(f"parameter stream of {len(blob) - 8 - hlen} bytes is not "

@@ -471,6 +471,17 @@ def _v1_header(blob: bytes) -> bytes:
     return _ckpt(json.dumps(head, sort_keys=True).encode()) + blob[8 + hlen:]
 
 
+def _gp_header(inducing):
+    """The checkpoint with the GP term switched on and the given inducing points."""
+    def edit(blob: bytes) -> bytes:
+        (hlen,) = struct.unpack("<I", blob[4:8])
+        head = json.loads(blob[8:8 + hlen])
+        head["config"].update(gp=True, kernel={"family": "rbf"})
+        head["inducing"] = inducing
+        return _ckpt(json.dumps(head, sort_keys=True).encode()) + blob[8 + hlen:]
+    return edit
+
+
 # (id, file, replacement bytes/text or edit of the good file, error code);
 # edits get the checkpoint as bytes and every other file as text
 MALFORMED_FILES = [
@@ -482,6 +493,8 @@ MALFORMED_FILES = [
      "format_error"),
     ("ckpt_trailing_values", "model.ckpt", lambda b: b + b"\x00" * 8, "format_error"),
     ("ckpt_v1_header", "model.ckpt", _v1_header, "format_error"),
+    ("ckpt_inducing_null", "model.ckpt", _gp_header(None), "format_error"),
+    ("ckpt_inducing_repeated", "model.ckpt", _gp_header([[0.0], [0.0]]), "format_error"),
     ("config_not_utf8", "exp.ini", b"[data]\nn = \xff\n", "config_error"),
     ("config_duplicate_key", "exp.ini", "[data]\nn = 5\nn = 6\n", "config_error"),
     ("config_no_section_header", "exp.ini", "n = 5\n", "config_error"),

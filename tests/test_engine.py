@@ -129,6 +129,87 @@ class TestBackward:
         assert w.grad is None
 
 
+def _conv_reference(x, w, g, padding):
+    """Direct nested-loop convolution of x by w, and the gradients of sum(out * g)."""
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    n, _, hp, wp = xp.shape
+    kh, kw = w.shape[2:]
+    out = np.zeros((n, w.shape[0], hp - kh + 1, wp - kw + 1))
+    gw = np.zeros_like(w)
+    gxp = np.zeros_like(xp)
+    for b in range(n):
+        for i in range(out.shape[2]):
+            for j in range(out.shape[3]):
+                patch = xp[b, :, i:i + kh, j:j + kw]
+                out[b, :, i, j] = np.tensordot(w, patch, axes=3)
+                gw += g[b, :, i, j, None, None, None] * patch
+                gxp[b, :, i:i + kh, j:j + kw] += np.tensordot(g[b, :, i, j], w, axes=1)
+    gx = gxp[:, :, padding:hp - padding, padding:wp - padding]
+    return out, gx, gw
+
+
+def _conv_taped(x, w, g, padding):
+    with E.Tape() as tape:
+        out = E.conv2d(x, w, padding=padding)
+        loss = E.tsum(E.mul(out, E.Tensor(g)))
+    tape.backward(loss)
+    return out.data, tape
+
+
+# (n, c_in, h, w, c_out, k, padding)
+CONV_SHAPES = [
+    (2, 3, 5, 5, 4, 1, 0),
+    (2, 3, 6, 6, 2, 3, 0),
+    (2, 2, 6, 6, 3, 3, 1),
+    (2, 2, 7, 7, 3, 5, 2),
+    (3, 2, 5, 8, 4, 3, 1),
+    (2, 3, 9, 4, 2, 3, 0),
+    (1, 2, 6, 5, 3, 3, 1),
+    (2, 1, 4, 4, 5, 3, 1),
+    (3, 12, 8, 8, 4, 3, 1),
+    (3, 24, 4, 4, 8, 3, 1),
+]
+
+
+class TestConv2d:
+    @pytest.mark.parametrize("shape", CONV_SHAPES,
+                             ids=["n{}_c{}_{}x{}_f{}_k{}_p{}".format(*s) for s in CONV_SHAPES])
+    def test_matches_nested_loop_reference(self, shape):
+        n, cin, h, wdt, cout, k, pad = shape
+        rng = np.random.default_rng(sum(shape))
+        x = E.Tensor(rng.normal(size=(n, cin, h, wdt)), requires_grad=True)
+        w = E.Tensor(rng.normal(size=(cout, cin, k, k)), requires_grad=True)
+        g = rng.normal(size=(n, cout, h + 2 * pad - k + 1, wdt + 2 * pad - k + 1))
+        ref_out, ref_gx, ref_gw = _conv_reference(x.data, w.data, g, pad)
+        out, _ = _conv_taped(x, w, g, pad)
+        npt.assert_allclose(out, ref_out, rtol=1e-12, atol=1e-12)
+        npt.assert_allclose(x.grad, ref_gx, rtol=1e-12, atol=1e-12)
+        npt.assert_allclose(w.grad, ref_gw, rtol=1e-12, atol=1e-12)
+
+    def test_constant_input_gets_no_gradient(self):
+        rng = np.random.default_rng(5)
+        x = E.Tensor(rng.normal(size=(2, 3, 6, 5)))
+        w = E.Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+        g = rng.normal(size=(2, 4, 6, 5))
+        _, tape = _conv_taped(x, w, g, 1)
+        node = next(nd for nd in tape.nodes if nd.kind == "conv2d")
+        assert node.vjp(g)[0] is None
+        assert x.grad is None
+        npt.assert_allclose(w.grad, _conv_reference(x.data, w.data, g, 1)[2],
+                            rtol=1e-12, atol=1e-12)
+
+    def test_finite_diff_non_square_unpadded(self):
+        rng = np.random.default_rng(8)
+        x = E.Tensor(rng.normal(size=(2, 2, 5, 7)), requires_grad=True)
+        w = E.Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+        b = E.Tensor(rng.normal(size=3), requires_grad=True)
+        g = E.Tensor(rng.normal(size=(2, 3, 3, 5)))
+        report = E.finite_diff_check(
+            lambda: E.tsum(E.mul(E.conv2d(x, w, b), g)), [x, w, b],
+            tolerance=1e-4, step=1e-5)
+        assert report.passed, report
+
+
 class TestFiniteDiff:
     @pytest.mark.parametrize("kind,fn,params", cli._gradcheck_cases(),
                              ids=lambda v: v if isinstance(v, str) else "")
