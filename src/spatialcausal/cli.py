@@ -134,6 +134,10 @@ _SCHEMA = {
     },
 }
 
+# seeds and sizes that numpy would reject with a traceback when negative
+_NONNEGATIVE = (("data", "split_seed"), ("effects", "grid_size"), ("effects", "seed"),
+                ("run", "seeds"))
+
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
@@ -166,8 +170,6 @@ class ExperimentConfig:
     """Schema-validated, fully resolved experiment settings."""
 
     resolved: dict
-    explicit: dict
-    path: str = ""
 
     def hash(self) -> str:
         blob = json.dumps(self.resolved, sort_keys=True)
@@ -183,7 +185,6 @@ def load_config(path: str) -> ExperimentConfig:
     if not found:
         raise ConfigError(f"cannot read config file {path}")
     resolved = {}
-    explicit = {}
     for section in cp.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
@@ -203,7 +204,6 @@ def load_config(path: str) -> ExperimentConfig:
             else:
                 values[key] = default
         resolved[section] = values
-        explicit[section] = set(raw)
     data = resolved["data"]
     if data["d_s"] is None:
         data["d_s"] = 51 if data["full_scale"] else 25
@@ -211,7 +211,11 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError("data.manifest: required when generator = manifest")
     resolved["data"]["split_ratios"] = tuple(data["split_ratios"])
     resolved["run"]["seeds"] = tuple(resolved["run"]["seeds"])
-    return ExperimentConfig(resolved=resolved, explicit=explicit, path=path)
+    for section, key in _NONNEGATIVE:
+        val = resolved[section][key]
+        if np.min(val) < 0:
+            raise ConfigError(f"{section}.{key}: must be >= 0, got {val}")
+    return ExperimentConfig(resolved=resolved)
 
 
 def _line_config(data: dict, seed: int) -> LineGraphConfig:
@@ -750,6 +754,8 @@ def main(argv=None) -> int:
         if args.command == "report":
             return cmd_report(args.out)
         config = load_config(args.config)
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
         out_dir = args.out if args.out is not None else config.resolved["run"]["out"]
         if args.command == "gen":
             return cmd_gen(config, out_dir, args.seed)
@@ -763,7 +769,7 @@ def main(argv=None) -> int:
     except SpatialCausalError as exc:
         sys.stderr.write(f"{exc.code}\t{exc}\n")
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         sys.stderr.write(f"data_error\t{exc}\n")
         return 2
 

@@ -220,18 +220,23 @@ class GpTerm:
         return E.matmul(self.features_op(coords), self.weights)
 
     def features_np(self, coords) -> np.ndarray:
-        """Plain-numpy features at the current parameter values."""
-        if not self.train_lengthscale:
-            return self.map.features(coords)
-        return _trained_forward(self, coords)[-1].T
+        """Features at the current parameter values as a plain array.
 
-    def values_np(self, coords) -> np.ndarray:
-        return (self.features_np(coords) @ self.weights.data).reshape(-1)
+        Kept only because ``perfbench/tracing.py`` wraps it by name.
+        """
+        return self.features_op(coords).data
 
 
-def _trained_forward(term: GpTerm, coords):
-    """(ls, d_qq, d_nq, Kq, Knq, L, Z^T) at the trained lengthscale."""
-    ls = float(term.lengthscale.data.reshape(()))
+def _features_with_lengthscale_grad(term: GpTerm, coords) -> Tensor:
+    """Features at the current lengthscale with a hand-built vjp.
+
+    l is scalar, so the full Jacobian dZ/dl is a single directional
+    derivative; the vjp computes it, so a forward outside a tape skips it.
+    Using dL = L*Phi(L^{-1} dKq L^{-T}) with Phi = lower triangle and halved
+    diagonal, the feature differential is dZ^T = L^{-1} (dKnq^T - dL Z^T).
+    """
+    l_param = term.lengthscale
+    ls = float(l_param.data.reshape(()))
     if ls <= 0:
         raise NumericError(f"lengthscale became nonpositive during training: {ls}")
     kernel = term.map.kernel
@@ -242,31 +247,17 @@ def _trained_forward(term: GpTerm, coords):
     kq = 0.5 * (kq + kq.T)
     knq = kernel_matrix_from_dist(kernel, d_nq, ls)
     factor, _ = chol_with_jitter(kq, kernel.noise)
-    return ls, d_qq, d_nq, kq, knq, factor, solve_triangular(factor, knq.T, lower=True)
-
-
-def _features_with_lengthscale_grad(term: GpTerm, coords) -> Tensor:
-    """Forward features for the current lengthscale with a hand-built vjp.
-
-    l is scalar, so the full Jacobian dZ/dl is a single directional
-    derivative.  Using dL = L*Phi(L^{-1} dKq L^{-T}) with Phi = lower triangle
-    and halved diagonal, the feature differential is
-    dZ^T = L^{-1} (dKnq^T - dL Z^T).
-    """
-    kernel = term.map.kernel
-    l_param = term.lengthscale
-    ls, d_qq, d_nq, kq, knq, factor, zt = _trained_forward(term, coords)
-    dkq = _dkernel_dl_from_dist(kernel, kq, d_qq, ls)
-    dknq = _dkernel_dl_from_dist(kernel, knq, d_nq, ls)
-    inner = solve_triangular(factor, dkq, lower=True)
-    inner = solve_triangular(factor, inner.T, lower=True)      # L^{-1} dKq L^{-T}
-    phi = np.tril(inner)
-    np.fill_diagonal(phi, 0.5 * np.diag(inner))
-    dfactor = factor @ phi
-    dzt = solve_triangular(factor, dknq.T - dfactor @ zt, lower=True)
-    dz = dzt.T
+    zt = solve_triangular(factor, knq.T, lower=True)
 
     def vjp(g):
+        dkq = _dkernel_dl_from_dist(kernel, kq, d_qq, ls)
+        dknq = _dkernel_dl_from_dist(kernel, knq, d_nq, ls)
+        inner = solve_triangular(factor, dkq, lower=True)
+        inner = solve_triangular(factor, inner.T, lower=True)      # L^{-1} dKq L^{-T}
+        phi = np.tril(inner)
+        np.fill_diagonal(phi, 0.5 * np.diag(inner))
+        dfactor = factor @ phi
+        dz = solve_triangular(factor, dknq.T - dfactor @ zt, lower=True).T
         return (np.asarray(np.sum(g * dz)).reshape(l_param.data.shape),)
 
     return E._record("gp_features", (l_param,), zt.T.copy(), vjp)

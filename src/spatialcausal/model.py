@@ -159,27 +159,33 @@ class SpatialModel:
             params.extend(self.gp_term.parameters())
         return params
 
-    # -- engine-path forward (training) ------------------------------------
-
-    def _patch_input(self, net, patches_m: np.ndarray) -> np.ndarray:
+    def _interference(self, m: int, patches_m: np.ndarray) -> Tensor:
+        """f_m on a batch of patch m, laid out for the net kind, as (n, 1)."""
+        net = self.interference_nets[m]
         if net.kind in ("cnn", "unet"):
-            return patches_m[:, None, :, :]
-        return patches_m.reshape(patches_m.shape[0], -1)
+            x = patches_m[:, None, :, :]
+        else:
+            x = patches_m.reshape(patches_m.shape[0], -1)
+        out = net.forward(Tensor(x))
+        return N.unet_reduce(out) if net.kind == "unet" else out
 
     def forward_batch(self, treatments: np.ndarray, patches: np.ndarray,
                       confounders: np.ndarray, coords: np.ndarray) -> Tensor:
+        """(n, 1) predictions; differentiable under a tape, plain numpy outside one."""
         pred = E.matmul(Tensor(treatments), self.alphas)
-        for m, net in enumerate(self.interference_nets):
-            out = net.forward(Tensor(self._patch_input(net, patches[:, m])))
-            if net.kind == "unet":
-                out = N.unet_reduce(out)
-            pred = E.add(pred, out)
+        for m in range(len(self.interference_nets)):
+            pred = E.add(pred, self._interference(m, patches[:, m]))
         pred = E.add(pred, self.confounder_net.forward(Tensor(confounders)))
         if self.gp_term is not None:
             pred = E.add(pred, self.gp_term.values_op(coords))
         return pred
 
-    # -- numpy-path components (estimation; no tape is active) -------------
+    def predict_dataset(self, dataset: SpatialDataset) -> np.ndarray:
+        """Predicted outcomes for every unit at observed assignments."""
+        return self.forward_batch(dataset.treatments, dataset.patches, dataset.confounders,
+                                  dataset.coords).data.reshape(-1)
+
+    # -- single components (estimation and prediction breakdowns) ---------
 
     def direct_component(self, treatments: np.ndarray) -> np.ndarray:
         return (np.asarray(treatments, dtype=np.float64) @ self.alphas.data).reshape(-1)
@@ -187,11 +193,7 @@ class SpatialModel:
     def interference_component(self, m: int, patches_m: np.ndarray) -> np.ndarray:
         if not self.interference_nets:
             return np.zeros(patches_m.shape[0])
-        net = self.interference_nets[m]
-        out = net.forward(Tensor(self._patch_input(net, patches_m)))
-        if net.kind == "unet":
-            out = N.unet_reduce(out)
-        return out.data.reshape(-1)
+        return self._interference(m, patches_m).data.reshape(-1)
 
     def interference_total(self, patches: np.ndarray) -> np.ndarray:
         total = np.zeros(patches.shape[0])
@@ -205,14 +207,7 @@ class SpatialModel:
     def spatial_component(self, coords: np.ndarray) -> np.ndarray:
         if self.gp_term is None:
             return np.zeros(np.atleast_2d(coords).shape[0])
-        return self.gp_term.values_np(coords)
-
-    def predict_dataset(self, dataset: SpatialDataset) -> np.ndarray:
-        """Predicted outcomes for every unit at observed assignments."""
-        return (self.direct_component(dataset.treatments)
-                + self.interference_total(dataset.patches)
-                + self.confounder_component(dataset.confounders)
-                + self.spatial_component(dataset.coords))
+        return self.gp_term.values_op(coords).data.reshape(-1)
 
 
 @dataclass

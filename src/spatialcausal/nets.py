@@ -56,14 +56,10 @@ class UnetSpec:
     base_channels: int
     input_side: int
     depth: int = 3        # number of down/up levels
-    padding: int = 1      # zero padding of the 3x3 convs
 
     def validate(self) -> None:
         if min(self.in_channels, self.base_channels, self.depth, self.input_side) < 1:
             raise ContractError(f"invalid unet spec {self}")
-        if self.padding != 1:
-            raise ContractError(
-                "unet convs are 3x3 and must preserve map size; padding must be 1")
 
 
 @dataclass(frozen=True)
@@ -84,11 +80,10 @@ def _glorot(rng: np.random.Generator, shape: tuple, fan_in: int, fan_out: int) -
 class Network:
     """A spec, an ordered parameter list, and a forward procedure."""
 
-    def __init__(self, kind: str, spec, params: list[Tensor], param_names: list[str]):
+    def __init__(self, kind: str, spec, params: list[Tensor]):
         self.kind = kind
         self.spec = spec
         self.params = params
-        self.param_names = param_names
 
     def param_count(self) -> int:
         return sum(p.data.size for p in self.params)
@@ -109,13 +104,11 @@ def build_mlp(spec: MlpSpec, seed: int) -> Network:
     spec.validate()
     rng = np.random.default_rng(seed)
     dims = [spec.in_dim] + [spec.width] * spec.depth + [spec.out_dim]
-    params, names = [], []
-    for i, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
+    params = []
+    for d_in, d_out in zip(dims[:-1], dims[1:]):
         params.append(Tensor(_glorot(rng, (d_in, d_out), d_in, d_out), requires_grad=True))
-        names.append(f"w{i}")
         params.append(Tensor(np.zeros(d_out), requires_grad=True))
-        names.append(f"b{i}")
-    return Network("mlp", spec, params, names)
+    return Network("mlp", spec, params)
 
 
 def build_cnn(spec: CnnSpec, seed: int) -> Network:
@@ -123,22 +116,18 @@ def build_cnn(spec: CnnSpec, seed: int) -> Network:
     spec.validate()
     rng = np.random.default_rng(seed)
     k = spec.kernel_size
-    params, names = [], []
+    params = []
     cin = spec.in_channels
-    for i in range(spec.depth):
+    for _ in range(spec.depth):
         cout = spec.channels
         params.append(Tensor(
             _glorot(rng, (cout, cin, k, k), cin * k * k, cout * k * k), requires_grad=True))
-        names.append(f"conv{i}_w")
         params.append(Tensor(np.zeros(cout), requires_grad=True))
-        names.append(f"conv{i}_b")
         cin = cout
     params.append(Tensor(
         _glorot(rng, (spec.channels, 1), spec.channels, 1), requires_grad=True))
-    names.append("head_w")
     params.append(Tensor(np.zeros(1), requires_grad=True))
-    names.append("head_b")
-    return Network("cnn", spec, params, names)
+    return Network("cnn", spec, params)
 
 
 def build_unet(spec: UnetSpec, seed: int) -> Network:
@@ -152,35 +141,33 @@ def build_unet(spec: UnetSpec, seed: int) -> Network:
     """
     spec.validate()
     rng = np.random.default_rng(seed)
-    params, names = [], []
+    params = []
 
-    def conv_param(tag, cin, cout, k=3):
+    def conv_param(cin, cout, k=3):
         params.append(Tensor(
             _glorot(rng, (cout, cin, k, k), cin * k * k, cout * k * k), requires_grad=True))
-        names.append(f"{tag}_w")
         params.append(Tensor(np.zeros(cout), requires_grad=True))
-        names.append(f"{tag}_b")
 
     c = spec.base_channels
     cin = spec.in_channels
     enc_channels = []
     for lvl in range(spec.depth):
         cout = c * (2 ** lvl)
-        conv_param(f"enc{lvl}a", cin, cout)
-        conv_param(f"enc{lvl}b", cout, cout)
+        conv_param(cin, cout)
+        conv_param(cout, cout)
         enc_channels.append(cout)
         cin = cout
     bott = c * (2 ** spec.depth)
-    conv_param("botta", cin, bott)
-    conv_param("bottb", bott, bott)
+    conv_param(cin, bott)
+    conv_param(bott, bott)
     up_in = bott
     for lvl in reversed(range(spec.depth)):
         skip = enc_channels[lvl]
-        conv_param(f"dec{lvl}a", up_in + skip, skip)
-        conv_param(f"dec{lvl}b", skip, skip)
+        conv_param(up_in + skip, skip)
+        conv_param(skip, skip)
         up_in = skip
-    conv_param("head", up_in, 1, k=1)
-    return Network("unet", spec, params, names)
+    conv_param(up_in, 1, k=1)
+    return Network("unet", spec, params)
 
 
 def build_linear_interference(patch_shape: Sequence[int], seed: int = 0) -> Network:
@@ -189,8 +176,7 @@ def build_linear_interference(patch_shape: Sequence[int], seed: int = 0) -> Netw
     spec = LinearSpec(in_dim=size, bias=False)
     spec.validate()
     params = [Tensor(np.zeros((size, 1)), requires_grad=True)]
-    net = Network("linear", spec, params, ["w"])
-    return net
+    return Network("linear", spec, params)
 
 
 def build_affine(in_dim: int, seed: int = 0) -> Network:
@@ -199,7 +185,7 @@ def build_affine(in_dim: int, seed: int = 0) -> Network:
     spec.validate()
     params = [Tensor(np.zeros((in_dim, 1)), requires_grad=True),
               Tensor(np.zeros(1), requires_grad=True)]
-    return Network("linear", spec, params, ["w", "b"])
+    return Network("linear", spec, params)
 
 
 # ---------------------------------------------------------------------------

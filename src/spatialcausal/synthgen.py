@@ -358,6 +358,8 @@ def oracle_effects(truth: GroundTruth, dataset: SpatialDataset, m: int,
         draw_indices = dose_draw_indices(dataset.n_units, b_draws, seed)
     else:
         draw_indices = np.asarray(draw_indices, dtype=np.int64)
+        if draw_indices.size < 1:
+            raise ContractError("need at least 1 neighborhood draw")
 
     n = dataset.n_units
     b = draw_indices.size

@@ -449,6 +449,35 @@ class TestMainErrors:
         with pytest.raises(SystemExit):
             cli.main([])
 
+    @pytest.mark.parametrize("command", ["report", "gen"],
+                             ids=["report_out_is_file", "gen_out_is_file"])
+    def test_os_error_maps_to_data_error(self, tmp_path, capsys, command):
+        out = tmp_path / "a_file"
+        out.write_text("x")
+        argv = [command, "--out", str(out)]
+        if command == "gen":
+            argv += ["--config", write_ini(tmp_path, TINY_INI)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.partition("\t")[0] == "data_error", err
+
+    @pytest.mark.parametrize("old,new,command", [
+        ("seeds = 0,1", "seeds = -1", ["gen"]),
+        ("b_draws = 8", "b_draws = 8\nseed = -1", ["effects"]),
+        ("x_dim = 2", "x_dim = 2\nsplit_seed = -1", ["gen"]),
+        ("grid_size = 5", "grid_size = -1", ["effects"]),
+        ("", "", ["gen", "--seed", "-1"]),
+    ], ids=["run_seeds", "effects_seed", "data_split_seed", "effects_grid_size",
+            "seed_flag"])
+    def test_negative_seed_or_size_is_config_error(self, tmp_path, capsys,
+                                                   old, new, command):
+        ini = write_ini(tmp_path, TINY_INI.replace(old, new) if old else TINY_INI)
+        argv = command[:1] + ["--config", ini, "--out", str(tmp_path / "x")] + command[1:]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.partition("\t")[0] == "config_error", err
+        assert "must be >= 0" in err
+
 
 def _drop_key(key):
     return lambda text: json.dumps({k: v for k, v in json.loads(text).items()
@@ -510,6 +539,8 @@ MALFORMED_FILES = [
      lambda t: t.rstrip() + "\nd_s = 5\n", "format_error"),
     ("manifest_not_utf8", "run.manifest", lambda t: t.encode() + b"; \xff\n",
      "format_error"),
+    ("manifest_confounder_is_directory", "run.manifest",
+     lambda t: t.replace("confounder = confounder.grd", "confounder = ."), "data_error"),
     ("truth_truncated_json", "truth.json", lambda t: t[:len(t) // 2], "data_error"),
     ("truth_missing_seed", "truth.json", _drop_key("seed"), "data_error"),
     ("truth_missing_data", "truth.json", _drop_key("data"), "data_error"),

@@ -288,26 +288,51 @@ def patch_dataset(shape, n=24, m=2, seed=0):
                             rng.normal(size=(n, 2)), rng.normal(size=n), d_s=shape[0])
 
 
+def random_model(data, interference, gp):
+    """Small nets of the given kind, GP off / fixed / trained lengthscale,
+    every parameter drawn at random."""
+    gp_kw = {}
+    if gp != "off":
+        gp_kw = dict(gp=True, kernel=G.KernelSpec("rbf", 1.0, 0.4, 1e-8), q=6,
+                     train_lengthscale=gp == "trained",
+                     inducing_strategy="subsample" if gp == "trained" else "grid")
+    model = M.build_model(M.ModelConfig(
+        m=data.n_treatments, patch_shape=data.patch_shape, x_dim=2,
+        interference=interference, confounder="mlp", mlp_width=5, mlp_depth=2,
+        cnn_channels=3, cnn_depth=2, unet_base=2, unet_depth=1,
+        seed=3 + len(interference), **gp_kw), coords=data.coords)
+    rng = np.random.default_rng(2)
+    for p in model.parameters():
+        p.data = rng.normal(size=p.data.shape)
+    if gp == "trained":
+        model.gp_term.lengthscale.data = np.asarray(0.55)
+    return model
+
+
+class TestForwardPath:
+    """Unit predictions and their breakdown agree with the batch forward."""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("gp", ["off", "fixed", "trained"])
+    @pytest.mark.parametrize("interference", ["linear", "mlp", "unet"])
+    def test_predict_matches_predict_dataset(self, interference, gp, m):
+        data = patch_dataset((5, 5) if interference == "unet" else (3,), m=m, seed=17)
+        model = random_model(data, interference, gp)
+        full = model.predict_dataset(data)
+        assert full.shape == (data.n_units,)
+        for i in range(data.n_units):
+            out = M.predict(model, data, i)
+            npt.assert_allclose(out.yhat, full[i], rtol=0, atol=1e-12)
+            npt.assert_allclose(out.direct + out.interference + out.confounder
+                                + out.spatial, full[i], rtol=0, atol=1e-12)
+
+
 class TestCheckpoint:
     @pytest.mark.parametrize("gp", ["off", "fixed", "trained"])
     @pytest.mark.parametrize("interference", ["linear", "mlp", "cnn", "unet", "none"])
     def test_roundtrip_preserves_predictions(self, tmp_path, interference, gp):
         data = patch_dataset((5, 5) if interference in ("cnn", "unet") else (3,), seed=13)
-        gp_kw = {}
-        if gp != "off":
-            gp_kw = dict(gp=True, kernel=G.KernelSpec("rbf", 1.0, 0.4, 1e-8), q=6,
-                         train_lengthscale=gp == "trained",
-                         inducing_strategy="subsample" if gp == "trained" else "grid")
-        model = M.build_model(M.ModelConfig(
-            m=2, patch_shape=data.patch_shape, x_dim=2, interference=interference,
-            confounder="mlp", mlp_width=5, mlp_depth=2, cnn_channels=3, cnn_depth=2,
-            unet_base=2, unet_depth=1, seed=3 + len(interference), **gp_kw),
-            coords=data.coords)
-        rng = np.random.default_rng(2)
-        for p in model.parameters():
-            p.data = rng.normal(size=p.data.shape)
-        if gp == "trained":
-            model.gp_term.lengthscale.data = np.asarray(0.55)
+        model = random_model(data, interference, gp)
         model.noise_sigma = 0.7
         path = str(tmp_path / "model.ckpt")
         M.save_model(model, path)

@@ -129,10 +129,6 @@ class TestUnet:
         m[0, 0, 25, 25] = 7.5
         assert N.unet_reduce(E.Tensor(m)).data[0, 0] == 7.5
 
-    def test_invalid_padding_rejected(self):
-        with pytest.raises(ContractError):
-            N.UnetSpec(1, 2, 16, padding=0).validate()
-
     def test_gradient_check_side16_miniature(self):
         net = N.build_unet(N.UnetSpec(1, 1, 16, depth=2), 4)
         x = E.Tensor(np.random.default_rng(6).normal(size=(1, 1, 16, 16)))

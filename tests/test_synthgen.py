@@ -341,6 +341,12 @@ class TestOracle:
         with pytest.raises(ContractError):
             oracle_effects(flat_truth(10, 1.0), ds, 0, t_grid=np.array([]))
 
+    def test_empty_draw_indices_rejected(self):
+        ds = line_style_dataset()
+        with pytest.raises(ContractError, match="at least 1 neighborhood draw"):
+            oracle_effects(flat_truth(10, 1.0), ds, 0,
+                           draw_indices=np.array([], dtype=np.int64))
+
     def test_line_graph_truth_vs_neighbors(self):
         # drawn neighborhoods run through each unit's own covariance weights
         ds, truth = gen_line_graph(LineGraphConfig(n=30))
