@@ -58,6 +58,7 @@ from .model import (
 from .raster import (
     Grid,
     Manifest,
+    check_split_ratios,
     extract_units,
     load_manifest,
     save_grid,
@@ -209,7 +210,7 @@ def load_config(path: str) -> ExperimentConfig:
         data["d_s"] = 51 if data["full_scale"] else 25
     if data["generator"] == "manifest" and not data["manifest"]:
         raise ConfigError("data.manifest: required when generator = manifest")
-    resolved["data"]["split_ratios"] = tuple(data["split_ratios"])
+    data["split_ratios"] = check_split_ratios(data["split_ratios"], ConfigError)
     resolved["run"]["seeds"] = tuple(resolved["run"]["seeds"])
     for section, key in _NONNEGATIVE:
         val = resolved[section][key]

@@ -38,7 +38,9 @@ class KernelSpec:
     def validate(self) -> None:
         if self.family not in _FAMILIES:
             raise ContractError(f"kernel family must be one of {_FAMILIES}, got {self.family!r}")
-        if self.sigma <= 0 or self.lengthscale <= 0 or self.noise < 0:
+        # NaN fails every comparison, so these bounds reject NaN as well as inf
+        if not (0 < self.sigma < math.inf and 0 < self.lengthscale < math.inf
+                and 0 <= self.noise < math.inf):
             raise ContractError(f"invalid kernel parameters {self}")
 
 
@@ -65,17 +67,6 @@ def _dkernel_dl_from_dist(kernel: KernelSpec, kmat: np.ndarray, dist: np.ndarray
     if kernel.family == "rbf":
         return kmat * (dist * dist) / (ls ** 3)
     return kmat * dist / (ls * ls)
-
-
-def kernel_eval(kernel: KernelSpec, s_a, s_b) -> float:
-    """Covariance between two coordinates; jitter is never applied here."""
-    kernel.validate()
-    a = np.atleast_1d(np.asarray(s_a, dtype=np.float64))
-    b = np.atleast_1d(np.asarray(s_b, dtype=np.float64))
-    if a.shape != b.shape:
-        raise DimensionError(f"coordinate shapes differ: {a.shape} vs {b.shape}")
-    d = float(np.linalg.norm(a - b))
-    return float(kernel_matrix_from_dist(kernel, np.asarray(d)))
 
 
 def gram_matrix(kernel: KernelSpec, coords_a, coords_b=None) -> np.ndarray:
@@ -261,12 +252,6 @@ def _features_with_lengthscale_grad(term: GpTerm, coords) -> Tensor:
         return (np.asarray(np.sum(g * dz)).reshape(l_param.data.shape),)
 
     return E._record("gp_features", (l_param,), zt.T.copy(), vjp)
-
-
-def gp_value(term: GpTerm, s) -> Tensor:
-    """Scalar adjustment at one coordinate, as a differentiable engine value."""
-    coords = np.atleast_1d(np.asarray(s, dtype=np.float64))[None, :]
-    return E.reshape(term.values_op(coords), ())
 
 
 def sample_gp(coords, kernel: KernelSpec, seed: int, n_draws: int | None = None) -> np.ndarray:

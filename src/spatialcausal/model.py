@@ -513,6 +513,10 @@ def load_model(path: str) -> SpatialModel:
                           f"have {stream.size}")
     if stream.size > need:
         raise FormatError(f"parameter stream has {stream.size - need} trailing values")
+    bad = np.flatnonzero(~np.isfinite(stream))
+    if bad.size:
+        raise FormatError(f"parameter stream holds {bad.size} non-finite values, "
+                          f"the first at value {bad[0]}")
     off = 0
     for p in params:
         p.data = stream[off:off + p.data.size].reshape(p.data.shape).copy()

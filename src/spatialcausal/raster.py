@@ -23,6 +23,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ContractError, DataError, DimensionError, FormatError
 from .model import SpatialDataset
@@ -197,6 +198,17 @@ def onehot_landcover(class_grid: Grid) -> Grid:
                 origin_y=class_grid.origin_y, resolution=class_grid.resolution)
 
 
+def check_split_ratios(ratios, error=ContractError) -> tuple:
+    """The train/val/test ratios as 3 floats; raises ``error`` unless they are
+    positive and sum to 1."""
+    ratios = tuple(float(r) for r in ratios)
+    if len(ratios) != 3 or not all(r > 0 for r in ratios) \
+            or not abs(sum(ratios) - 1.0) <= 1e-9:
+        raise error(f"split ratios must be 3 positive values summing to 1, "
+                    f"got {ratios}")
+    return ratios
+
+
 @dataclass
 class Manifest:
     treatments: tuple
@@ -211,12 +223,7 @@ class Manifest:
             raise ConfigError("manifest needs at least one treatment grid")
         if self.d_s < 1 or self.d_s % 2 == 0:
             raise ConfigError(f"d_s must be odd and positive, got {self.d_s}")
-        ratios = tuple(float(r) for r in self.split_ratios)
-        if len(ratios) != 3 or any(r <= 0 for r in ratios) \
-                or abs(sum(ratios) - 1.0) > 1e-9:
-            raise ConfigError(f"split ratios must be 3 positive values summing "
-                              f"to 1, got {ratios}")
-        self.split_ratios = ratios
+        self.split_ratios = check_split_ratios(self.split_ratios, ConfigError)
 
 
 def save_manifest(manifest: Manifest, path: str) -> None:
@@ -279,6 +286,17 @@ def load_manifest(path: str) -> Manifest:
                     split_ratios=ratios)
 
 
+def unit_windows(stack: np.ndarray, rows, cols, shape) -> np.ndarray:
+    """Copies of the ``shape`` windows of ``stack`` (m, R, C) centred on the
+    pixels (rows[i], cols[i]), as an (n, m) + shape array.
+
+    Every window must lie inside ``stack``: a negative start index would
+    silently wrap around to the far edge.
+    """
+    view = sliding_window_view(stack, shape, axis=(1, 2)).transpose(1, 2, 0, 3, 4)
+    return view[rows - shape[0] // 2, cols - shape[1] // 2]
+
+
 def extract_units(manifest: Manifest) -> SpatialDataset:
     """One unit per interior non-NaN outcome pixel with a clean patch.
 
@@ -297,78 +315,45 @@ def extract_units(manifest: Manifest) -> SpatialDataset:
         _check_same_geometry(g, out, "treatment vs outcome")
     _check_same_geometry(conf, out, "confounder vs outcome")
 
-    rows, cols = out.rows, out.cols
-    half = manifest.d_s // 2
-    m = len(t_grids)
+    rows, cols, d_s = out.rows, out.cols, manifest.d_s
+    half = d_s // 2
     line_mode = rows == 1
-
+    stack = np.concatenate([g.data for g in t_grids])
+    keep = np.isfinite(out.data[0]) & np.all(np.isfinite(conf.data), axis=0)
     if line_mode:
-        padded = [np.concatenate([np.zeros(half), g.data[0, 0], np.zeros(half)])
-                  for g in t_grids]
-        candidates = [(0, c) for c in range(cols)]
+        # pixel c sits at column c + half of the zero-padded row
+        stack = np.pad(stack, ((0, 0), (0, 0), (half, half)))
+        window, patch_shape, edge, shift = (1, d_s), (d_s,), 0, half
     else:
-        if rows < manifest.d_s or cols < manifest.d_s:
-            raise DataError(f"{rows}x{cols} grid too small for d_s={manifest.d_s}")
-        candidates = [(r, c) for r in range(half, rows - half)
-                      for c in range(half, cols - half)]
-
-    units = []
-    for r, c in candidates:
-        if not np.isfinite(out.data[0, r, c]):
-            continue
-        if not np.all(np.isfinite(conf.data[:, r, c])):
-            continue
-        patches = []
-        ok = True
-        for j in range(m):
-            if line_mode:
-                window = padded[j][c:c + manifest.d_s].copy()
-            else:
-                window = t_grids[j].data[0, r - half:r + half + 1,
-                                         c - half:c + half + 1].copy()
-            if not np.all(np.isfinite(window)):
-                ok = False
-                break
-            patches.append(window)
-        if not ok:
-            continue
-        units.append((r, c, patches))
-    if not units:
+        if rows < d_s or cols < d_s:
+            raise DataError(f"{rows}x{cols} grid too small for d_s={d_s}")
+        window, patch_shape, edge, shift = (d_s, d_s), (d_s, d_s), half, 0
+    r, c = np.nonzero(keep[edge:rows - edge, edge:cols - edge])
+    r, c = r + edge, c + edge
+    patches = unit_windows(stack, r, c + shift, window)
+    # the NaN scan runs before the centre is zeroed: a NaN treatment at the
+    # unit's own pixel excludes it too
+    clean = np.all(np.isfinite(patches), axis=(1, 2, 3))
+    if not clean.any():
         raise DataError("no eligible units: every outcome pixel is missing, "
                         "boundary-adjacent, or has NaN in its patch")
-
-    n = len(units)
-    patch_shape = (manifest.d_s,) if line_mode else (manifest.d_s, manifest.d_s)
+    r, c, patches = r[clean], c[clean], patches[clean]
+    patches[:, :, window[0] // 2, half] = 0.0
+    x = out.origin_x + (c + 0.5) * out.resolution
     # single-row grids get 1-d coords: a constant y column would be collinear
     # with the propensity-design intercept
-    coords = np.zeros((n, 1) if line_mode else (n, 2))
-    treatments = np.zeros((n, m))
-    patch_arr = np.zeros((n, m) + patch_shape)
-    confounders = np.zeros((n, conf.channels))
-    outcomes = np.zeros(n)
-    center = (half,) * len(patch_shape)
-    for i, (r, c, patches) in enumerate(units):
-        coords[i, 0] = out.origin_x + (c + 0.5) * out.resolution
-        if not line_mode:
-            coords[i, 1] = out.origin_y + (r + 0.5) * out.resolution
-        for j in range(m):
-            treatments[i, j] = t_grids[j].data[0, r, c]
-            patches[j][center] = 0.0
-            patch_arr[i, j] = patches[j]
-        confounders[i] = conf.data[:, r, c]
-        outcomes[i] = out.data[0, r, c]
-    return SpatialDataset(coords=coords, treatments=treatments,
-                          patches=patch_arr, confounders=confounders,
-                          outcomes=outcomes, d_s=manifest.d_s)
+    coords = x[:, None] if line_mode else np.column_stack(
+        [x, out.origin_y + (r + 0.5) * out.resolution])
+    return SpatialDataset(coords=coords,
+                          treatments=np.moveaxis(stack, 0, -1)[r, c + shift],
+                          patches=patches.reshape(patches.shape[:2] + patch_shape),
+                          confounders=np.moveaxis(conf.data, 0, -1)[r, c],
+                          outcomes=out.data[0, r, c], d_s=d_s)
 
 
 def split_dataset(dataset: SpatialDataset, ratios=(0.6, 0.2, 0.2), seed: int = 0):
     """Seeded partition into train/val/test; rounding remainder goes to train."""
-    ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or any(r <= 0 for r in ratios) \
-            or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ContractError(f"ratios must be 3 positive values summing to 1, "
-                            f"got {ratios}")
+    ratios = check_split_ratios(ratios)
     n = dataset.n_units
     if n < 3:
         raise DataError(f"need at least 3 units to split, have {n}")

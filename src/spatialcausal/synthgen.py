@@ -32,6 +32,7 @@ from .effects import EffectReport, default_t_grid, dose_draw_indices
 from .errors import ConfigError, ContractError, DataError
 from .gp import KernelSpec, chol_with_jitter, sample_gp, sample_gp_grid
 from .model import SpatialDataset
+from .raster import unit_windows
 
 
 def random_fn(seed: int, in_dim: int):
@@ -244,6 +245,7 @@ def grid_weight_matrix(d_s: int, sigma_l: float, normalize: bool = True) -> np.n
 
 def synth_fields(config: GridConfig):
     """Stand-in treatment and land-class fields from shared latent draws."""
+    config.validate()
     kern = KernelSpec(family="rbf", sigma=1.0,
                       lengthscale=config.field_lengthscale)
     shared = sample_gp_grid(config.rows, config.cols, kern, 1.0,
@@ -301,12 +303,8 @@ def gen_grid(config: GridConfig, treatment_field: np.ndarray | None = None,
     coords = np.column_stack([unit_c.astype(np.float64),
                               unit_r.astype(np.float64)])
 
-    n = config.n_units
-    patches = np.zeros((n, 1, config.d_s, config.d_s))
-    for i in range(n):
-        r, c = unit_r[i], unit_c[i]
-        patches[i, 0] = treatment_field[r - half:r + half + 1,
-                                        c - half:c + half + 1]
+    patches = unit_windows(treatment_field[None], unit_r, unit_c,
+                           (config.d_s, config.d_s))
     patches[:, 0, half, half] = 0.0
     treatments = treatment_field[unit_r, unit_c]
     confounders = confounder_field[unit_r, unit_c, :]

@@ -478,6 +478,30 @@ class TestMainErrors:
         assert err.partition("\t")[0] == "config_error", err
         assert "must be >= 0" in err
 
+    @pytest.mark.parametrize("old,new,command,code", [
+        ("generator = line", "generator = grid\nrows = 32\ncols = 32\nd_s = 3\n"
+         "n_units = 20\nx_channels = 0", "gen", "config_error"),
+        ("confounder = linear", "confounder = linear\ngp = true\nkernel_sigma = nan",
+         "train", "contract_error"),
+        ("confounder = linear", "confounder = linear\ngp = true\n"
+         "kernel_lengthscale = nan", "train", "contract_error"),
+        ("confounder = linear", "confounder = linear\ngp = true\nkernel_noise = nan",
+         "train", "contract_error"),
+        ("confounder = linear", "confounder = linear\ngp = true\nkernel_sigma = inf",
+         "train", "contract_error"),
+        ("x_dim = 2", "x_dim = 2\nsplit_ratios = 1,0,0", "effects", "config_error"),
+    ], ids=["grid_x_channels_zero", "kernel_sigma_nan", "kernel_lengthscale_nan",
+            "kernel_noise_nan", "kernel_sigma_inf", "protocol_split_ratios"])
+    def test_bad_value_is_typed_error(self, workspace, tmp_path, capsys,
+                                      old, new, command, code):
+        ini = write_ini(tmp_path, TINY_INI.replace(old, new))
+        argv = [command, "--config", ini, "--out", str(tmp_path / "x")]
+        if command == "train":
+            argv += ["--data", workspace["data"]]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.partition("\t")[0] == code, err
+
 
 def _drop_key(key):
     return lambda text: json.dumps({k: v for k, v in json.loads(text).items()
@@ -511,6 +535,12 @@ def _gp_header(inducing):
     return edit
 
 
+def _nan_first_value(blob: bytes) -> bytes:
+    """The checkpoint with NaN as the first value of its parameter stream."""
+    (hlen,) = struct.unpack("<I", blob[4:8])
+    return blob[:8 + hlen] + struct.pack("<d", float("nan")) + blob[16 + hlen:]
+
+
 # (id, file, replacement bytes/text or edit of the good file, error code);
 # edits get the checkpoint as bytes and every other file as text
 MALFORMED_FILES = [
@@ -524,6 +554,7 @@ MALFORMED_FILES = [
     ("ckpt_v1_header", "model.ckpt", _v1_header, "format_error"),
     ("ckpt_inducing_null", "model.ckpt", _gp_header(None), "format_error"),
     ("ckpt_inducing_repeated", "model.ckpt", _gp_header([[0.0], [0.0]]), "format_error"),
+    ("ckpt_nan_parameter", "model.ckpt", _nan_first_value, "format_error"),
     ("config_not_utf8", "exp.ini", b"[data]\nn = \xff\n", "config_error"),
     ("config_duplicate_key", "exp.ini", "[data]\nn = 5\nn = 6\n", "config_error"),
     ("config_no_section_header", "exp.ini", "n = 5\n", "config_error"),

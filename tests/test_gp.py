@@ -16,21 +16,21 @@ class TestKernels:
     def test_zero_distance_is_sigma_squared(self):
         for k in (RBF, EXP, G.KernelSpec("rbf", sigma=2.0)):
             s = np.array([0.3, -0.7])
-            npt.assert_allclose(G.kernel_eval(k, s, s), k.sigma ** 2)
+            npt.assert_allclose(G.gram_matrix(k, s[None], s[None]), [[k.sigma ** 2]])
 
     def test_rbf_closed_form(self):
-        val = G.kernel_eval(RBF, np.zeros(2), np.array([0.5, 0.0]))
+        val = G.gram_matrix(RBF, np.zeros((1, 2)), np.array([[0.5, 0.0]]))[0, 0]
         npt.assert_allclose(val, np.exp(-0.5), rtol=1e-12)
         npt.assert_allclose(val, 0.606531, atol=1e-6)
 
     def test_exponential_closed_form(self):
-        val = G.kernel_eval(EXP, np.array([0.0]), np.array([0.005]))
+        val = G.gram_matrix(EXP, np.array([[0.0]]), np.array([[0.005]]))[0, 0]
         npt.assert_allclose(val, np.exp(-1.0), rtol=1e-12)
         npt.assert_allclose(val, 0.367879, atol=1e-6)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            G.kernel_eval(RBF, np.zeros(2), np.zeros(3))
+            G.gram_matrix(RBF, np.zeros((1, 2)), np.zeros((1, 3)))
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ContractError):
@@ -145,7 +145,7 @@ class TestGpTerm:
         for j in range(4):
             term = G.GpTerm(nmap)
             term.weights.data[j, 0] = 1.0
-            val = G.gp_value(term, pts[j]).item()
+            val = term.values_op(pts[j][None]).item()
             npt.assert_allclose(val, dense_l[j, j], atol=1e-12)
 
     def test_gradient_wrt_weights_is_features(self):

@@ -328,6 +328,105 @@ class TestExtract:
         with pytest.raises(DimensionError):
             extract_units(man)
 
+    @pytest.mark.parametrize("seed", range(32))
+    def test_matches_loop_reference(self, tmp_path, seed):
+        manifest = _random_manifest(tmp_path, seed)
+        try:
+            want = _loop_extract(manifest)
+        except DataError as exc:
+            with pytest.raises(DataError) as got:
+                extract_units(manifest)
+            assert str(got.value) == str(exc)
+            return
+        got = extract_units(manifest)
+        for name in ("coords", "treatments", "patches", "confounders", "outcomes"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), name
+        assert got.d_s == want.d_s
+
+
+def _loop_extract(manifest):
+    """Reference: the per-pixel loop that ``extract_units`` replaced."""
+    t_grids = [load_grid(p) for p in manifest.treatments]
+    conf = load_grid(manifest.confounder)
+    out = load_grid(manifest.outcome)
+    rows, cols, d_s = out.rows, out.cols, manifest.d_s
+    half = d_s // 2
+    m = len(t_grids)
+    line_mode = rows == 1
+    if line_mode:
+        padded = [np.concatenate([np.zeros(half), g.data[0, 0], np.zeros(half)])
+                  for g in t_grids]
+        candidates = [(0, c) for c in range(cols)]
+    else:
+        if rows < d_s or cols < d_s:
+            raise DataError(f"{rows}x{cols} grid too small for d_s={d_s}")
+        candidates = [(r, c) for r in range(half, rows - half)
+                      for c in range(half, cols - half)]
+    units = []
+    for r, c in candidates:
+        if not np.isfinite(out.data[0, r, c]) \
+                or not np.all(np.isfinite(conf.data[:, r, c])):
+            continue
+        if line_mode:
+            patches = [padded[j][c:c + d_s].copy() for j in range(m)]
+        else:
+            patches = [g.data[0, r - half:r + half + 1, c - half:c + half + 1].copy()
+                       for g in t_grids]
+        if all(np.all(np.isfinite(w)) for w in patches):
+            units.append((r, c, patches))
+    if not units:
+        raise DataError("no eligible units: every outcome pixel is missing, "
+                        "boundary-adjacent, or has NaN in its patch")
+    n = len(units)
+    patch_shape = (d_s,) if line_mode else (d_s, d_s)
+    coords = np.zeros((n, 1) if line_mode else (n, 2))
+    treatments = np.zeros((n, m))
+    patch_arr = np.zeros((n, m) + patch_shape)
+    confounders = np.zeros((n, conf.channels))
+    outcomes = np.zeros(n)
+    center = (half,) * len(patch_shape)
+    for i, (r, c, patches) in enumerate(units):
+        coords[i, 0] = out.origin_x + (c + 0.5) * out.resolution
+        if not line_mode:
+            coords[i, 1] = out.origin_y + (r + 0.5) * out.resolution
+        for j in range(m):
+            treatments[i, j] = t_grids[j].data[0, r, c]
+            patches[j][center] = 0.0
+            patch_arr[i, j] = patches[j]
+        confounders[i] = conf.data[:, r, c]
+        outcomes[i] = out.data[0, r, c]
+    return SpatialDataset(coords=coords, treatments=treatments, patches=patch_arr,
+                          confounders=confounders, outcomes=outcomes, d_s=d_s)
+
+
+def _random_manifest(tmp_path, seed):
+    """Seeded NaN-laden grids: 1-2 treatments, 1-row or 2-d, odd d_s, any geometry."""
+    rng = np.random.default_rng(seed)
+    rows = 1 if seed % 3 == 0 else int(rng.integers(2, 12))
+    cols = int(rng.integers(2, 20))
+    geom = dict(origin_x=float(rng.uniform(-50, 50)), origin_y=float(rng.uniform(-50, 50)),
+                resolution=float(rng.uniform(0.1, 3.0)))
+
+    def grid(channels, nan_share):
+        data = rng.normal(0.0, 1.0, (channels, rows, cols))
+        data[rng.uniform(size=data.shape) < nan_share] = np.nan
+        return Grid(data=data, **geom)
+
+    t_grids = [grid(1, 0.03) for _ in range(1 + seed % 2)]
+    outcome = grid(1, 0.2)
+    # a NaN treatment at a pixel whose own outcome is finite
+    r, c = rng.integers(rows), rng.integers(cols)
+    outcome.data[0, r, c] = 1.0
+    t_grids[-1].data[0, r, c] = np.nan
+    paths = []
+    for name, g in [(f"t{j}", g) for j, g in enumerate(t_grids)] + \
+            [("x", grid(int(rng.integers(1, 4)), 0.04)), ("y", outcome)]:
+        paths.append(str(tmp_path / f"{name}.grd"))
+        save_grid(g, paths[-1])
+    return Manifest(treatments=tuple(paths[:-2]), confounder=paths[-2],
+                    outcome=paths[-1], d_s=int(rng.choice([1, 3, 5, 7])))
+
 
 def toy_dataset(n):
     t = np.linspace(0.0, 1.0, n)
