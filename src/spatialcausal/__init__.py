@@ -32,7 +32,6 @@ from .nets import (
     build_linear_interference,
     build_mlp,
     build_unet,
-    expected_param_count,
 )
 from .gp import (
     GpTerm,
@@ -117,7 +116,7 @@ __all__ = [
     "build_cnn", "build_linear_interference", "build_mlp", "build_model",
     "build_nystrom", "build_unet", "chol_with_jitter", "default_t_grid",
     "dose_draw_indices", "effect_error", "estimate_effects_dose",
-    "estimate_effects_observed", "evaluate", "expected_param_count",
+    "estimate_effects_observed", "evaluate",
     "extract_units", "finite_diff_check", "fit_gps", "gen_grid",
     "gen_line_graph", "grid_weight_matrix", "line_graph_covariance",
     "load_config", "load_grid", "load_manifest", "load_model",

@@ -23,6 +23,7 @@ import configparser
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -149,7 +150,7 @@ def _parse_value(kind: str, raw: str, path: str):
         if kind == "int":
             return int(raw)
         if kind == "float":
-            return float(raw)
+            return _finite(float(raw), path)
         if kind == "bool":
             low = raw.lower()
             if low in _TRUE:
@@ -160,10 +161,16 @@ def _parse_value(kind: str, raw: str, path: str):
         if kind == "intlist":
             return tuple(int(x) for x in raw.split(","))
         if kind == "floatlist":
-            return tuple(float(x) for x in raw.split(","))
+            return tuple(_finite(float(x), path) for x in raw.split(","))
         return raw
     except ValueError:
         raise ConfigError(f"{path}: cannot parse {raw!r} as {kind}") from None
+
+
+def _finite(val: float, path: str) -> float:
+    if not math.isfinite(val):
+        raise ConfigError(f"{path}: must be finite, got {val}")
+    return val
 
 
 @dataclass

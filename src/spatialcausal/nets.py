@@ -284,39 +284,3 @@ def unet_reduce(output_map: Tensor) -> Tensor:
         raise ContractError(f"unet_reduce expects a 1-channel map, got {out.data.shape}")
     return out
 
-
-# ---------------------------------------------------------------------------
-# closed-form parameter counts
-# ---------------------------------------------------------------------------
-
-def expected_param_count(spec) -> int:
-    if isinstance(spec, MlpSpec):
-        dims = [spec.in_dim] + [spec.width] * spec.depth + [spec.out_dim]
-        return sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
-    if isinstance(spec, CnnSpec):
-        k2 = spec.kernel_size ** 2
-        total = spec.in_channels * spec.channels * k2 + spec.channels
-        total += (spec.depth - 1) * (spec.channels * spec.channels * k2 + spec.channels)
-        return total + spec.channels + 1
-    if isinstance(spec, UnetSpec):
-        def conv(cin, cout, k=3):
-            return cin * cout * k * k + cout
-
-        total = 0
-        cin = spec.in_channels
-        enc = []
-        for lvl in range(spec.depth):
-            cout = spec.base_channels * (2 ** lvl)
-            total += conv(cin, cout) + conv(cout, cout)
-            enc.append(cout)
-            cin = cout
-        bott = spec.base_channels * (2 ** spec.depth)
-        total += conv(cin, bott) + conv(bott, bott)
-        up_in = bott
-        for lvl in reversed(range(spec.depth)):
-            total += conv(up_in + enc[lvl], enc[lvl]) + conv(enc[lvl], enc[lvl])
-            up_in = enc[lvl]
-        return total + conv(up_in, 1, k=1)
-    if isinstance(spec, LinearSpec):
-        return spec.in_dim + (1 if spec.bias else 0)
-    raise ContractError(f"unknown spec type {type(spec).__name__}")

@@ -134,9 +134,9 @@ class LineGraphConfig:
         if self.x_dim < 1:
             raise ConfigError(f"x_dim must be positive, got {self.x_dim}")
         for name in ("sigma_x", "sigma_d", "sigma_l"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ConfigError("noise_sigma must be nonnegative")
 
 
@@ -219,8 +219,10 @@ class GridConfig:
             raise ConfigError(f"grid must be nonempty, got {self.rows}x{self.cols}")
         if self.d_s < 1 or self.d_s % 2 == 0:
             raise ConfigError(f"d_s must be odd and positive, got {self.d_s}")
-        if self.sigma_l <= 0 or self.field_lengthscale <= 0:
+        if not (self.sigma_l > 0 and self.field_lengthscale > 0):
             raise ConfigError("length scales must be positive")
+        if not np.isfinite(self.beta):
+            raise ConfigError(f"beta must be finite, got {self.beta}")
         if self.n_units < 1:
             raise ConfigError(f"n_units must be positive, got {self.n_units}")
         if self.x_channels < 2:

@@ -482,16 +482,24 @@ class TestMainErrors:
         ("generator = line", "generator = grid\nrows = 32\ncols = 32\nd_s = 3\n"
          "n_units = 20\nx_channels = 0", "gen", "config_error"),
         ("confounder = linear", "confounder = linear\ngp = true\nkernel_sigma = nan",
-         "train", "contract_error"),
+         "train", "config_error"),
         ("confounder = linear", "confounder = linear\ngp = true\n"
-         "kernel_lengthscale = nan", "train", "contract_error"),
+         "kernel_lengthscale = nan", "train", "config_error"),
         ("confounder = linear", "confounder = linear\ngp = true\nkernel_noise = nan",
-         "train", "contract_error"),
+         "train", "config_error"),
         ("confounder = linear", "confounder = linear\ngp = true\nkernel_sigma = inf",
-         "train", "contract_error"),
+         "train", "config_error"),
         ("x_dim = 2", "x_dim = 2\nsplit_ratios = 1,0,0", "effects", "config_error"),
+        ("generator = line", "generator = grid\nrows = 32\ncols = 32\nd_s = 3\n"
+         "n_units = 20\nbeta = nan", "gen", "config_error"),
+        ("x_dim = 2", "x_dim = 2\nnoise_sigma = nan", "gen", "config_error"),
+        ("x_dim = 2", "x_dim = 2\nsigma_l = nan", "gen", "config_error"),
+        ("lr = 0.05", "lr = nan", "train", "config_error"),
+        ("lr = 0.05", "lr = 0.05\nmomentum = nan", "train", "config_error"),
     ], ids=["grid_x_channels_zero", "kernel_sigma_nan", "kernel_lengthscale_nan",
-            "kernel_noise_nan", "kernel_sigma_inf", "protocol_split_ratios"])
+            "kernel_noise_nan", "kernel_sigma_inf", "protocol_split_ratios",
+            "grid_beta_nan", "line_noise_sigma_nan", "sigma_l_nan", "lr_nan",
+            "momentum_nan"])
     def test_bad_value_is_typed_error(self, workspace, tmp_path, capsys,
                                       old, new, command, code):
         ini = write_ini(tmp_path, TINY_INI.replace(old, new))
@@ -501,6 +509,9 @@ class TestMainErrors:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.partition("\t")[0] == code, err
+        if "nan" in new or "inf" in new:
+            key = new.rpartition("\n")[2].partition(" =")[0]
+            assert key in err and "must be finite" in err, err
 
 
 def _drop_key(key):

@@ -162,6 +162,16 @@ class TestLineGraph:
         with pytest.raises(ConfigError):
             gen_line_graph(LineGraphConfig(sigma_d=0.0))
 
+    @pytest.mark.parametrize("cfg", [
+        LineGraphConfig(sigma_x=np.nan), LineGraphConfig(sigma_l=np.nan),
+        LineGraphConfig(noise_sigma=np.nan), GridConfig(sigma_l=np.nan),
+        GridConfig(field_lengthscale=np.nan), GridConfig(beta=np.nan),
+    ], ids=["line_sigma_x", "line_sigma_l", "line_noise_sigma", "grid_sigma_l",
+            "grid_field_lengthscale", "grid_beta"])
+    def test_nan_config_rejected(self, cfg):
+        with pytest.raises(ConfigError):
+            cfg.validate()
+
 
 class TestGridWeights:
     def test_normalized_center_zero(self):
