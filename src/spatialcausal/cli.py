@@ -242,25 +242,26 @@ def _grid_config(data: dict, seed: int) -> GridConfig:
                       seed_nets=10 * seed + 2, seed_u=10 * seed + 3)
 
 
+def _synthesize(generator: str, data: dict, seed: int):
+    """(dataset, truth) from the line or grid generator."""
+    if generator == "line":
+        return gen_line_graph(_line_config(data, seed))
+    if generator == "grid":
+        return gen_grid(_grid_config(data, seed))
+    raise DataError(f"no synthetic generator {generator!r}")
+
+
 def generate_dataset(config: ExperimentConfig, seed: int):
     """Dataset plus ground truth (None for manifest-backed data)."""
     data = config.resolved["data"]
-    if data["generator"] == "line":
-        return gen_line_graph(_line_config(data, seed))
-    if data["generator"] == "grid":
-        return gen_grid(_grid_config(data, seed))
-    ds = extract_units(load_manifest(data["manifest"]))
-    return ds, None
+    if data["generator"] == "manifest":
+        return extract_units(load_manifest(data["manifest"])), None
+    return _synthesize(data["generator"], data, seed)
 
 
 def regenerate_truth(sidecar: dict):
     """Rebuild (dataset, truth) from a truth.json sidecar."""
-    data = dict(sidecar["data"])
-    seed = int(sidecar["seed"])
-    data["split_ratios"] = tuple(data.get("split_ratios", (0.6, 0.2, 0.2)))
-    if sidecar["generator"] == "line":
-        return gen_line_graph(_line_config(data, seed))
-    return gen_grid(_grid_config(data, seed))
+    return _synthesize(sidecar["generator"], sidecar["data"], int(sidecar["seed"]))
 
 
 def model_config_from(config: ExperimentConfig, dataset: SpatialDataset,
@@ -451,7 +452,7 @@ def _load_dataset(data_arg: str) -> SpatialDataset:
     return extract_units(load_manifest(_resolve_dataset_path(data_arg)))
 
 
-def _load_truth(data_arg: str):
+def _load_truth(data_arg: str, dataset: SpatialDataset):
     """Truth regenerated from the truth.json beside the manifest, else None."""
     sidecar = os.path.join(os.path.dirname(_resolve_dataset_path(data_arg)),
                            "truth.json")
@@ -459,9 +460,15 @@ def _load_truth(data_arg: str):
         return None
     try:
         with open(sidecar) as fh:
-            return regenerate_truth(json.load(fh))[1]
-    except (ValueError, KeyError, TypeError) as exc:
+            regenerated, truth = regenerate_truth(json.load(fh))
+    except (ValueError, KeyError, TypeError, SpatialCausalError) as exc:
         raise DataError(f"{sidecar}: cannot regenerate truth: {exc!r}") from None
+    shapes = [(ds.n_units, ds.n_treatments, ds.patch_shape)
+              for ds in (regenerated, dataset)]
+    if shapes[0] != shapes[1]:
+        raise DataError(f"{sidecar}: describes (units, treatments, patch) "
+                        f"{shapes[0]}, dataset has {shapes[1]}")
+    return truth
 
 
 def cmd_gen(config: ExperimentConfig, out_dir: str, seed: int | None) -> int:
@@ -538,7 +545,7 @@ def cmd_effects(config: ExperimentConfig, ckpt: str | None, data_arg: str | None
         if seed is not None:
             config.resolved["effects"]["seed"] = seed
         reports, errors = estimate_variants(model, dataset, config,
-                                            _load_truth(data_arg))
+                                            _load_truth(data_arg, dataset))
         write_effect_tables(out_dir, reports)
         write_error_tables(out_dir, [(0, errors)])
         print(f"effects\t{len(_variants(config))} variant files -> {out_dir}")

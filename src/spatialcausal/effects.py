@@ -141,7 +141,6 @@ class EffectReport:
     ie: float
     te: float
     weighted: bool
-    used_gp: bool
     t_grid: np.ndarray | None = None
     de_curve: np.ndarray | None = None
     ie_curve: np.ndarray | None = None
@@ -185,8 +184,7 @@ def estimate_effects_observed(model: SpatialModel, dataset: SpatialDataset, m: i
     ie = float(np.average(ie_units, weights=w))
     te = float(np.average(de_units + ie_units, weights=w))
     return EffectReport(treatment=m, mode="observed", de=de, ie=ie, te=te,
-                        weighted=weights is not None,
-                        used_gp=model.gp_term is not None)
+                        weighted=weights is not None)
 
 
 def default_t_grid(dataset: SpatialDataset, m: int, size: int = 21) -> np.ndarray:
@@ -200,6 +198,35 @@ def dose_draw_indices(n_units: int, b_draws: int, seed: int) -> np.ndarray:
         raise ContractError(f"need at least 1 neighborhood draw, got {b_draws}")
     rng = np.random.default_rng(seed)
     return rng.integers(0, n_units, size=b_draws)
+
+
+def dose_inputs(dataset: SpatialDataset, m: int, t_grid: np.ndarray | None = None,
+                b_draws: int = 32, seed: int = 0,
+                draw_indices: np.ndarray | None = None):
+    """(t_grid, draw_indices) of a dose-mode estimate: defaulted when None, checked."""
+    if t_grid is None:
+        t_grid = default_t_grid(dataset, m)
+    t_grid = np.asarray(t_grid, dtype=np.float64)
+    if t_grid.size == 0:
+        raise ContractError("empty treatment grid")
+    if draw_indices is None:
+        draw_indices = dose_draw_indices(dataset.n_units, b_draws, seed)
+    draw_indices = np.asarray(draw_indices, dtype=np.int64)
+    if draw_indices.size < 1:
+        raise ContractError("need at least 1 neighborhood draw")
+    return t_grid, draw_indices
+
+
+def dose_report(m: int, slope: float, t_grid: np.ndarray, ie_value: float,
+                n_draws: int, weighted: bool) -> EffectReport:
+    """Dose-mode report: DE(t) = slope * t, a flat IE(t), and their grid means."""
+    de_curve = slope * t_grid
+    ie_curve = np.full(t_grid.size, ie_value)
+    return EffectReport(treatment=m, mode="dose", de=float(np.mean(de_curve)),
+                        ie=float(np.mean(ie_curve)),
+                        te=float(np.mean(de_curve + ie_curve)), weighted=weighted,
+                        t_grid=t_grid, de_curve=de_curve, ie_curve=ie_curve,
+                        n_draws=int(n_draws))
 
 
 def estimate_effects_dose(model: SpatialModel, dataset: SpatialDataset, m: int,
@@ -218,12 +245,9 @@ def estimate_effects_dose(model: SpatialModel, dataset: SpatialDataset, m: int,
     """
     if not 0 <= m < model.m:
         raise ContractError(f"treatment index {m} outside 0..{model.m - 1}")
+    t_grid, draw_indices = dose_inputs(dataset, m, t_grid, b_draws, seed,
+                                       draw_indices)
     t_obs = dataset.treatments[:, m]
-    if t_grid is None:
-        t_grid = default_t_grid(dataset, m)
-    t_grid = np.asarray(t_grid, dtype=np.float64)
-    if t_grid.size == 0:
-        raise ContractError("empty treatment grid")
     lo, hi = float(t_obs.min()), float(t_obs.max())
     if t_grid.min() < lo - 1e-12 or t_grid.max() > hi + 1e-12:
         raise ContractError(f"t_grid [{t_grid.min()}, {t_grid.max()}] outside the "
@@ -231,29 +255,13 @@ def estimate_effects_dose(model: SpatialModel, dataset: SpatialDataset, m: int,
     if not lo <= 0.0 <= hi:
         warnings.warn(f"zero baseline lies outside the observed treatment "
                       f"range [{lo:.4g}, {hi:.4g}]; contrasts extrapolate")
-    if draw_indices is None:
-        draw_indices = dose_draw_indices(dataset.n_units, b_draws, seed)
-    else:
-        draw_indices = np.asarray(draw_indices, dtype=np.int64)
-        if draw_indices.size < 1:
-            raise ContractError("need at least 1 neighborhood draw")
     w = _unit_weights(dataset, weights)
     draw_w = w[draw_indices]
-
-    alpha = model.alphas.data[m, 0]
-    de_curve = alpha * t_grid
     drawn_contrasts = _interference_contrasts(
         model, dataset, m, dataset.patches[draw_indices, m])
     ie_value = float(np.average(drawn_contrasts, weights=draw_w))
-    ie_curve = np.full(t_grid.size, ie_value)
-    de = float(np.mean(de_curve))
-    ie = float(np.mean(ie_curve))
-    te = float(np.mean(de_curve + ie_curve))
-    return EffectReport(treatment=m, mode="dose", de=de, ie=ie, te=te,
-                        weighted=weights is not None,
-                        used_gp=model.gp_term is not None,
-                        t_grid=t_grid, de_curve=de_curve, ie_curve=ie_curve,
-                        n_draws=int(draw_indices.size))
+    return dose_report(m, model.alphas.data[m, 0], t_grid, ie_value,
+                       draw_indices.size, weights is not None)
 
 
 def effect_error(report: EffectReport, oracle: EffectReport) -> dict:

@@ -16,8 +16,8 @@ treatment and observed confounders are spatially entangled.
 
 Every generator returns the dataset together with a GroundTruth handle
 that can evaluate true potential outcomes under arbitrary treatment and
-neighborhood overrides; oracle_effects runs the dose-response estimator
-structure against that truth with uniform weights.
+neighborhood overrides; oracle_effects evaluates the dose-mode effects of
+that truth with uniform weights.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .effects import EffectReport, default_t_grid, dose_draw_indices
+from .effects import EffectReport, dose_inputs, dose_report
 from .errors import ConfigError, ContractError, DataError
 from .gp import KernelSpec, chol_with_jitter, sample_gp, sample_gp_grid
 from .model import SpatialDataset
@@ -50,8 +50,6 @@ def random_fn(seed: int, in_dim: int):
             h = np.maximum(h @ w, 0.0)
         return (h @ weights[-1]).ravel()
 
-    fn.seed = seed
-    fn.in_dim = in_dim
     return fn
 
 
@@ -97,11 +95,8 @@ class GroundTruth:
 
     beta: float
     interference: object
-    confounder_fn: object
     u: np.ndarray
     base: np.ndarray
-    treatment_fn: object = None
-    spline: SplineFn | None = None
 
     def potential_outcomes(self, indices, t_values, patches) -> np.ndarray:
         indices = np.asarray(indices, dtype=np.int64)
@@ -109,10 +104,6 @@ class GroundTruth:
         return (self.beta * t_values
                 + self.interference(indices, np.asarray(patches, dtype=np.float64))
                 + self.base[indices])
-
-    def potential_outcome(self, index: int, t: float, patch) -> float:
-        patch = np.asarray(patch, dtype=np.float64)
-        return float(self.potential_outcomes([index], [t], patch[None])[0])
 
 
 @dataclass
@@ -133,11 +124,12 @@ class LineGraphConfig:
             raise ConfigError(f"need at least 3 units on the line, got {self.n}")
         if self.x_dim < 1:
             raise ConfigError(f"x_dim must be positive, got {self.x_dim}")
+        # NaN fails every comparison, so these bounds reject NaN as well as inf
         for name in ("sigma_x", "sigma_d", "sigma_l"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive")
-        if not self.noise_sigma >= 0:
-            raise ConfigError("noise_sigma must be nonnegative")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ConfigError("noise_sigma must be nonnegative and finite")
 
 
 def line_graph_covariance(coords: np.ndarray, sigma_d: float,
@@ -193,8 +185,7 @@ def gen_line_graph(config: LineGraphConfig):
 
     dataset = SpatialDataset(coords=s[:, None], treatments=treatments[:, None],
                              patches=patches, confounders=x, outcomes=y, d_s=3)
-    truth = GroundTruth(beta=beta, interference=interference, confounder_fn=f_x,
-                        u=u, base=base, treatment_fn=g_fn)
+    truth = GroundTruth(beta=beta, interference=interference, u=u, base=base)
     return dataset, truth
 
 
@@ -219,8 +210,8 @@ class GridConfig:
             raise ConfigError(f"grid must be nonempty, got {self.rows}x{self.cols}")
         if self.d_s < 1 or self.d_s % 2 == 0:
             raise ConfigError(f"d_s must be odd and positive, got {self.d_s}")
-        if not (self.sigma_l > 0 and self.field_lengthscale > 0):
-            raise ConfigError("length scales must be positive")
+        if not (0 < self.sigma_l < math.inf and 0 < self.field_lengthscale < math.inf):
+            raise ConfigError("length scales must be positive and finite")
         if not np.isfinite(self.beta):
             raise ConfigError(f"beta must be finite, got {self.beta}")
         if self.n_units < 1:
@@ -335,8 +326,8 @@ def gen_grid(config: GridConfig, treatment_field: np.ndarray | None = None,
     dataset = SpatialDataset(coords=coords, treatments=treatments[:, None],
                              patches=patches, confounders=confounders,
                              outcomes=y, d_s=config.d_s)
-    truth = GroundTruth(beta=config.beta, interference=interference,
-                        confounder_fn=f_x, u=u, base=base, spline=spline)
+    truth = GroundTruth(beta=config.beta, interference=interference, u=u,
+                        base=base)
     return dataset, truth
 
 
@@ -344,38 +335,20 @@ def oracle_effects(truth: GroundTruth, dataset: SpatialDataset, m: int,
                    t_grid: np.ndarray | None = None, b_draws: int = 32,
                    seed: int = 0,
                    draw_indices: np.ndarray | None = None) -> EffectReport:
-    """Dose-response effects computed from the true outcome model.
+    """Dose-mode effects of the true outcome model, with uniform weights.
 
-    Mirrors the fitted-model estimator (same grid, same seeded draws) with
-    uniform weights: the truth needs no confounding correction.
+    Grid and draws default and check as in ``estimate_effects_dose``; the
+    truth needs no confounding correction.
     """
-    if t_grid is None:
-        t_grid = default_t_grid(dataset, m)
-    t_grid = np.asarray(t_grid, dtype=np.float64)
-    if t_grid.size == 0:
-        raise ContractError("empty treatment grid")
-    if draw_indices is None:
-        draw_indices = dose_draw_indices(dataset.n_units, b_draws, seed)
-    else:
-        draw_indices = np.asarray(draw_indices, dtype=np.int64)
-        if draw_indices.size < 1:
-            raise ContractError("need at least 1 neighborhood draw")
-
+    t_grid, draw_indices = dose_inputs(dataset, m, t_grid, b_draws, seed,
+                                       draw_indices)
     n = dataset.n_units
     b = draw_indices.size
-    de_curve = truth.beta * t_grid
     drawn = dataset.patches[draw_indices, m]
     all_idx = np.tile(np.arange(n), b)
     cross = truth.interference(all_idx, np.repeat(drawn, n, axis=0))
     zero_vals = truth.interference(np.arange(n),
                                    np.zeros((n,) + dataset.patch_shape))
     contrasts = cross.reshape(b, n) - zero_vals[None, :]
-    ie_value = float(contrasts.mean())
-    ie_curve = np.full(t_grid.size, ie_value)
-    de = float(np.mean(de_curve))
-    ie = float(np.mean(ie_curve))
-    te = float(np.mean(de_curve + ie_curve))
-    return EffectReport(treatment=m, mode="dose", de=de, ie=ie, te=te,
-                        weighted=False, used_gp=False, t_grid=t_grid,
-                        de_curve=de_curve, ie_curve=ie_curve,
-                        n_draws=int(b))
+    return dose_report(m, truth.beta, t_grid, float(contrasts.mean()), b,
+                       weighted=False)

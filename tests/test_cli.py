@@ -519,6 +519,14 @@ def _drop_key(key):
                                     if k != key})
 
 
+def _set_key(key, value, section=None):
+    def edit(text):
+        doc = json.loads(text)
+        (doc[section] if section else doc)[key] = value
+        return json.dumps(doc)
+    return edit
+
+
 def _ckpt(header: bytes) -> bytes:
     return b"SCKP" + struct.pack("<I", len(header)) + header
 
@@ -587,6 +595,10 @@ MALFORMED_FILES = [
     ("truth_missing_seed", "truth.json", _drop_key("seed"), "data_error"),
     ("truth_missing_data", "truth.json", _drop_key("data"), "data_error"),
     ("truth_missing_generator", "truth.json", _drop_key("generator"), "data_error"),
+    ("truth_unknown_generator", "truth.json", _set_key("generator", "hexmesh"),
+     "data_error"),
+    ("truth_wrong_generator", "truth.json", _set_key("generator", "grid"), "data_error"),
+    ("truth_rejected_data_value", "truth.json", _set_key("x_dim", 0, "data"), "data_error"),
     ("report_truncated_json", "report.json", b'{"config_hash": "x", "seeds": [0]',
      "data_error"),
     ("report_missing_seeds", "report.json", b'{"config_hash": "x"}', "data_error"),

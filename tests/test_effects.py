@@ -436,9 +436,9 @@ class TestErrorsAndCsv:
 
     def test_observed_error_absolute(self):
         obs_a = EffectReport(treatment=0, mode="observed", de=1.0, ie=0.5,
-                             te=1.5, weighted=False, used_gp=False)
+                             te=1.5, weighted=False)
         obs_b = EffectReport(treatment=0, mode="observed", de=1.2, ie=0.1,
-                             te=1.3, weighted=False, used_gp=False)
+                             te=1.3, weighted=False)
         err = effect_error(obs_a, obs_b)
         assert err["de_err"] == pytest.approx(0.2)
         assert err["ie_err"] == pytest.approx(0.4)

@@ -166,8 +166,13 @@ class TestLineGraph:
         LineGraphConfig(sigma_x=np.nan), LineGraphConfig(sigma_l=np.nan),
         LineGraphConfig(noise_sigma=np.nan), GridConfig(sigma_l=np.nan),
         GridConfig(field_lengthscale=np.nan), GridConfig(beta=np.nan),
+        LineGraphConfig(sigma_x=np.inf), LineGraphConfig(sigma_d=np.inf),
+        LineGraphConfig(sigma_l=np.inf), LineGraphConfig(noise_sigma=np.inf),
+        GridConfig(sigma_l=np.inf), GridConfig(field_lengthscale=np.inf),
     ], ids=["line_sigma_x", "line_sigma_l", "line_noise_sigma", "grid_sigma_l",
-            "grid_field_lengthscale", "grid_beta"])
+            "grid_field_lengthscale", "grid_beta", "line_sigma_x_inf",
+            "line_sigma_d_inf", "line_sigma_l_inf", "line_noise_sigma_inf",
+            "grid_sigma_l_inf", "grid_field_lengthscale_inf"])
     def test_nan_config_rejected(self, cfg):
         with pytest.raises(ConfigError):
             cfg.validate()
@@ -278,8 +283,8 @@ def flat_truth(n, beta, interference=None):
     if interference is None:
         def interference(indices, patches):
             return np.zeros(np.atleast_2d(patches).shape[0])
-    return GroundTruth(beta=beta, interference=interference, confounder_fn=None,
-                       u=np.zeros(n), base=np.zeros(n))
+    return GroundTruth(beta=beta, interference=interference, u=np.zeros(n),
+                       base=np.zeros(n))
 
 
 def line_style_dataset(n=10, seed=0):

@@ -7,11 +7,12 @@
 import importlib
 import os
 import sys
+import textwrap
 
 import numpy as np
 import pytest
 
-from spatialcausal import engine, gp, model
+from spatialcausal import cli, engine, gp, model
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -56,3 +57,44 @@ def test_probe_and_tracer_install_run_and_restore(tracing):
              gp.GpTerm.__dict__["features_np"], gp._features_with_lengthscale_grad,
              engine.Tape.__dict__["backward"], engine.matmul)
     assert all(a is b for a, b in zip(before, after))
+
+
+EFFECTS_INI = textwrap.dedent("""\
+    [data]
+    generator = line
+    n = 40
+    x_dim = 2
+
+    [train]
+    epochs = 3
+    optimizer = adam
+
+    [effects]
+    mode = both
+    grid_size = 5
+    b_draws = 8
+    weighted = both
+    """)
+
+
+def test_effects_stage_spans_fire(tracing, tmp_path):
+    """``effects --ckpt`` still calls every effects-stage name the tracer wraps."""
+    ini = tmp_path / "exp.ini"
+    ini.write_text(EFFECTS_INI)
+    data, run = str(tmp_path / "data"), str(tmp_path / "run")
+    assert cli.main(["gen", "--config", str(ini), "--out", data]) == 0
+    assert cli.main(["train", "--config", str(ini), "--data", data, "--out", run]) == 0
+    patcher, tracer = tracing.Patcher(), tracing.Tracer()
+    try:
+        tracer.install(patcher)
+        tracer.begin_run("effects")
+        assert cli.main(["effects", "--config", str(ini), "--data", data,
+                         "--ckpt", os.path.join(run, "model.ckpt"),
+                         "--out", str(tmp_path / "eff")]) == 0
+        metrics = tracing.layer_metrics(tracer)
+    finally:
+        patcher.restore()
+    for name in ("effects.dose_s", "effects.observed_s", "effects.fit_gps_s",
+                 "synthgen.oracle_s"):
+        assert metrics[name] > 0, name
+    assert metrics["cli.regenerate_truth_calls"] == 1
