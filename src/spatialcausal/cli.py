@@ -217,6 +217,8 @@ def load_config(path: str) -> ExperimentConfig:
         data["d_s"] = 51 if data["full_scale"] else 25
     if data["generator"] == "manifest" and not data["manifest"]:
         raise ConfigError("data.manifest: required when generator = manifest")
+    if data["generator"] == "line" and cp.has_option("data", "sigma_l"):
+        raise ConfigError("data.sigma_l: the line generator has no sigma_l; remove the key")
     data["split_ratios"] = check_split_ratios(data["split_ratios"], ConfigError)
     resolved["run"]["seeds"] = tuple(resolved["run"]["seeds"])
     for section, key in _NONNEGATIVE:
@@ -243,11 +245,27 @@ def _grid_config(data: dict, seed: int) -> GridConfig:
 
 
 def _synthesize(generator: str, data: dict, seed: int):
-    """(dataset, truth) from the line or grid generator."""
+    """(dataset, truth, grids) from the line or grid generator.
+
+    ``grids`` is the (treatment, confounder, outcome) triple that ``gen`` writes.
+    """
     if generator == "line":
-        return gen_line_graph(_line_config(data, seed))
+        ds, truth = gen_line_graph(_line_config(data, seed))
+        n = ds.n_units
+        res = 1.0 / (n - 1)
+        geom = dict(origin_x=-0.5 * res, origin_y=0.0, resolution=res)
+        return ds, truth, (Grid(data=ds.treatments[:, 0].reshape(1, 1, n), **geom),
+                           Grid(data=ds.confounders.T.reshape(-1, 1, n), **geom),
+                           Grid(data=ds.outcomes.reshape(1, 1, n), **geom))
     if generator == "grid":
-        return gen_grid(_grid_config(data, seed))
+        cfg = _grid_config(data, seed)
+        t_field, x_field = synth_fields(cfg)
+        ds, truth = gen_grid(cfg, treatment_field=t_field, confounder_field=x_field)
+        y_field = np.full((cfg.rows, cfg.cols), np.nan)
+        y_field[ds.coords[:, 1].astype(np.int64),
+                ds.coords[:, 0].astype(np.int64)] = ds.outcomes
+        return ds, truth, (Grid(data=t_field[None]), Grid(data=np.moveaxis(x_field, -1, 0)),
+                           Grid(data=y_field[None]))
     raise DataError(f"no synthetic generator {generator!r}")
 
 
@@ -256,12 +274,12 @@ def generate_dataset(config: ExperimentConfig, seed: int):
     data = config.resolved["data"]
     if data["generator"] == "manifest":
         return extract_units(load_manifest(data["manifest"])), None
-    return _synthesize(data["generator"], data, seed)
+    return _synthesize(data["generator"], data, seed)[:2]
 
 
 def regenerate_truth(sidecar: dict):
     """Rebuild (dataset, truth) from a truth.json sidecar."""
-    return _synthesize(sidecar["generator"], sidecar["data"], int(sidecar["seed"]))
+    return _synthesize(sidecar["generator"], sidecar["data"], int(sidecar["seed"]))[:2]
 
 
 def model_config_from(config: ExperimentConfig, dataset: SpatialDataset,
@@ -452,6 +470,18 @@ def _load_dataset(data_arg: str) -> SpatialDataset:
     return extract_units(load_manifest(_resolve_dataset_path(data_arg)))
 
 
+def _load_fitted(ckpt: str, data_arg: str):
+    """(dataset, model) for a checkpoint whose input shapes match the dataset."""
+    dataset = _load_dataset(data_arg)
+    model = load_model(ckpt)
+    want = (model.m, model.config.patch_shape, model.config.x_dim)
+    have = (dataset.n_treatments, dataset.patch_shape, dataset.confounders.shape[1])
+    if want != have:
+        raise ConfigError(f"checkpoint expects (treatments, patch, confounders) {want}, "
+                          f"dataset has {have}")
+    return dataset, model
+
+
 def _load_truth(data_arg: str, dataset: SpatialDataset):
     """Truth regenerated from the truth.json beside the manifest, else None."""
     sidecar = os.path.join(os.path.dirname(_resolve_dataset_path(data_arg)),
@@ -479,34 +509,12 @@ def cmd_gen(config: ExperimentConfig, out_dir: str, seed: int | None) -> int:
     if seed is None:
         seed = config.resolved["run"]["seeds"][0]
     os.makedirs(out_dir, exist_ok=True)
-    if data["generator"] == "line":
-        ds, _ = gen_line_graph(_line_config(data, seed))
-        n = ds.n_units
-        res = 1.0 / (n - 1)
-        geom = dict(origin_x=-0.5 * res, origin_y=0.0, resolution=res)
-        t_grid = Grid(data=ds.treatments[:, 0].reshape(1, 1, n), **geom)
-        x_grid = Grid(data=ds.confounders.T.reshape(-1, 1, n), **geom)
-        y_grid = Grid(data=ds.outcomes.reshape(1, 1, n), **geom)
-        d_s = 3
-    else:
-        cfg = _grid_config(data, seed)
-        t_field, x_field = synth_fields(cfg)
-        ds, _ = gen_grid(cfg, treatment_field=t_field,
-                         confounder_field=x_field)
-        y_field = np.full((cfg.rows, cfg.cols), np.nan)
-        cols = ds.coords[:, 0].astype(np.int64)
-        rows_ = ds.coords[:, 1].astype(np.int64)
-        y_field[rows_, cols] = ds.outcomes
-        t_grid = Grid(data=t_field[None])
-        x_grid = Grid(data=np.moveaxis(x_field, -1, 0))
-        y_grid = Grid(data=y_field[None])
-        d_s = data["d_s"]
-    save_grid(t_grid, os.path.join(out_dir, "treatment_1.grd"))
-    save_grid(x_grid, os.path.join(out_dir, "confounder.grd"))
-    save_grid(y_grid, os.path.join(out_dir, "outcome.grd"))
+    ds, _, grids = _synthesize(data["generator"], data, seed)
+    for grid, name in zip(grids, ("treatment_1.grd", "confounder.grd", "outcome.grd")):
+        save_grid(grid, os.path.join(out_dir, name))
     save_manifest(Manifest(treatments=("treatment_1.grd",),
                            confounder="confounder.grd", outcome="outcome.grd",
-                           d_s=d_s, split_seed=data["split_seed"],
+                           d_s=ds.d_s, split_seed=data["split_seed"],
                            split_ratios=data["split_ratios"]),
                   os.path.join(out_dir, "run.manifest"))
     sidecar = {"generator": data["generator"], "seed": seed,
@@ -535,13 +543,7 @@ def cmd_effects(config: ExperimentConfig, ckpt: str | None, data_arg: str | None
     if ckpt is not None:
         if data_arg is None:
             raise ConfigError("effects with --ckpt also needs --data")
-        dataset = _load_dataset(data_arg)
-        model = load_model(ckpt)
-        if model.m != dataset.n_treatments \
-                or model.config.patch_shape != dataset.patch_shape:
-            raise ConfigError(f"checkpoint expects {model.m} treatments with "
-                              f"{model.config.patch_shape} patches, dataset has "
-                              f"{dataset.n_treatments} / {dataset.patch_shape}")
+        dataset, model = _load_fitted(ckpt, data_arg)
         if seed is not None:
             config.resolved["effects"]["seed"] = seed
         reports, errors = estimate_variants(model, dataset, config,
@@ -577,8 +579,7 @@ def cmd_effects(config: ExperimentConfig, ckpt: str | None, data_arg: str | None
 
 def cmd_eval(config: ExperimentConfig, ckpt: str, data_arg: str,
              out_dir: str) -> int:
-    dataset = _load_dataset(data_arg)
-    model = load_model(ckpt)
+    dataset, model = _load_fitted(ckpt, data_arg)
     metrics = _flatten_metrics(evaluate(model, dataset))
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "metrics.json")

@@ -159,9 +159,6 @@ def _unit_weights(dataset: SpatialDataset, weights: BalancingWeights | None) -> 
 def _interference_contrasts(model: SpatialModel, dataset: SpatialDataset, m: int,
                             patches_m: np.ndarray) -> np.ndarray:
     """f_m(patch) - f_m(zero patch) for a batch of patches."""
-    n = patches_m.shape[0]
-    if not model.interference_nets:
-        return np.zeros(n)
     zero = np.zeros((1,) + dataset.patch_shape)
     f0 = model.interference_component(m, zero)[0]
     return model.interference_component(m, patches_m) - f0
@@ -204,6 +201,8 @@ def dose_inputs(dataset: SpatialDataset, m: int, t_grid: np.ndarray | None = Non
                 b_draws: int = 32, seed: int = 0,
                 draw_indices: np.ndarray | None = None):
     """(t_grid, draw_indices) of a dose-mode estimate: defaulted when None, checked."""
+    if not 0 <= m < dataset.n_treatments:
+        raise ContractError(f"treatment index {m} outside 0..{dataset.n_treatments - 1}")
     if t_grid is None:
         t_grid = default_t_grid(dataset, m)
     t_grid = np.asarray(t_grid, dtype=np.float64)

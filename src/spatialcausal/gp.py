@@ -159,12 +159,9 @@ class NystromMap:
     def q(self) -> int:
         return self.inducing.q
 
-    def cross_covariance(self, coords) -> np.ndarray:
-        return gram_matrix(self.kernel, coords, self.inducing.points)
-
     def features(self, coords) -> np.ndarray:
         """Rows z(s_i)^T of the feature matrix, by forward triangular solve."""
-        knq = self.cross_covariance(coords)
+        knq = gram_matrix(self.kernel, coords, self.inducing.points)
         return solve_triangular(self.chol_factor, knq.T, lower=True).T
 
     def low_rank_gram(self, coords) -> np.ndarray:

@@ -7,7 +7,8 @@ A prediction decomposes into four additive components:
             + g(x(i))                         observed confounders
             + w^T z(s(i))                     spatial adjustment (optional)
 
-Each component is separately retrievable, which the effect estimators rely on.
+``predict`` reports each component of one unit's prediction, and the effect
+estimators read the interference nets through ``interference_component``.
 Interference nets consume neighborhood patches whose center entry is zero, so
 the unit's own treatment enters only through the direct term.
 """
@@ -43,7 +44,6 @@ class SpatialDataset:
     confounders: np.ndarray
     outcomes: np.ndarray
     d_s: int
-    treatment_names: tuple = ()
 
     def __post_init__(self):
         self.coords = np.atleast_2d(np.asarray(self.coords, dtype=np.float64))
@@ -70,11 +70,6 @@ class SpatialDataset:
         center = (slice(None), slice(None)) + ((self.d_s // 2,) * (self.patches.ndim - 2))
         if np.any(self.patches[center] != 0.0):
             raise DataError("patch centers must be zero (own treatment excluded)")
-        if not self.treatment_names:
-            self.treatment_names = tuple(f"t{i + 1}" for i in range(m))
-        self.treatment_names = tuple(self.treatment_names)
-        if len(self.treatment_names) != m:
-            raise DimensionError(f"{len(self.treatment_names)} names for {m} treatments")
 
     @property
     def n_units(self) -> int:
@@ -94,8 +89,7 @@ class SpatialDataset:
     def subset(self, indices) -> "SpatialDataset":
         idx = np.asarray(indices)
         return SpatialDataset(self.coords[idx], self.treatments[idx], self.patches[idx],
-                              self.confounders[idx], self.outcomes[idx], self.d_s,
-                              self.treatment_names)
+                              self.confounders[idx], self.outcomes[idx], self.d_s)
 
 
 @dataclass
@@ -185,29 +179,11 @@ class SpatialModel:
         return self.forward_batch(dataset.treatments, dataset.patches, dataset.confounders,
                                   dataset.coords).data.reshape(-1)
 
-    # -- single components (estimation and prediction breakdowns) ---------
-
-    def direct_component(self, treatments: np.ndarray) -> np.ndarray:
-        return (np.asarray(treatments, dtype=np.float64) @ self.alphas.data).reshape(-1)
-
     def interference_component(self, m: int, patches_m: np.ndarray) -> np.ndarray:
+        """f_m on a batch of patch m as (n,); zeros when there are no nets."""
         if not self.interference_nets:
             return np.zeros(patches_m.shape[0])
         return self._interference(m, patches_m).data.reshape(-1)
-
-    def interference_total(self, patches: np.ndarray) -> np.ndarray:
-        total = np.zeros(patches.shape[0])
-        for m in range(len(self.interference_nets)):
-            total += self.interference_component(m, patches[:, m])
-        return total
-
-    def confounder_component(self, confounders: np.ndarray) -> np.ndarray:
-        return self.confounder_net.forward(Tensor(confounders)).data.reshape(-1)
-
-    def spatial_component(self, coords: np.ndarray) -> np.ndarray:
-        if self.gp_term is None:
-            return np.zeros(np.atleast_2d(coords).shape[0])
-        return self.gp_term.values_op(coords).data.reshape(-1)
 
 
 @dataclass
@@ -294,10 +270,14 @@ def predict(model: SpatialModel, dataset: SpatialDataset, index: int,
                 raise DimensionError(
                     f"patch override shape {val.shape} != {dataset.patch_shape}")
             patches[0, m] = val
-    direct = float(model.direct_component(t)[0])
-    interference = float(model.interference_total(patches)[0])
-    confounder = float(model.confounder_component(dataset.confounders[index:index + 1])[0])
-    spatial = float(model.spatial_component(dataset.coords[index:index + 1])[0])
+    direct = float((t @ model.alphas.data)[0, 0])
+    interference = sum((float(model.interference_component(m, patches[:, m])[0])
+                        for m in range(len(model.interference_nets))), 0.0)
+    x = Tensor(dataset.confounders[index:index + 1])
+    confounder = float(model.confounder_net.forward(x).data[0, 0])
+    spatial = 0.0
+    if model.gp_term is not None:
+        spatial = float(model.gp_term.values_op(dataset.coords[index:index + 1]).data[0, 0])
     return PredictionBreakdown(direct + interference + confounder + spatial,
                                direct, interference, confounder, spatial)
 

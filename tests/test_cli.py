@@ -296,17 +296,21 @@ class TestEffectsCmd:
         assert code == 2
         assert capsys.readouterr().err.startswith("config_error\t")
 
-    def test_incompatible_checkpoint(self, workspace, tmp_path, capsys):
-        model = build_model(ModelConfig(m=1, patch_shape=(5,), x_dim=2,
+    @pytest.mark.parametrize("command", ["effects", "eval"])
+    @pytest.mark.parametrize("patch_shape,x_dim", [((5,), 2), ((3,), 3)],
+                             ids=["patch", "confounders"])
+    def test_incompatible_checkpoint(self, workspace, tmp_path, capsys, command,
+                                     patch_shape, x_dim):
+        model = build_model(ModelConfig(m=1, patch_shape=patch_shape, x_dim=x_dim,
                                         interference="linear",
                                         confounder="linear"))
-        ckpt = str(tmp_path / "wide.ckpt")
+        ckpt = str(tmp_path / "other.ckpt")
         save_model(model, ckpt)
-        code = cli.main(["effects", "--config", workspace["ini"],
+        code = cli.main([command, "--config", workspace["ini"],
                          "--ckpt", ckpt, "--data", workspace["data"],
                          "--out", str(tmp_path / "junk")])
         assert code == 2
-        assert "config_error" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("config_error\t")
 
 
 class TestProtocol:
@@ -494,12 +498,13 @@ class TestMainErrors:
          "n_units = 20\nbeta = nan", "gen", "config_error"),
         ("x_dim = 2", "x_dim = 2\nnoise_sigma = nan", "gen", "config_error"),
         ("x_dim = 2", "x_dim = 2\nsigma_l = nan", "gen", "config_error"),
+        ("x_dim = 2", "x_dim = 2\nsigma_l = 2.0", "gen", "config_error"),
         ("lr = 0.05", "lr = nan", "train", "config_error"),
         ("lr = 0.05", "lr = 0.05\nmomentum = nan", "train", "config_error"),
     ], ids=["grid_x_channels_zero", "kernel_sigma_nan", "kernel_lengthscale_nan",
             "kernel_noise_nan", "kernel_sigma_inf", "protocol_split_ratios",
-            "grid_beta_nan", "line_noise_sigma_nan", "sigma_l_nan", "lr_nan",
-            "momentum_nan"])
+            "grid_beta_nan", "line_noise_sigma_nan", "sigma_l_nan", "line_sigma_l_set",
+            "lr_nan", "momentum_nan"])
     def test_bad_value_is_typed_error(self, workspace, tmp_path, capsys,
                                       old, new, command, code):
         ini = write_ini(tmp_path, TINY_INI.replace(old, new))
@@ -509,9 +514,11 @@ class TestMainErrors:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.partition("\t")[0] == code, err
+        key = new.rpartition("\n")[2].partition(" =")[0]
         if "nan" in new or "inf" in new:
-            key = new.rpartition("\n")[2].partition(" =")[0]
             assert key in err and "must be finite" in err, err
+        elif key == "sigma_l":
+            assert "data.sigma_l" in err, err
 
 
 def _drop_key(key):

@@ -116,7 +116,8 @@ class TestBuildAndPredict:
         model = M.build_model(M.ModelConfig(m=1, patch_shape=(3,), x_dim=2,
                                             interference="none", confounder="linear"))
         assert model.interference_nets == []
-        npt.assert_array_equal(model.interference_total(data.patches), 0.0)
+        assert all(M.predict(model, data, i).interference == 0.0
+                   for i in range(data.n_units))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):

@@ -351,6 +351,12 @@ class TestOracle:
         assert err["ie_err"] <= 1e-12
         assert err["te_err"] <= 1e-12
 
+    @pytest.mark.parametrize("m", [-1, 1])
+    def test_treatment_index_out_of_range_rejected(self, m):
+        ds = line_style_dataset()
+        with pytest.raises(ContractError, match="treatment index"):
+            oracle_effects(flat_truth(10, 1.0), ds, m)
+
     def test_empty_grid_rejected(self):
         ds = line_style_dataset()
         with pytest.raises(ContractError):

@@ -77,24 +77,53 @@ EFFECTS_INI = textwrap.dedent("""\
     """)
 
 
-def test_effects_stage_spans_fire(tracing, tmp_path):
-    """``effects --ckpt`` still calls every effects-stage name the tracer wraps."""
-    ini = tmp_path / "exp.ini"
-    ini.write_text(EFFECTS_INI)
-    data, run = str(tmp_path / "data"), str(tmp_path / "run")
-    assert cli.main(["gen", "--config", str(ini), "--out", data]) == 0
-    assert cli.main(["train", "--config", str(ini), "--data", data, "--out", run]) == 0
+# weights off: the grid's one-hot confounders would trigger the ridge-refit warning
+GRID_INI = EFFECTS_INI.replace("generator = line\nn = 40\nx_dim = 2",
+                               "generator = grid\nrows = 32\ncols = 32\nd_s = 3\nn_units = 20"
+                               ).replace("weighted = both", "weighted = off")
+
+
+def _traced(tracing, argv) -> dict:
+    """Layer metrics of one ``cli.main(argv)`` call under perfbench's ``Tracer``."""
     patcher, tracer = tracing.Patcher(), tracing.Tracer()
     try:
         tracer.install(patcher)
-        tracer.begin_run("effects")
-        assert cli.main(["effects", "--config", str(ini), "--data", data,
-                         "--ckpt", os.path.join(run, "model.ckpt"),
-                         "--out", str(tmp_path / "eff")]) == 0
-        metrics = tracing.layer_metrics(tracer)
+        tracer.begin_run(argv[0])
+        assert cli.main(argv) == 0
+        return tracing.layer_metrics(tracer)
     finally:
         patcher.restore()
+
+
+def _workspace(tmp_path, text):
+    ini = tmp_path / "exp.ini"
+    ini.write_text(text)
+    return str(ini), str(tmp_path / "data"), str(tmp_path / "run")
+
+
+def _effects_argv(ini, data, run, tmp_path):
+    return ["effects", "--config", ini, "--data", data,
+            "--ckpt", os.path.join(run, "model.ckpt"), "--out", str(tmp_path / "eff")]
+
+
+def test_effects_stage_spans_fire(tracing, tmp_path):
+    """``effects --ckpt`` still calls every effects-stage name the tracer wraps."""
+    ini, data, run = _workspace(tmp_path, EFFECTS_INI)
+    assert cli.main(["gen", "--config", ini, "--out", data]) == 0
+    assert cli.main(["train", "--config", ini, "--data", data, "--out", run]) == 0
+    metrics = _traced(tracing, _effects_argv(ini, data, run, tmp_path))
     for name in ("effects.dose_s", "effects.observed_s", "effects.fit_gps_s",
                  "synthgen.oracle_s"):
         assert metrics[name] > 0, name
     assert metrics["cli.regenerate_truth_calls"] == 1
+
+
+def test_grid_generation_spans_fire(tracing, tmp_path):
+    """Grid ``gen`` and the truth regeneration of ``effects --ckpt`` call ``synth_fields``."""
+    ini, data, run = _workspace(tmp_path, GRID_INI)
+    gen = _traced(tracing, ["gen", "--config", ini, "--out", data])
+    assert gen["synthgen.synth_fields_s"] > 0
+    assert cli.main(["train", "--config", ini, "--data", data, "--out", run]) == 0
+    effects = _traced(tracing, _effects_argv(ini, data, run, tmp_path))
+    assert effects["synthgen.synth_fields_s"] > 0
+    assert effects["cli.regenerate_truth_calls"] == 1
