@@ -42,6 +42,7 @@ from .effects import (
     estimate_effects_observed,
     fit_gps,
     marginal_density,
+    reweighted,
     write_effects_csv,
 )
 from .errors import ConfigError, DataError, SpatialCausalError
@@ -136,9 +137,10 @@ _SCHEMA = {
     },
 }
 
-# seeds and sizes that numpy would reject with a traceback when negative
-_NONNEGATIVE = (("data", "split_seed"), ("effects", "grid_size"), ("effects", "seed"),
-                ("run", "seeds"))
+# lower bounds: numpy rejects a negative seed with a traceback, and an effects
+# grid or draw count below 1 leaves nothing to average
+_MINIMUM = ((("data", "split_seed"), 0), (("effects", "seed"), 0), (("run", "seeds"), 0),
+            (("effects", "grid_size"), 1), (("effects", "b_draws"), 1))
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -221,10 +223,10 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError("data.sigma_l: the line generator has no sigma_l; remove the key")
     data["split_ratios"] = check_split_ratios(data["split_ratios"], ConfigError)
     resolved["run"]["seeds"] = tuple(resolved["run"]["seeds"])
-    for section, key in _NONNEGATIVE:
+    for (section, key), low in _MINIMUM:
         val = resolved[section][key]
-        if np.min(val) < 0:
-            raise ConfigError(f"{section}.{key}: must be >= 0, got {val}")
+        if np.min(val) < low:
+            raise ConfigError(f"{section}.{key}: must be >= {low}, got {val}")
     return ExperimentConfig(resolved=resolved)
 
 
@@ -325,35 +327,47 @@ def _fit_weights(dataset: SpatialDataset, m: int):
     return balancing_weights(dataset, m, gps, marg)
 
 
-def compute_effect_reports(model, dataset, config: ExperimentConfig,
-                           weighted: bool, truth=None):
-    """Per-treatment effect reports plus dose errors vs truth for treatment 0.
+def _estimate(model, dataset, config: ExperimentConfig, variants, truth):
+    """(reports, errors) per weighting variant, given as weighted flags.
 
-    The oracle shares the estimator's t-grid and neighborhood draws so that
-    their difference reflects model error, not resampling noise.
+    Per treatment, each estimator and the oracle run once, under the first
+    variant's weights; the other variants re-average the weight-free samples
+    of those reports.  The oracle shares the estimator's t-grid and
+    neighborhood draws so that their difference reflects model error, not
+    resampling noise.
     """
     eff = config.resolved["effects"]
-    reports = []
-    errors = None
+    modes = ("dose", "observed") if eff["mode"] == "both" else (eff["mode"],)
+    reports = [[] for _ in variants]
+    errors = [None] * len(variants)
     for m in range(dataset.n_treatments):
-        weights = _fit_weights(dataset, m) if weighted else None
-        modes = ("dose", "observed") if eff["mode"] == "both" else (eff["mode"],)
+        weights = [_fit_weights(dataset, m) if on else None for on in variants]
         for mode in modes:
+            oracle = None
             if mode == "observed":
-                reports.append(estimate_effects_observed(model, dataset, m,
-                                                         weights=weights))
-                continue
-            t_grid = default_t_grid(dataset, m, eff["grid_size"])
-            draws = dose_draw_indices(dataset.n_units, eff["b_draws"],
-                                      eff["seed"])
-            rep = estimate_effects_dose(model, dataset, m, weights=weights,
-                                        t_grid=t_grid, draw_indices=draws)
-            reports.append(rep)
-            if truth is not None and m == 0:
-                oracle = oracle_effects(truth, dataset, 0, t_grid=t_grid,
-                                        draw_indices=draws)
-                errors = effect_error(rep, oracle)
+                first = estimate_effects_observed(model, dataset, m, weights=weights[0])
+            else:
+                t_grid = default_t_grid(dataset, m, eff["grid_size"])
+                draws = dose_draw_indices(dataset.n_units, eff["b_draws"],
+                                          eff["seed"])
+                first = estimate_effects_dose(model, dataset, m, weights=weights[0],
+                                              t_grid=t_grid, draw_indices=draws)
+                if truth is not None and m == 0:
+                    oracle = oracle_effects(truth, dataset, 0, t_grid=t_grid,
+                                            draw_indices=draws)
+            for k, w in enumerate(weights):
+                rep = reweighted(first, dataset, w) if k else first
+                reports[k].append(rep)
+                if oracle is not None:
+                    errors[k] = effect_error(rep, oracle)
     return reports, errors
+
+
+def compute_effect_reports(model, dataset, config: ExperimentConfig,
+                           weighted: bool, truth=None):
+    """Per-treatment effect reports plus dose errors vs truth for treatment 0."""
+    reports, errors = _estimate(model, dataset, config, (weighted,), truth)
+    return reports[0], errors[0]
 
 
 def fit_model(config: ExperimentConfig, dataset: SpatialDataset, seed: int):
@@ -372,11 +386,9 @@ def fit_model(config: ExperimentConfig, dataset: SpatialDataset, seed: int):
 
 def estimate_variants(model, dataset, config: ExperimentConfig, truth=None):
     """Effects stage: (reports, errors), each keyed by weighting variant."""
-    reports, errors = {}, {}
-    for label, weighted in _variants(config):
-        reports[label], errors[label] = compute_effect_reports(
-            model, dataset, config, weighted, truth=truth)
-    return reports, errors
+    labels, flags = zip(*_variants(config))
+    reports, errors = _estimate(model, dataset, config, flags, truth)
+    return dict(zip(labels, reports)), dict(zip(labels, errors))
 
 
 def run_single_seed(config: ExperimentConfig, seed: int) -> dict:

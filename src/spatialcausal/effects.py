@@ -14,6 +14,15 @@ corrects the neighborhood distribution as well as the unit average.  Under
 the additive model the per-unit contrasts collapse to component differences;
 the estimators compute those directly and the test suite pins them against
 brute-force enumeration over units, grid points, and draws.
+
+Only the averages depend on the weights.  An estimator's ``EffectReport``
+therefore also carries the weight-free samples it averaged: in observed mode
+the per-unit contrasts ``de_samples`` and ``ie_samples``; in dose mode the
+per-draw IE contrasts ``ie_samples`` and ``sample_units``, the unit whose
+weight each draw carries (the DE curve needs no weights).  ``reweighted``
+averages those samples anew under other weights without running the model;
+the estimators end in it too, so weighting happens in one place.  Oracle
+reports carry no samples.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -137,14 +146,17 @@ def balancing_weights(dataset: SpatialDataset, m: int, gps: GpsModel,
 class EffectReport:
     treatment: int
     mode: str                       # "observed" | "dose"
-    de: float
-    ie: float
-    te: float
-    weighted: bool
+    de: float = math.nan            # nan until averaged by ``reweighted``
+    ie: float = math.nan
+    te: float = math.nan
+    weighted: bool = False
     t_grid: np.ndarray | None = None
     de_curve: np.ndarray | None = None
     ie_curve: np.ndarray | None = None
     n_draws: int = 0
+    de_samples: np.ndarray | None = None     # observed: per-unit DE contrasts
+    ie_samples: np.ndarray | None = None     # per-unit (observed) or per-draw (dose)
+    sample_units: np.ndarray | None = None   # dose: unit supplying each draw's weight
 
 
 def _unit_weights(dataset: SpatialDataset, weights: BalancingWeights | None) -> np.ndarray:
@@ -173,15 +185,10 @@ def estimate_effects_observed(model: SpatialModel, dataset: SpatialDataset, m: i
     """
     if not 0 <= m < model.m:
         raise ContractError(f"treatment index {m} outside 0..{model.m - 1}")
-    w = _unit_weights(dataset, weights)
-    alpha = model.alphas.data[m, 0]
-    de_units = alpha * dataset.treatments[:, m]
+    de_units = model.alphas.data[m, 0] * dataset.treatments[:, m]
     ie_units = _interference_contrasts(model, dataset, m, dataset.patches[:, m])
-    de = float(np.average(de_units, weights=w))
-    ie = float(np.average(ie_units, weights=w))
-    te = float(np.average(de_units + ie_units, weights=w))
-    return EffectReport(treatment=m, mode="observed", de=de, ie=ie, te=te,
-                        weighted=weights is not None)
+    return reweighted(EffectReport(treatment=m, mode="observed", de_samples=de_units,
+                                   ie_samples=ie_units), dataset, weights)
 
 
 def default_t_grid(dataset: SpatialDataset, m: int, size: int = 21) -> np.ndarray:
@@ -216,16 +223,37 @@ def dose_inputs(dataset: SpatialDataset, m: int, t_grid: np.ndarray | None = Non
     return t_grid, draw_indices
 
 
-def dose_report(m: int, slope: float, t_grid: np.ndarray, ie_value: float,
+def dose_report(m: int, de_curve: np.ndarray, t_grid: np.ndarray, ie_value: float,
                 n_draws: int, weighted: bool) -> EffectReport:
-    """Dose-mode report: DE(t) = slope * t, a flat IE(t), and their grid means."""
-    de_curve = slope * t_grid
+    """Dose-mode report: the DE curve, a flat IE(t), and their grid means."""
     ie_curve = np.full(t_grid.size, ie_value)
     return EffectReport(treatment=m, mode="dose", de=float(np.mean(de_curve)),
                         ie=float(np.mean(ie_curve)),
                         te=float(np.mean(de_curve + ie_curve)), weighted=weighted,
                         t_grid=t_grid, de_curve=de_curve, ie_curve=ie_curve,
                         n_draws=int(n_draws))
+
+
+def reweighted(report: EffectReport, dataset: SpatialDataset,
+               weights: BalancingWeights | None = None) -> EffectReport:
+    """``report`` averaged anew from its weight-free samples under ``weights``.
+
+    ``None`` means uniform weights.  No model runs, so every weighting
+    variant of an estimate shares one set of contrasts.
+    """
+    if report.ie_samples is None:
+        raise ContractError("report carries no samples to reweight")
+    w = _unit_weights(dataset, weights)
+    flag = weights is not None
+    if report.mode == "dose":
+        ie_value = float(np.average(report.ie_samples, weights=w[report.sample_units]))
+        return replace(dose_report(report.treatment, report.de_curve, report.t_grid,
+                                   ie_value, report.n_draws, flag),
+                       ie_samples=report.ie_samples, sample_units=report.sample_units)
+    de_units, ie_units = report.de_samples, report.ie_samples
+    return replace(report, de=float(np.average(de_units, weights=w)),
+                   ie=float(np.average(ie_units, weights=w)),
+                   te=float(np.average(de_units + ie_units, weights=w)), weighted=flag)
 
 
 def estimate_effects_dose(model: SpatialModel, dataset: SpatialDataset, m: int,
@@ -254,13 +282,12 @@ def estimate_effects_dose(model: SpatialModel, dataset: SpatialDataset, m: int,
     if not lo <= 0.0 <= hi:
         warnings.warn(f"zero baseline lies outside the observed treatment "
                       f"range [{lo:.4g}, {hi:.4g}]; contrasts extrapolate")
-    w = _unit_weights(dataset, weights)
-    draw_w = w[draw_indices]
     drawn_contrasts = _interference_contrasts(
         model, dataset, m, dataset.patches[draw_indices, m])
-    ie_value = float(np.average(drawn_contrasts, weights=draw_w))
-    return dose_report(m, model.alphas.data[m, 0], t_grid, ie_value,
-                       draw_indices.size, weights is not None)
+    return reweighted(EffectReport(treatment=m, mode="dose", t_grid=t_grid,
+                                   de_curve=model.alphas.data[m, 0] * t_grid,
+                                   n_draws=draw_indices.size, ie_samples=drawn_contrasts,
+                                   sample_units=draw_indices), dataset, weights)
 
 
 def effect_error(report: EffectReport, oracle: EffectReport) -> dict:

@@ -350,5 +350,5 @@ def oracle_effects(truth: GroundTruth, dataset: SpatialDataset, m: int,
     zero_vals = truth.interference(np.arange(n),
                                    np.zeros((n,) + dataset.patch_shape))
     contrasts = cross.reshape(b, n) - zero_vals[None, :]
-    return dose_report(m, truth.beta, t_grid, float(contrasts.mean()), b,
+    return dose_report(m, truth.beta * t_grid, t_grid, float(contrasts.mean()), b,
                        weighted=False)

@@ -1,6 +1,7 @@
 """Command-line runner: config schema, subcommands, artifacts, exit codes."""
 
 import csv
+import dataclasses
 import json
 import os
 import shutil
@@ -20,9 +21,16 @@ from spatialcausal.cli import (
     run_single_seed,
 )
 from spatialcausal.errors import ConfigError
-from spatialcausal.model import ModelConfig, build_model, load_model, save_model
+from spatialcausal.model import (
+    ModelConfig,
+    SpatialDataset,
+    SpatialModel,
+    build_model,
+    load_model,
+    save_model,
+)
 from spatialcausal.raster import extract_units, load_manifest
-from spatialcausal.synthgen import LineGraphConfig, gen_line_graph
+from spatialcausal.synthgen import GroundTruth, LineGraphConfig, gen_line_graph
 
 TINY_INI = textwrap.dedent("""\
     [data]
@@ -313,6 +321,97 @@ class TestEffectsCmd:
         assert capsys.readouterr().err.startswith("config_error\t")
 
 
+    def test_variant_files_match_single_variant_runs(self, workspace, tmp_path):
+        """``weighted = both`` writes the bytes of separate ``off`` and ``on`` runs."""
+        out = {}
+        for flag in ("both", "off", "on"):
+            ini = write_ini(tmp_path, TINY_INI.replace(
+                "b_draws = 8", f"b_draws = 8\nmode = both\nweighted = {flag}"),
+                name=f"{flag}.ini")
+            out[flag] = str(tmp_path / flag)
+            assert cli.main(["effects", "--config", ini, "--ckpt", workspace["ckpt"],
+                             "--data", workspace["data"], "--out", out[flag]]) == 0
+        for flag, label in (("off", "unweighted"), ("on", "weighted")):
+            assert sorted(os.listdir(out[flag])) == [f"effects_{label}.csv",
+                                                     f"errors_{label}.csv"]
+            for name in os.listdir(out[flag]):
+                with open(os.path.join(out["both"], name), "rb") as a, \
+                        open(os.path.join(out[flag], name), "rb") as b:
+                    assert a.read() == b.read(), name
+
+
+def _two_treatment_setup(tmp_path):
+    """A 2-treatment line dataset, an MLP model with random parameters, a truth,
+    and an effects config with ``mode = both``, ``weighted = both``."""
+    rng = np.random.default_rng(5)
+    n = 30
+    treatments = rng.normal(size=(n, 2))
+    patches = np.zeros((n, 2, 3))
+    patches[1:, :, 0] = treatments[:-1]
+    patches[:-1, :, 2] = treatments[1:]
+    dataset = SpatialDataset(np.linspace(0.0, 1.0, n)[:, None], treatments, patches,
+                             rng.normal(size=(n, 2)), rng.normal(size=n), d_s=3)
+    model = build_model(ModelConfig(m=2, patch_shape=(3,), x_dim=2, interference="mlp",
+                                    confounder="mlp", mlp_width=5, mlp_depth=2, seed=4))
+    for p in model.parameters():
+        p.data = rng.normal(size=p.data.shape)
+    truth = GroundTruth(beta=1.5, u=np.zeros(n), base=np.zeros(n),
+                        interference=lambda idx, pt: np.tanh(pt.sum(axis=-1)) + 0.1 * idx)
+    ini = write_ini(tmp_path, TINY_INI.replace(
+        "b_draws = 8", "b_draws = 8\nmode = both\nweighted = both"))
+    return dataset, model, truth, load_config(ini)
+
+
+def _bits(value):
+    arr = np.asarray(value)
+    return None if value is None else (arr.dtype.str, arr.shape, arr.tobytes())
+
+
+class TestSharedEffectWork:
+    """Weighting variants share one set of contrasts, draws and oracle per treatment."""
+
+    def test_variants_equal_separate_single_variant_calls(self, tmp_path):
+        dataset, model, truth, config = _two_treatment_setup(tmp_path)
+        reports, errors = cli.estimate_variants(model, dataset, config, truth)
+        assert list(reports) == ["unweighted", "weighted"]
+        for label, weighted in (("unweighted", False), ("weighted", True)):
+            alone, alone_errors = cli.compute_effect_reports(model, dataset, config,
+                                                             weighted, truth=truth)
+            assert len(reports[label]) == len(alone) == 4
+            for got, want in zip(reports[label], alone):
+                assert got.weighted is weighted
+                for field in dataclasses.fields(got):
+                    assert (_bits(getattr(got, field.name))
+                            == _bits(getattr(want, field.name))), (label, field.name)
+            assert sorted(errors[label]) == sorted(alone_errors)
+            for key, val in alone_errors.items():
+                assert _bits(errors[label][key]) == _bits(val), (label, key)
+
+    def test_model_and_oracle_calls_do_not_grow_with_variants(self, tmp_path,
+                                                               monkeypatch):
+        dataset, model, truth, config = _two_treatment_setup(tmp_path)
+        calls = {"interference": 0, "oracle": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(SpatialModel, "interference_component",
+                            counted("interference", SpatialModel.interference_component))
+        monkeypatch.setattr(cli, "oracle_effects", counted("oracle", cli.oracle_effects))
+        counts = {}
+        for flag in ("on", "off", "both"):
+            config.resolved["effects"]["weighted"] = flag
+            calls.update(interference=0, oracle=0)
+            cli.estimate_variants(model, dataset, config, truth)
+            counts[flag] = dict(calls)
+        # per treatment and mode: the patch batch and the zero baseline
+        assert counts["both"] == counts["on"] == counts["off"] == {
+            "interference": 2 * 2 * 2, "oracle": 1}
+
+
 class TestProtocol:
     def test_per_seed_artifacts(self, proto_dir):
         names = set(os.listdir(proto_dir))
@@ -465,22 +564,22 @@ class TestMainErrors:
         err = capsys.readouterr().err
         assert err.partition("\t")[0] == "data_error", err
 
-    @pytest.mark.parametrize("old,new,command", [
-        ("seeds = 0,1", "seeds = -1", ["gen"]),
-        ("b_draws = 8", "b_draws = 8\nseed = -1", ["effects"]),
-        ("x_dim = 2", "x_dim = 2\nsplit_seed = -1", ["gen"]),
-        ("grid_size = 5", "grid_size = -1", ["effects"]),
-        ("", "", ["gen", "--seed", "-1"]),
+    @pytest.mark.parametrize("old,new,command,message", [
+        ("seeds = 0,1", "seeds = -1", ["gen"], "run.seeds: must be >= 0"),
+        ("b_draws = 8", "b_draws = 8\nseed = -1", ["effects"], "effects.seed: must be >= 0"),
+        ("x_dim = 2", "x_dim = 2\nsplit_seed = -1", ["gen"], "data.split_seed: must be >= 0"),
+        ("grid_size = 5", "grid_size = -1", ["effects"], "effects.grid_size: must be >= 1"),
+        ("", "", ["gen", "--seed", "-1"], "--seed: must be >= 0"),
     ], ids=["run_seeds", "effects_seed", "data_split_seed", "effects_grid_size",
             "seed_flag"])
     def test_negative_seed_or_size_is_config_error(self, tmp_path, capsys,
-                                                   old, new, command):
+                                                   old, new, command, message):
         ini = write_ini(tmp_path, TINY_INI.replace(old, new) if old else TINY_INI)
         argv = command[:1] + ["--config", ini, "--out", str(tmp_path / "x")] + command[1:]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.partition("\t")[0] == "config_error", err
-        assert "must be >= 0" in err
+        assert message in err, err
 
     @pytest.mark.parametrize("old,new,command,code", [
         ("generator = line", "generator = grid\nrows = 32\ncols = 32\nd_s = 3\n"
@@ -501,10 +600,12 @@ class TestMainErrors:
         ("x_dim = 2", "x_dim = 2\nsigma_l = 2.0", "gen", "config_error"),
         ("lr = 0.05", "lr = nan", "train", "config_error"),
         ("lr = 0.05", "lr = 0.05\nmomentum = nan", "train", "config_error"),
+        ("b_draws = 8", "b_draws = 0", "effects", "config_error"),
+        ("grid_size = 5", "grid_size = 0", "effects", "config_error"),
     ], ids=["grid_x_channels_zero", "kernel_sigma_nan", "kernel_lengthscale_nan",
             "kernel_noise_nan", "kernel_sigma_inf", "protocol_split_ratios",
             "grid_beta_nan", "line_noise_sigma_nan", "sigma_l_nan", "line_sigma_l_set",
-            "lr_nan", "momentum_nan"])
+            "lr_nan", "momentum_nan", "effects_b_draws_zero", "effects_grid_size_zero"])
     def test_bad_value_is_typed_error(self, workspace, tmp_path, capsys,
                                       old, new, command, code):
         ini = write_ini(tmp_path, TINY_INI.replace(old, new))
@@ -519,6 +620,8 @@ class TestMainErrors:
             assert key in err and "must be finite" in err, err
         elif key == "sigma_l":
             assert "data.sigma_l" in err, err
+        elif key in ("b_draws", "grid_size"):
+            assert f"effects.{key}: must be >= 1" in err, err
 
 
 def _drop_key(key):
