@@ -74,7 +74,6 @@ from .synthgen import (
     GridConfig,
     GroundTruth,
     LineGraphConfig,
-    SplineFn,
     gen_grid,
     gen_line_graph,
     grid_weight_matrix,
@@ -111,8 +110,8 @@ __all__ = [
     "GridConfig", "GridGeometry", "GroundTruth", "KernelSpec",
     "LineGraphConfig", "Manifest", "MarginalDensity", "MlpSpec",
     "ModelConfig", "NLCD_CODES", "Network", "NumericError", "PointSet",
-    "SpatialCausalError", "SpatialDataset", "SpatialModel", "SplineFn",
-    "Tape", "Tensor", "TrainConfig", "UnetSpec", "balancing_weights",
+    "SpatialCausalError", "SpatialDataset", "SpatialModel", "Tape",
+    "Tensor", "TrainConfig", "UnetSpec", "balancing_weights",
     "build_cnn", "build_linear_interference", "build_mlp", "build_model",
     "build_nystrom", "build_unet", "chol_with_jitter", "default_t_grid",
     "dose_draw_indices", "effect_error", "estimate_effects_dose",

@@ -35,6 +35,7 @@ from . import engine as E
 from . import nets as N
 from .effects import (
     balancing_weights,
+    csv_float,
     default_t_grid,
     dose_draw_indices,
     effect_error,
@@ -420,17 +421,13 @@ def run_protocol(config: ExperimentConfig) -> dict:
             "wall_clock_s": time.perf_counter() - start}
 
 
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
-
-
 def write_trace_csv(trace, path: str) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["epoch", "train_mse", "val_mse"])
         for epoch, train_mse, val_mse in trace:
-            w.writerow([epoch, _fmt(train_mse),
-                        "" if np.isnan(val_mse) else _fmt(val_mse)])
+            w.writerow([epoch, csv_float(train_mse),
+                        "" if np.isnan(val_mse) else csv_float(val_mse)])
 
 
 def write_errors_csv(rows, path: str) -> None:
@@ -440,13 +437,13 @@ def write_errors_csv(rows, path: str) -> None:
         w.writerow(["seed", "de_err", "ie_err", "te_err",
                     "de_std", "ie_std", "te_std"])
         for seed, err in rows:
-            w.writerow([seed, _fmt(err["de_err"]), _fmt(err["ie_err"]),
-                        _fmt(err["te_err"]), "", "", ""])
+            w.writerow([seed, csv_float(err["de_err"]), csv_float(err["ie_err"]),
+                        csv_float(err["te_err"]), "", "", ""])
         arr = np.array([[e["de_err"], e["ie_err"], e["te_err"]]
                         for _, e in rows])
         means = arr.mean(axis=0)
         stds = arr.std(axis=0, ddof=1) if arr.shape[0] > 1 else np.zeros(3)
-        w.writerow(["mean"] + [_fmt(v) for v in means] + [_fmt(v) for v in stds])
+        w.writerow(["mean"] + [csv_float(v) for v in means] + [csv_float(v) for v in stds])
 
 
 def write_effect_tables(out_dir: str, reports: dict, prefix: str = "") -> None:
@@ -660,7 +657,7 @@ def _gradcheck_cases():
     mlp_in = rng.normal(size=(3, 2))
     cases.append(("mlp_composite",
                   lambda: E.tsum(mlp.forward(E.Tensor(mlp_in))), mlp.params))
-    lin = N.build_linear_interference((3,), seed=2)
+    lin = N.build_linear_interference((3,))
     lin.params[0].data[:] = rng.normal(size=lin.params[0].data.shape)
     lin_in = rng.normal(size=(2, 3))
     cases.append(("linear_interference",

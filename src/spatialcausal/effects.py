@@ -109,14 +109,9 @@ def fit_gps(dataset: SpatialDataset, m: int) -> GpsModel:
     return GpsModel(m=m, coef=coef, sigma_resid=sigma)
 
 
-def marginal_density(dataset: SpatialDataset, m: int,
-                     bandwidth: float | None = None) -> MarginalDensity:
-    """KDE of t_m with Silverman bandwidth 1.06 * std * N^(-1/5) unless forced."""
+def marginal_density(dataset: SpatialDataset, m: int) -> MarginalDensity:
+    """KDE of t_m with Silverman bandwidth 1.06 * std * N^(-1/5)."""
     values = dataset.treatments[:, m].copy()
-    if bandwidth is not None:
-        if bandwidth <= 0:
-            raise ContractError(f"bandwidth must be positive, got {bandwidth}")
-        return MarginalDensity(values, float(bandwidth))
     if np.unique(values).size < 2:
         raise DataError("marginal density needs at least 2 distinct treatment values")
     sigma = float(np.std(values, ddof=1))
@@ -321,15 +316,17 @@ def weight_diagnostics(weights: BalancingWeights) -> dict:
     }
 
 
+def csv_float(v: float) -> str:
+    """17 significant digits, so every float64 round-trips; all CSV floats use it."""
+    return format(v, ".17g")
+
+
 def write_effects_csv(reports, path: str) -> None:
     """Long-format CSV: one row per curve point plus grid-averaged summary rows.
 
     Summary rows carry an empty t_value; their TE equals DE + IE within 1e-9
     by the additive structure.
     """
-    def fmt(v: float) -> str:
-        return format(v, ".17g")
-
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["treatment_index", "mode", "effect_type", "t_value",
@@ -339,7 +336,7 @@ def write_effects_csv(reports, path: str) -> None:
             if rep.t_grid is not None:
                 for kind, curve in (("DE", rep.de_curve), ("IE", rep.ie_curve)):
                     for tv, val in zip(rep.t_grid, curve):
-                        writer.writerow([rep.treatment, rep.mode, kind, fmt(tv),
-                                         fmt(val), flag])
+                        writer.writerow([rep.treatment, rep.mode, kind,
+                                         csv_float(tv), csv_float(val), flag])
             for kind, val in (("DE", rep.de), ("IE", rep.ie), ("TE", rep.te)):
-                writer.writerow([rep.treatment, rep.mode, kind, "", fmt(val), flag])
+                writer.writerow([rep.treatment, rep.mode, kind, "", csv_float(val), flag])

