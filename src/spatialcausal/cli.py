@@ -67,6 +67,7 @@ from .raster import (
     save_grid,
     save_manifest,
     split_dataset,
+    units_from_grids,
 )
 from .synthgen import (
     GridConfig,
@@ -272,17 +273,23 @@ def _synthesize(generator: str, data: dict, seed: int):
     raise DataError(f"no synthetic generator {generator!r}")
 
 
+def _synthetic_units(generator: str, data: dict, seed: int):
+    """(dataset, truth): the units ``extract_units`` reads back from ``gen``'s grids."""
+    ds, truth, (t_grid, x_grid, y_grid) = _synthesize(generator, data, seed)
+    return units_from_grids([t_grid], x_grid, y_grid, ds.d_s), truth
+
+
 def generate_dataset(config: ExperimentConfig, seed: int):
     """Dataset plus ground truth (None for manifest-backed data)."""
     data = config.resolved["data"]
     if data["generator"] == "manifest":
         return extract_units(load_manifest(data["manifest"])), None
-    return _synthesize(data["generator"], data, seed)[:2]
+    return _synthetic_units(data["generator"], data, seed)
 
 
 def regenerate_truth(sidecar: dict):
     """Rebuild (dataset, truth) from a truth.json sidecar."""
-    return _synthesize(sidecar["generator"], sidecar["data"], int(sidecar["seed"]))[:2]
+    return _synthetic_units(sidecar["generator"], sidecar["data"], int(sidecar["seed"]))
 
 
 def model_config_from(config: ExperimentConfig, dataset: SpatialDataset,
@@ -502,11 +509,10 @@ def _load_truth(data_arg: str, dataset: SpatialDataset):
             regenerated, truth = regenerate_truth(json.load(fh))
     except (ValueError, KeyError, TypeError, SpatialCausalError) as exc:
         raise DataError(f"{sidecar}: cannot regenerate truth: {exc!r}") from None
-    shapes = [(ds.n_units, ds.n_treatments, ds.patch_shape)
-              for ds in (regenerated, dataset)]
-    if shapes[0] != shapes[1]:
-        raise DataError(f"{sidecar}: describes (units, treatments, patch) "
-                        f"{shapes[0]}, dataset has {shapes[1]}")
+    for field in ("coords", "treatments", "patches", "confounders", "outcomes"):
+        if not np.array_equal(getattr(regenerated, field), getattr(dataset, field)):
+            raise DataError(f"{sidecar}: regenerated {field} differ from the "
+                            f"dataset beside it")
     return truth
 
 
@@ -537,8 +543,9 @@ def cmd_gen(config: ExperimentConfig, out_dir: str, seed: int | None) -> int:
 
 def cmd_train(config: ExperimentConfig, data_arg: str, out_dir: str,
               seed: int | None) -> int:
-    model, trace = fit_model(config, _load_dataset(data_arg),
-                             seed if seed is not None else 0)
+    if seed is None:
+        seed = config.resolved["run"]["seeds"][0]
+    model, trace = fit_model(config, _load_dataset(data_arg), seed)
     os.makedirs(out_dir, exist_ok=True)
     save_model(model, os.path.join(out_dir, "model.ckpt"))
     write_trace_csv(trace, os.path.join(out_dir, "loss_trace.csv"))
@@ -745,24 +752,24 @@ def _build_parser() -> argparse.ArgumentParser:
         description="spatial causal experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="INI config path")
+    def common(p, seed_help):
+        p.add_argument("--config", required=True, help="INI config path")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
+        p.add_argument("--seed", type=int, default=None, help=seed_help)
 
+    first = " (default: the first of [run] seeds)"
     p = sub.add_parser("gen", help="write a synthetic dataset")
-    common(p)
+    common(p, "generator seed" + first)
     p = sub.add_parser("train", help="train a model on a dataset")
-    common(p)
+    common(p, "model and batch seed" + first)
     p.add_argument("--data", required=True, help="dataset dir or manifest path")
     p = sub.add_parser("effects", help="estimate effects (or run the protocol)")
-    common(p)
+    common(p, "with --ckpt: the draw seed, replacing [effects] seed; "
+              "without: the one protocol seed, replacing [run] seeds")
     p.add_argument("--ckpt", default=None, help="trained checkpoint")
     p.add_argument("--data", default=None, help="dataset dir or manifest path")
     p = sub.add_parser("eval", help="prediction metrics")
-    common(p)
+    common(p, "ignored: eval draws nothing at random")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     sub.add_parser("gradcheck", help="finite-difference sweep over ops")

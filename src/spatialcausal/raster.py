@@ -298,15 +298,19 @@ def unit_windows(stack: np.ndarray, rows, cols, shape) -> np.ndarray:
 
 
 def extract_units(manifest: Manifest) -> SpatialDataset:
+    """The units of the grids a manifest names (see ``units_from_grids``)."""
+    return units_from_grids([load_grid(p) for p in manifest.treatments],
+                            load_grid(manifest.confounder),
+                            load_grid(manifest.outcome), manifest.d_s)
+
+
+def units_from_grids(t_grids, conf: Grid, out: Grid, d_s: int) -> SpatialDataset:
     """One unit per interior non-NaN outcome pixel with a clean patch.
 
     Units whose patch would cross the boundary or contains NaN treatments
     are excluded; on single-row grids the patch is a 1-d window zero-padded
     at the ends instead and coordinates carry only the x column.
     """
-    t_grids = [load_grid(p) for p in manifest.treatments]
-    conf = load_grid(manifest.confounder)
-    out = load_grid(manifest.outcome)
     if out.channels != 1:
         raise DimensionError("outcome grid must be single-channel")
     for g in t_grids:
@@ -315,7 +319,7 @@ def extract_units(manifest: Manifest) -> SpatialDataset:
         _check_same_geometry(g, out, "treatment vs outcome")
     _check_same_geometry(conf, out, "confounder vs outcome")
 
-    rows, cols, d_s = out.rows, out.cols, manifest.d_s
+    rows, cols = out.rows, out.cols
     half = d_s // 2
     line_mode = rows == 1
     stack = np.concatenate([g.data for g in t_grids])

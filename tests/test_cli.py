@@ -56,6 +56,74 @@ TINY_INI = textwrap.dedent("""\
     """)
 
 
+# Seed 2 comes only from [run] seeds: no command gets --seed.  Both configs
+# have a GP term, so coordinates reach the loss; the grid config adds the
+# paths that depend on unit order (split, batches, both effect modes).
+ROUTE_CONFIGS = {
+    "line_mlp_gp": textwrap.dedent("""\
+        [data]
+        generator = line
+        n = 40
+        x_dim = 2
+
+        [model]
+        interference = mlp
+        confounder = mlp
+        mlp_width = 8
+        mlp_depth = 1
+        gp = true
+        q = 20
+
+        [train]
+        epochs = 8
+        lr = 0.01
+        optimizer = adam
+
+        [effects]
+        grid_size = 5
+        b_draws = 8
+
+        [run]
+        seeds = 2
+        """),
+    "grid_unet_gp": textwrap.dedent("""\
+        [data]
+        generator = grid
+        rows = 24
+        cols = 24
+        d_s = 5
+        n_units = 60
+        x_channels = 2
+
+        [model]
+        interference = unet
+        unet_base = 2
+        unet_depth = 1
+        gp = true
+        kernel_family = exponential
+        kernel_lengthscale = 10.0
+        q = 10
+        train_lengthscale = true
+
+        [train]
+        epochs = 3
+        lr = 0.01
+        optimizer = adam
+        batch_size = 20
+        use_split = true
+
+        [effects]
+        mode = both
+        grid_size = 5
+        b_draws = 8
+        weighted = both
+
+        [run]
+        seeds = 2
+        """),
+}
+
+
 def write_ini(tmp_path, text, name="exp.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -446,13 +514,30 @@ class TestProtocol:
             assert stats.keys() == {"de_err_mean", "de_err_std", "ie_err_mean",
                                     "ie_err_std", "te_err_mean", "te_err_std"}
 
-    def test_single_seed_matches_ckpt_route(self, proto_dir, eff_dir):
-        """Protocol seed 0 and the gen/train/effects pipeline agree exactly."""
-        with open(os.path.join(eff_dir, "errors_weighted.csv")) as fh:
-            pipeline = list(csv.reader(fh))[1][1:4]
-        with open(os.path.join(proto_dir, "errors_weighted.csv")) as fh:
-            proto = list(csv.reader(fh))[1][1:4]
-        assert pipeline == proto
+    def test_single_seed_matches_ckpt_route(self, tmp_path):
+        """The protocol's files for a seed are those that gen, train and
+        effects --ckpt write for it, byte for byte."""
+        for name, text in ROUTE_CONFIGS.items():
+            root = tmp_path / name
+            root.mkdir()
+            ini = write_ini(root, text)
+            data, fit, eff, proto = (str(root / d) for d in ("data", "fit", "eff", "proto"))
+            for argv in (["gen", "--out", data], ["train", "--data", data, "--out", fit],
+                         ["effects", "--ckpt", os.path.join(fit, "model.ckpt"),
+                          "--data", data, "--out", eff],
+                         ["effects", "--out", proto]):
+                assert cli.main([argv[0], "--config", ini] + argv[1:]) == 0
+            pairs = [(os.path.join(fit, "loss_trace.csv"),
+                      os.path.join(proto, "loss_trace_s2.csv"))]
+            for variant in ("unweighted", "weighted"):
+                pairs.append((os.path.join(eff, f"effects_{variant}.csv"),
+                              os.path.join(proto, f"effects_s2_{variant}.csv")))
+            for route, protocol in pairs:
+                assert open(route, "rb").read() == open(protocol, "rb").read(), route
+            for variant in ("unweighted", "weighted"):
+                rows = [list(csv.reader(open(os.path.join(d, f"errors_{variant}.csv"))))
+                        for d in (eff, proto)]
+                assert rows[0][1][1:4] == rows[1][1][1:4], (name, variant)
 
     def test_report_command(self, proto_dir, capsys):
         assert cli.main(["report", "--out", proto_dir]) == 0
@@ -709,6 +794,7 @@ MALFORMED_FILES = [
      "data_error"),
     ("truth_wrong_generator", "truth.json", _set_key("generator", "grid"), "data_error"),
     ("truth_rejected_data_value", "truth.json", _set_key("x_dim", 0, "data"), "data_error"),
+    ("truth_other_seed", "truth.json", _set_key("seed", 1), "data_error"),
     ("report_truncated_json", "report.json", b'{"config_hash": "x", "seeds": [0]',
      "data_error"),
     ("report_missing_seeds", "report.json", b'{"config_hash": "x"}', "data_error"),

@@ -22,3 +22,4 @@ def test_demo_exits_cleanly(name, tmp_path):
     proc = subprocess.run([sys.executable, str(DEMOS / f"{name}.py")], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert not list(tmp_path.glob("raster_demo_*"))
