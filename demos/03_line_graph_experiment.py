@@ -4,7 +4,7 @@ Confounded line graph: linear baseline vs network with a spatial term
 
 Units sit on a 1-d chain.  A smooth unobserved field drives both the
 treatment and the outcome, so a model with no spatial term soaks the
-confounding into its effect estimates.  Runs in about a minute.
+confounding into its effect estimates.  Runs in a few seconds.
 """
 
 import warnings
@@ -21,7 +21,7 @@ from spatialcausal.effects import (balancing_weights, default_t_grid,
 
 warnings.filterwarnings("ignore")
 
-cfg = LineGraphConfig(seed_x=10, seed_u=11, seed_nets=12, seed_noise=13)
+cfg = LineGraphConfig(n=200, seed_x=10, seed_u=11, seed_nets=12, seed_noise=13)
 ds, truth = gen_line_graph(cfg)
 print(f"units: {ds.n_units}  confounders: {ds.confounders.shape[1]}  "
       f"direct coefficient: {truth.beta:+.3f}")
@@ -36,10 +36,10 @@ weights = balancing_weights(ds, 0, fit_gps(ds, 0), marginal_density(ds, 0))
 def fit_and_score(label, kind, with_field, optimizer):
     mc = ModelConfig(m=1, patch_shape=(3,), x_dim=4, interference=kind,
                      confounder="mlp" if kind == "mlp" else "linear",
-                     mlp_width=256, mlp_depth=3, gp=with_field,
+                     mlp_width=64, mlp_depth=2, gp=with_field,
                      kernel=KernelSpec("rbf", 1.0, 0.5, 0.5), q=100, seed=1)
     model = build_model(mc, coords=ds.coords)
-    train(model, ds, TrainConfig(epochs=250, lr=0.001, optimizer=optimizer, seed=1))
+    train(model, ds, TrainConfig(epochs=100, lr=0.001, optimizer=optimizer, seed=1))
     rep = estimate_effects_dose(model, ds, 0, weights=weights,
                                 t_grid=t_grid, draw_indices=draws)
     err = effect_error(rep, oracle)

@@ -6,7 +6,7 @@ Treatment and land-class fields live on a shared raster; each unit's
 outcome mixes its own dose with a nonlinear function of the doses in
 the surrounding window.  A small CNN reads the window directly.
 Deliberately down-sized from the 256x256 acceptance benchmark so it
-finishes in about a minute; expect rougher estimates than at full scale.
+finishes in a few seconds; expect rougher estimates than at full scale.
 """
 
 import warnings
@@ -22,17 +22,17 @@ from spatialcausal.effects import (balancing_weights, default_t_grid,
 
 warnings.filterwarnings("ignore")
 
-cfg = GridConfig(rows=96, cols=96, d_s=15, n_units=300, x_channels=4,
+cfg = GridConfig(rows=64, cols=64, d_s=9, n_units=200, x_channels=4,
                  seed_fields=20, seed_units=21, seed_nets=22, seed_u=23)
 ds, truth = gen_grid(cfg)
-print(f"raster 96x96, {ds.n_units} units, {ds.patch_shape} windows")
+print(f"raster {cfg.rows}x{cfg.cols}, {ds.n_units} units, {ds.patch_shape} windows")
 
 mc = ModelConfig(m=1, patch_shape=ds.patch_shape, x_dim=4,
                  interference="cnn", confounder="mlp",
                  mlp_width=64, mlp_depth=2, cnn_channels=8, cnn_depth=3,
                  gp=False, seed=0)
 model = build_model(mc)
-trace = train(model, ds, TrainConfig(epochs=150, lr=0.001, optimizer="adam",
+trace = train(model, ds, TrainConfig(epochs=60, lr=0.01, optimizer="adam",
                                      batch_size=100, seed=0))
 print(f"training mse {trace[0][1]:.3f} -> {trace[-1][1]:.3f} "
       f"over {len(trace)} epochs")

@@ -96,7 +96,6 @@ _SCHEMA = {
         "beta": ("float", -4.0),
         "full_scale": ("bool", False),
         "split_ratios": ("floatlist", (0.6, 0.2, 0.2)),
-        "split_seed": ("int", 0),
     },
     "model": {
         "interference": ("str", "linear",
@@ -131,7 +130,6 @@ _SCHEMA = {
         "grid_size": ("int", 21),
         "b_draws": ("int", 32),
         "weighted": ("str", "both", ("on", "off", "both")),
-        "seed": ("int", 0),
     },
     "run": {
         "seeds": ("intlist", (0,)),
@@ -141,8 +139,8 @@ _SCHEMA = {
 
 # lower bounds: numpy rejects a negative seed with a traceback, and an effects
 # grid or draw count below 1 leaves nothing to average
-_MINIMUM = ((("data", "split_seed"), 0), (("effects", "seed"), 0), (("run", "seeds"), 0),
-            (("effects", "grid_size"), 1), (("effects", "b_draws"), 1))
+_MINIMUM = ((("run", "seeds"), 0), (("effects", "grid_size"), 1),
+            (("effects", "b_draws"), 1))
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -356,8 +354,7 @@ def _estimate(model, dataset, config: ExperimentConfig, variants, truth):
                 first = estimate_effects_observed(model, dataset, m, weights=weights[0])
             else:
                 t_grid = default_t_grid(dataset, m, eff["grid_size"])
-                draws = dose_draw_indices(dataset.n_units, eff["b_draws"],
-                                          eff["seed"])
+                draws = dose_draw_indices(dataset.n_units, eff["b_draws"], 0)
                 first = estimate_effects_dose(model, dataset, m, weights=weights[0],
                                               t_grid=t_grid, draw_indices=draws)
                 if truth is not None and m == 0:
@@ -382,9 +379,8 @@ def fit_model(config: ExperimentConfig, dataset: SpatialDataset, seed: int):
     """Train stage: optional validation split, build, train -> (model, trace)."""
     train_ds, val_ds = dataset, None
     if config.resolved["train"]["use_split"]:
-        data = config.resolved["data"]
-        train_ds, val_ds, _ = split_dataset(dataset, data["split_ratios"],
-                                            data["split_seed"])
+        ratios = config.resolved["data"]["split_ratios"]
+        train_ds, val_ds, _ = split_dataset(dataset, ratios, 0)
     model = build_model(model_config_from(config, train_ds, seed),
                         coords=train_ds.coords)
     trace = train(model, train_ds, train_config_from(config, seed),
@@ -499,38 +495,37 @@ def _load_fitted(ckpt: str, data_arg: str):
 
 
 def _load_truth(data_arg: str, dataset: SpatialDataset):
-    """Truth regenerated from the truth.json beside the manifest, else None."""
+    """(truth, seed) from the truth.json beside the manifest, else (None, None)."""
     sidecar = os.path.join(os.path.dirname(_resolve_dataset_path(data_arg)),
                            "truth.json")
     if not os.path.exists(sidecar):
-        return None
+        return None, None
     try:
         with open(sidecar) as fh:
-            regenerated, truth = regenerate_truth(json.load(fh))
+            record = json.load(fh)
+        regenerated, truth = regenerate_truth(record)
     except (ValueError, KeyError, TypeError, SpatialCausalError) as exc:
         raise DataError(f"{sidecar}: cannot regenerate truth: {exc!r}") from None
     for field in ("coords", "treatments", "patches", "confounders", "outcomes"):
         if not np.array_equal(getattr(regenerated, field), getattr(dataset, field)):
             raise DataError(f"{sidecar}: regenerated {field} differ from the "
                             f"dataset beside it")
-    return truth
+    return truth, int(record["seed"])
 
 
-def cmd_gen(config: ExperimentConfig, out_dir: str, seed: int | None) -> int:
+def cmd_gen(config: ExperimentConfig, out_dir: str) -> int:
     data = config.resolved["data"]
     if data["generator"] == "manifest":
         raise ConfigError("data.generator: gen needs a synthetic generator, "
                           "not 'manifest'")
-    if seed is None:
-        seed = config.resolved["run"]["seeds"][0]
+    seed = config.resolved["run"]["seeds"][0]
     os.makedirs(out_dir, exist_ok=True)
     ds, _, grids = _synthesize(data["generator"], data, seed)
     for grid, name in zip(grids, ("treatment_1.grd", "confounder.grd", "outcome.grd")):
         save_grid(grid, os.path.join(out_dir, name))
     save_manifest(Manifest(treatments=("treatment_1.grd",),
                            confounder="confounder.grd", outcome="outcome.grd",
-                           d_s=ds.d_s, split_seed=data["split_seed"],
-                           split_ratios=data["split_ratios"]),
+                           d_s=ds.d_s, split_ratios=data["split_ratios"]),
                   os.path.join(out_dir, "run.manifest"))
     sidecar = {"generator": data["generator"], "seed": seed,
                "data": {k: (list(v) if isinstance(v, tuple) else v)
@@ -541,11 +536,9 @@ def cmd_gen(config: ExperimentConfig, out_dir: str, seed: int | None) -> int:
     return 0
 
 
-def cmd_train(config: ExperimentConfig, data_arg: str, out_dir: str,
-              seed: int | None) -> int:
-    if seed is None:
-        seed = config.resolved["run"]["seeds"][0]
-    model, trace = fit_model(config, _load_dataset(data_arg), seed)
+def cmd_train(config: ExperimentConfig, data_arg: str, out_dir: str) -> int:
+    model, trace = fit_model(config, _load_dataset(data_arg),
+                             config.resolved["run"]["seeds"][0])
     os.makedirs(out_dir, exist_ok=True)
     save_model(model, os.path.join(out_dir, "model.ckpt"))
     write_trace_csv(trace, os.path.join(out_dir, "loss_trace.csv"))
@@ -554,23 +547,20 @@ def cmd_train(config: ExperimentConfig, data_arg: str, out_dir: str,
 
 
 def cmd_effects(config: ExperimentConfig, ckpt: str | None, data_arg: str | None,
-                out_dir: str, seed: int | None) -> int:
+                out_dir: str) -> int:
+    if (ckpt is None) != (data_arg is None):
+        raise ConfigError("effects with --ckpt also needs --data" if data_arg is None
+                          else "effects with --data also needs --ckpt")
     os.makedirs(out_dir, exist_ok=True)
     if ckpt is not None:
-        if data_arg is None:
-            raise ConfigError("effects with --ckpt also needs --data")
         dataset, model = _load_fitted(ckpt, data_arg)
-        if seed is not None:
-            config.resolved["effects"]["seed"] = seed
-        reports, errors = estimate_variants(model, dataset, config,
-                                            _load_truth(data_arg, dataset))
+        truth, seed = _load_truth(data_arg, dataset)
+        reports, errors = estimate_variants(model, dataset, config, truth)
         write_effect_tables(out_dir, reports)
-        write_error_tables(out_dir, [(0, errors)])
+        write_error_tables(out_dir, [(seed, errors)])
         print(f"effects\t{len(_variants(config))} variant files -> {out_dir}")
         return 0
 
-    if seed is not None:
-        config.resolved["run"]["seeds"] = (seed,)
     result = run_protocol(config)
     report = {"config_hash": result["config_hash"],
               "seeds": list(config.resolved["run"]["seeds"]),
@@ -752,24 +742,21 @@ def _build_parser() -> argparse.ArgumentParser:
         description="spatial causal experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed_help):
+    def with_config(name, help_text):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="INI config path")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help=seed_help)
+        p.add_argument("--seed", type=int, default=None,
+                       help="run seed; replaces [run] seeds")
+        return p
 
-    first = " (default: the first of [run] seeds)"
-    p = sub.add_parser("gen", help="write a synthetic dataset")
-    common(p, "generator seed" + first)
-    p = sub.add_parser("train", help="train a model on a dataset")
-    common(p, "model and batch seed" + first)
+    with_config("gen", "write a synthetic dataset")
+    p = with_config("train", "train a model on a dataset")
     p.add_argument("--data", required=True, help="dataset dir or manifest path")
-    p = sub.add_parser("effects", help="estimate effects (or run the protocol)")
-    common(p, "with --ckpt: the draw seed, replacing [effects] seed; "
-              "without: the one protocol seed, replacing [run] seeds")
+    p = with_config("effects", "estimate effects (or run the protocol)")
     p.add_argument("--ckpt", default=None, help="trained checkpoint")
     p.add_argument("--data", default=None, help="dataset dir or manifest path")
-    p = sub.add_parser("eval", help="prediction metrics")
-    common(p, "ignored: eval draws nothing at random")
+    p = with_config("eval", "prediction metrics")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     sub.add_parser("gradcheck", help="finite-difference sweep over ops")
@@ -786,15 +773,17 @@ def main(argv=None) -> int:
         if args.command == "report":
             return cmd_report(args.out)
         config = load_config(args.config)
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
+        if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
+            config.resolved["run"]["seeds"] = (args.seed,)
         out_dir = args.out if args.out is not None else config.resolved["run"]["out"]
         if args.command == "gen":
-            return cmd_gen(config, out_dir, args.seed)
+            return cmd_gen(config, out_dir)
         if args.command == "train":
-            return cmd_train(config, args.data, out_dir, args.seed)
+            return cmd_train(config, args.data, out_dir)
         if args.command == "effects":
-            return cmd_effects(config, args.ckpt, args.data, out_dir, args.seed)
+            return cmd_effects(config, args.ckpt, args.data, out_dir)
         if args.command == "eval":
             return cmd_eval(config, args.ckpt, args.data, out_dir)
         raise ConfigError(f"unknown command {args.command}")

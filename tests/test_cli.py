@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import itertools
 import json
 import os
 import shutil
@@ -56,9 +57,10 @@ TINY_INI = textwrap.dedent("""\
     """)
 
 
-# Seed 2 comes only from [run] seeds: no command gets --seed.  Both configs
-# have a GP term, so coordinates reach the loss; the grid config adds the
-# paths that depend on unit order (split, batches, both effect modes).
+# Seed 2 comes from [run] seeds; the route test also runs each config without
+# that key and with --seed 2 on every command.  Both configs have a GP term,
+# so coordinates reach the loss; the grid config adds the paths that depend
+# on unit order (split, batches, both effect modes).
 ROUTE_CONFIGS = {
     "line_mlp_gp": textwrap.dedent("""\
         [data]
@@ -372,6 +374,46 @@ class TestEffectsCmd:
         assert code == 2
         assert capsys.readouterr().err.startswith("config_error\t")
 
+    def test_data_needs_ckpt(self, workspace, capsys):
+        out = workspace["root"] / "data_without_ckpt"
+        code = cli.main(["effects", "--config", workspace["ini"],
+                         "--data", str(workspace["root"] / "nonexistent"),
+                         "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config_error\t")
+        assert not out.exists()
+
+    def test_without_truth_writes_only_effects(self, workspace, eff_dir, tmp_path):
+        data = str(tmp_path / "data")
+        shutil.copytree(workspace["data"], data)
+        os.remove(os.path.join(data, "truth.json"))
+        out = str(tmp_path / "eff")
+        assert cli.main(["effects", "--config", workspace["ini"], "--ckpt",
+                         workspace["ckpt"], "--data", data, "--out", out]) == 0
+        names = sorted(os.listdir(out))
+        assert names == ["effects_unweighted.csv", "effects_weighted.csv"]
+        for name in names:
+            with open(os.path.join(out, name), "rb") as a, \
+                    open(os.path.join(eff_dir, name), "rb") as b:
+                assert a.read() == b.read(), name
+
+    def test_no_interference_nets_gives_zero_ie(self, tmp_path):
+        ini = write_ini(tmp_path, TINY_INI.replace("interference = linear",
+                                                   "interference = none"))
+        data, fit, out = (str(tmp_path / d) for d in ("data", "fit", "eff"))
+        for argv in (["gen", "--out", data], ["train", "--data", data, "--out", fit],
+                     ["effects", "--ckpt", os.path.join(fit, "model.ckpt"),
+                      "--data", data, "--out", out]):
+            assert cli.main([argv[0], "--config", ini] + argv[1:]) == 0
+        for variant in ("unweighted", "weighted"):
+            with open(os.path.join(out, f"effects_{variant}.csv")) as fh:
+                rows = list(csv.DictReader(fh))
+            ie = [float(r["estimate"]) for r in rows if r["effect_type"] == "IE"]
+            assert len(ie) == 5 + 1 and all(v == 0.0 for v in ie), variant
+            summary = {r["effect_type"]: r["estimate"] for r in rows if r["t_value"] == ""}
+            assert summary["TE"] == summary["DE"], variant
+            assert os.path.exists(os.path.join(out, f"errors_{variant}.csv"))
+
     @pytest.mark.parametrize("command", ["effects", "eval"])
     @pytest.mark.parametrize("patch_shape,x_dim", [((5,), 2), ((3,), 3)],
                              ids=["patch", "confounders"])
@@ -516,28 +558,47 @@ class TestProtocol:
 
     def test_single_seed_matches_ckpt_route(self, tmp_path):
         """The protocol's files for a seed are those that gen, train and
-        effects --ckpt write for it, byte for byte."""
-        for name, text in ROUTE_CONFIGS.items():
-            root = tmp_path / name
-            root.mkdir()
+        effects --ckpt write for it, byte for byte, error row label included,
+        whether the seed comes from [run] seeds or from --seed."""
+        for (name, text), seed_from in itertools.product(ROUTE_CONFIGS.items(),
+                                                         ("config", "flag")):
+            root = tmp_path / name / seed_from
+            root.mkdir(parents=True)
+            flag = []
+            if seed_from == "flag":
+                text, flag = text.replace("[run]\nseeds = 2\n", ""), ["--seed", "2"]
+                assert "seeds" not in text
             ini = write_ini(root, text)
             data, fit, eff, proto = (str(root / d) for d in ("data", "fit", "eff", "proto"))
             for argv in (["gen", "--out", data], ["train", "--data", data, "--out", fit],
                          ["effects", "--ckpt", os.path.join(fit, "model.ckpt"),
                           "--data", data, "--out", eff],
                          ["effects", "--out", proto]):
-                assert cli.main([argv[0], "--config", ini] + argv[1:]) == 0
+                assert cli.main([argv[0], "--config", ini] + flag + argv[1:]) == 0
             pairs = [(os.path.join(fit, "loss_trace.csv"),
                       os.path.join(proto, "loss_trace_s2.csv"))]
             for variant in ("unweighted", "weighted"):
                 pairs.append((os.path.join(eff, f"effects_{variant}.csv"),
                               os.path.join(proto, f"effects_s2_{variant}.csv")))
+                pairs.append((os.path.join(eff, f"errors_{variant}.csv"),
+                              os.path.join(proto, f"errors_{variant}.csv")))
             for route, protocol in pairs:
-                assert open(route, "rb").read() == open(protocol, "rb").read(), route
-            for variant in ("unweighted", "weighted"):
-                rows = [list(csv.reader(open(os.path.join(d, f"errors_{variant}.csv"))))
-                        for d in (eff, proto)]
-                assert rows[0][1][1:4] == rows[1][1][1:4], (name, variant)
+                assert open(route, "rb").read() == open(protocol, "rb").read(), \
+                    (seed_from, route)
+
+    def test_manifest_generator_has_no_errors(self, workspace, tmp_path):
+        manifest = os.path.join(workspace["data"], "run.manifest")
+        ini = write_ini(tmp_path, TINY_INI.replace(
+            "generator = line", f"generator = manifest\nmanifest = {manifest}")
+            .replace("seeds = 0,1", "seeds = 0"))
+        out = str(tmp_path / "proto")
+        assert cli.main(["effects", "--config", ini, "--out", out]) == 0
+        assert sorted(os.listdir(out)) == ["effects_s0_unweighted.csv",
+                                           "effects_s0_weighted.csv",
+                                           "loss_trace_s0.csv", "report.json"]
+        rep = json.load(open(os.path.join(out, "report.json")))
+        assert rep["per_seed"][0]["errors"] == {"unweighted": None, "weighted": None}
+        assert rep["summary"] == {}
 
     def test_report_command(self, proto_dir, capsys):
         assert cli.main(["report", "--out", proto_dir]) == 0
@@ -651,8 +712,9 @@ class TestMainErrors:
 
     @pytest.mark.parametrize("old,new,command,message", [
         ("seeds = 0,1", "seeds = -1", ["gen"], "run.seeds: must be >= 0"),
-        ("b_draws = 8", "b_draws = 8\nseed = -1", ["effects"], "effects.seed: must be >= 0"),
-        ("x_dim = 2", "x_dim = 2\nsplit_seed = -1", ["gen"], "data.split_seed: must be >= 0"),
+        # the draws and the validation split are seeded 0 in every run
+        ("b_draws = 8", "b_draws = 8\nseed = 0", ["effects"], "effects.seed: unknown key"),
+        ("x_dim = 2", "x_dim = 2\nsplit_seed = 0", ["gen"], "data.split_seed: unknown key"),
         ("grid_size = 5", "grid_size = -1", ["effects"], "effects.grid_size: must be >= 1"),
         ("", "", ["gen", "--seed", "-1"], "--seed: must be >= 0"),
     ], ids=["run_seeds", "effects_seed", "data_split_seed", "effects_grid_size",
