@@ -21,7 +21,7 @@ from spatialcausal.effects import (balancing_weights, default_t_grid,
 
 warnings.filterwarnings("ignore")
 
-cfg = LineGraphConfig(n=200, seed_x=10, seed_u=11, seed_nets=12, seed_noise=13)
+cfg = LineGraphConfig(n=200, seed=1)
 ds, truth = gen_line_graph(cfg)
 print(f"units: {ds.n_units}  confounders: {ds.confounders.shape[1]}  "
       f"direct coefficient: {truth.beta:+.3f}")

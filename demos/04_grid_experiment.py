@@ -22,8 +22,7 @@ from spatialcausal.effects import (balancing_weights, default_t_grid,
 
 warnings.filterwarnings("ignore")
 
-cfg = GridConfig(rows=64, cols=64, d_s=9, n_units=200, x_channels=4,
-                 seed_fields=20, seed_units=21, seed_nets=22, seed_u=23)
+cfg = GridConfig(rows=64, cols=64, d_s=9, n_units=200, x_channels=4, seed=2)
 ds, truth = gen_grid(cfg)
 print(f"raster {cfg.rows}x{cfg.cols}, {ds.n_units} units, {ds.patch_shape} windows")
 

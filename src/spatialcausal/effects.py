@@ -191,16 +191,15 @@ def default_t_grid(dataset: SpatialDataset, m: int, size: int = 21) -> np.ndarra
     return np.linspace(float(t.min()), float(t.max()), size)
 
 
-def dose_draw_indices(n_units: int, b_draws: int, seed: int) -> np.ndarray:
+def dose_draw_indices(n_units: int, n_draws: int, seed: int) -> np.ndarray:
     """Uniform-with-replacement unit indices supplying neighborhood draws."""
-    if b_draws < 1:
-        raise ContractError(f"need at least 1 neighborhood draw, got {b_draws}")
+    if n_draws < 1:
+        raise ContractError(f"need at least 1 neighborhood draw, got {n_draws}")
     rng = np.random.default_rng(seed)
-    return rng.integers(0, n_units, size=b_draws)
+    return rng.integers(0, n_units, size=n_draws)
 
 
 def dose_inputs(dataset: SpatialDataset, m: int, t_grid: np.ndarray | None = None,
-                b_draws: int = 32, seed: int = 0,
                 draw_indices: np.ndarray | None = None):
     """(t_grid, draw_indices) of a dose-mode estimate: defaulted when None, checked."""
     if not 0 <= m < dataset.n_treatments:
@@ -211,7 +210,7 @@ def dose_inputs(dataset: SpatialDataset, m: int, t_grid: np.ndarray | None = Non
     if t_grid.size == 0:
         raise ContractError("empty treatment grid")
     if draw_indices is None:
-        draw_indices = dose_draw_indices(dataset.n_units, b_draws, seed)
+        draw_indices = dose_draw_indices(dataset.n_units, 32, 0)
     draw_indices = np.asarray(draw_indices, dtype=np.int64)
     if draw_indices.size < 1:
         raise ContractError("need at least 1 neighborhood draw")
@@ -253,8 +252,7 @@ def reweighted(report: EffectReport, dataset: SpatialDataset,
 
 def estimate_effects_dose(model: SpatialModel, dataset: SpatialDataset, m: int,
                           weights: BalancingWeights | None = None,
-                          t_grid: np.ndarray | None = None, b_draws: int = 32,
-                          seed: int = 0,
+                          t_grid: np.ndarray | None = None,
                           draw_indices: np.ndarray | None = None) -> EffectReport:
     """Dose-response effects over a treatment grid and resampled neighborhoods.
 
@@ -262,13 +260,12 @@ def estimate_effects_dose(model: SpatialModel, dataset: SpatialDataset, m: int,
     over the grid.  IE(t) contrasts each drawn neighborhood against the zero
     neighborhood at dose t, averaged over draws (each carrying its source
     unit's weight) and over units.  TE is the double average of the combined
-    contrast.  ``draw_indices`` overrides the seeded draw for exact oracle
-    alignment.
+    contrast.  ``draw_indices`` name the units whose neighborhoods are
+    drawn; they default to ``dose_draw_indices(n_units, 32, 0)``.
     """
     if not 0 <= m < model.m:
         raise ContractError(f"treatment index {m} outside 0..{model.m - 1}")
-    t_grid, draw_indices = dose_inputs(dataset, m, t_grid, b_draws, seed,
-                                       draw_indices)
+    t_grid, draw_indices = dose_inputs(dataset, m, t_grid, draw_indices)
     t_obs = dataset.treatments[:, m]
     lo, hi = float(t_obs.min()), float(t_obs.max())
     if t_grid.min() < lo - 1e-12 or t_grid.max() > hi + 1e-12:

@@ -14,8 +14,7 @@ regular grids are sampled spectrally through circulant embedding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky, solve_triangular
@@ -53,17 +52,18 @@ def _as_coords(arr) -> np.ndarray:
     return out
 
 
-def kernel_matrix_from_dist(kernel: KernelSpec, dist: np.ndarray,
-                            lengthscale: float | None = None) -> np.ndarray:
-    ls = kernel.lengthscale if lengthscale is None else lengthscale
+def kernel_matrix_from_dist(kernel: KernelSpec, dist: np.ndarray) -> np.ndarray:
+    ls = kernel.lengthscale
     s2 = kernel.sigma ** 2
     if kernel.family == "rbf":
         return s2 * np.exp(-(dist * dist) / (2.0 * ls * ls))
     return s2 * np.exp(-dist / ls)
 
 
-def _dkernel_dl_from_dist(kernel: KernelSpec, kmat: np.ndarray, dist: np.ndarray,
-                          ls: float) -> np.ndarray:
+def _dkernel_dl_from_dist(kernel: KernelSpec, dist: np.ndarray) -> np.ndarray:
+    """Derivative of ``kernel_matrix_from_dist`` in the lengthscale."""
+    ls = kernel.lengthscale
+    kmat = kernel_matrix_from_dist(kernel, dist)
     if kernel.family == "rbf":
         return kmat * (dist * dist) / (ls ** 3)
     return kmat * dist / (ls * ls)
@@ -218,37 +218,34 @@ class GpTerm:
 def _features_with_lengthscale_grad(term: GpTerm, coords) -> Tensor:
     """Features at the current lengthscale with a hand-built vjp.
 
-    l is scalar, so the full Jacobian dZ/dl is a single directional
-    derivative; the vjp computes it, so a forward outside a tape skips it.
-    Using dL = L*Phi(L^{-1} dKq L^{-T}) with Phi = lower triangle and halved
-    diagonal, the feature differential is dZ^T = L^{-1} (dKnq^T - dL Z^T).
+    The forward is the Nystrom map of the kernel at that lengthscale, so it
+    matches the fixed-lengthscale features bit for bit.  l is scalar, so the
+    full Jacobian dZ/dl is a single directional derivative; the vjp computes
+    it, so a forward outside a tape skips it.  Using dL = L*Phi(L^{-1} dKq
+    L^{-T}) with Phi = lower triangle and halved diagonal, the feature
+    differential is dZ^T = L^{-1} (dKnq^T - dL Z^T).
     """
     l_param = term.lengthscale
     ls = float(l_param.data.reshape(()))
-    if ls <= 0:
-        raise NumericError(f"lengthscale became nonpositive during training: {ls}")
-    kernel = term.map.kernel
+    if not 0 < ls < math.inf:
+        raise NumericError(f"lengthscale left (0, inf) during training: {ls}")
     pts = term.map.inducing.points
-    d_qq = cdist(pts, pts)
-    d_nq = cdist(_as_coords(coords), pts)
-    kq = kernel_matrix_from_dist(kernel, d_qq, ls)
-    kq = 0.5 * (kq + kq.T)
-    knq = kernel_matrix_from_dist(kernel, d_nq, ls)
-    factor, _ = chol_with_jitter(kq, kernel.noise)
-    zt = solve_triangular(factor, knq.T, lower=True)
+    nmap = build_nystrom(term.map.inducing, replace(term.map.kernel, lengthscale=ls))
+    z = nmap.features(coords)
 
     def vjp(g):
-        dkq = _dkernel_dl_from_dist(kernel, kq, d_qq, ls)
-        dknq = _dkernel_dl_from_dist(kernel, knq, d_nq, ls)
+        factor = nmap.chol_factor
+        dkq = _dkernel_dl_from_dist(nmap.kernel, cdist(pts, pts))
+        dknq = _dkernel_dl_from_dist(nmap.kernel, cdist(_as_coords(coords), pts))
         inner = solve_triangular(factor, dkq, lower=True)
         inner = solve_triangular(factor, inner.T, lower=True)      # L^{-1} dKq L^{-T}
         phi = np.tril(inner)
         np.fill_diagonal(phi, 0.5 * np.diag(inner))
         dfactor = factor @ phi
-        dz = solve_triangular(factor, dknq.T - dfactor @ zt, lower=True).T
+        dz = solve_triangular(factor, dknq.T - dfactor @ z.T, lower=True).T
         return (np.asarray(np.sum(g * dz)).reshape(l_param.data.shape),)
 
-    return E._record("gp_features", (l_param,), zt.T.copy(), vjp)
+    return E._record("gp_features", (l_param,), z, vjp)
 
 
 def sample_gp(coords, kernel: KernelSpec, seed: int, n_draws: int | None = None) -> np.ndarray:

@@ -17,7 +17,8 @@ treatment and observed confounders are spatially entangled.
 Every generator returns the dataset together with a GroundTruth handle
 that can evaluate true potential outcomes under arbitrary treatment and
 neighborhood overrides; oracle_effects evaluates the dose-mode effects of
-that truth with uniform weights.
+that truth with uniform weights.  Each generator config takes one ``seed``
+and splits it into four random streams seeded ``10 * seed + k``, k = 0..3.
 """
 
 from __future__ import annotations
@@ -51,6 +52,11 @@ def random_fn(seed: int, in_dim: int):
         return (h @ weights[-1]).ravel()
 
     return fn
+
+
+def _stream_seeds(seed: int) -> tuple[int, int, int, int]:
+    """The four stream seeds ``10 * seed + k`` of one generator seed."""
+    return tuple(10 * seed + k for k in range(4))
 
 
 def spline_fn(seed: int, domain) -> CubicSpline:
@@ -89,16 +95,15 @@ class LineGraphConfig:
     n: int = 500
     x_dim: int = 4
     noise_sigma: float = 0.1
-    seed_x: int = 0
-    seed_u: int = 1
-    seed_nets: int = 2
-    seed_noise: int = 3
+    seed: int = 0
 
     def validate(self) -> None:
         if self.n < 3:
             raise ConfigError(f"need at least 3 units on the line, got {self.n}")
         if self.x_dim < 1:
             raise ConfigError(f"x_dim must be positive, got {self.x_dim}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         # NaN fails every comparison, so this bound rejects NaN as well as inf
         if not 0 <= self.noise_sigma < math.inf:
             raise ConfigError("noise_sigma must be nonnegative and finite")
@@ -122,15 +127,16 @@ def gen_line_graph(config: LineGraphConfig):
     config.validate()
     n = config.n
     s = np.linspace(0.0, 1.0, n)
-    x = np.random.default_rng(config.seed_x).normal(0.0, 1.0, (n, config.x_dim))
+    x_seed, u_seed, net_seed, noise_seed = _stream_seeds(config.seed)
+    x = np.random.default_rng(x_seed).normal(0.0, 1.0, (n, config.x_dim))
     cov = line_graph_covariance(s, sigma_d=0.5, sigma_l=0.5)
     chol, _ = chol_with_jitter(cov, 1e-10)
-    u = chol @ np.random.default_rng(config.seed_u).standard_normal(n)
+    u = chol @ np.random.default_rng(u_seed).standard_normal(n)
 
-    beta = float(np.random.default_rng(config.seed_nets).uniform(0.0, 1.0))
-    g_fn = random_fn(config.seed_nets + 1, config.x_dim + 1)
-    f_t = random_fn(config.seed_nets + 2, 2)
-    f_x = random_fn(config.seed_nets + 3, config.x_dim)
+    beta = float(np.random.default_rng(net_seed).uniform(0.0, 1.0))
+    g_fn = random_fn(net_seed + 1, config.x_dim + 1)
+    f_t = random_fn(net_seed + 2, 2)
+    f_x = random_fn(net_seed + 3, config.x_dim)
 
     treatments = g_fn(np.column_stack([x, u]))
     patches = np.zeros((n, 1, 3))
@@ -148,7 +154,7 @@ def gen_line_graph(config: LineGraphConfig):
                                   d_right[indices] * pat[:, 2]])
         return f_t(inputs)
 
-    noise = np.random.default_rng(config.seed_noise).normal(
+    noise = np.random.default_rng(noise_seed).normal(
         0.0, config.noise_sigma, n)
     fx_vals = f_x(x)
     base = fx_vals + u + noise
@@ -170,10 +176,7 @@ class GridConfig:
     n_units: int = 500
     x_channels: int = 4
     field_lengthscale: float = 10.0
-    seed_fields: int = 0
-    seed_units: int = 1
-    seed_nets: int = 2
-    seed_u: int = 3
+    seed: int = 0
 
     def validate(self) -> None:
         if self.rows < 1 or self.cols < 1:
@@ -186,6 +189,8 @@ class GridConfig:
             raise ConfigError(f"beta must be finite, got {self.beta}")
         if self.n_units < 1:
             raise ConfigError(f"n_units must be positive, got {self.n_units}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.x_channels < 2:
             raise ConfigError(f"need at least 2 confounder channels, got {self.x_channels}")
 
@@ -205,16 +210,15 @@ def grid_weight_matrix(d_s: int, sigma_l: float) -> np.ndarray:
 def synth_fields(config: GridConfig):
     """Stand-in treatment and land-class fields from shared latent draws."""
     config.validate()
+    field_seed = _stream_seeds(config.seed)[0]
     kern = KernelSpec(family="rbf", sigma=1.0,
                       lengthscale=config.field_lengthscale)
-    shared = sample_gp_grid(config.rows, config.cols, kern, 1.0,
-                            config.seed_fields)
-    own = sample_gp_grid(config.rows, config.cols, kern, 1.0,
-                         config.seed_fields + 1)
+    shared = sample_gp_grid(config.rows, config.cols, kern, 1.0, field_seed)
+    own = sample_gp_grid(config.rows, config.cols, kern, 1.0, field_seed + 1)
     t_field = np.tanh(0.8 * shared + 0.6 * own)
     scores = np.stack([
         shared + sample_gp_grid(config.rows, config.cols, kern, 1.0,
-                                config.seed_fields + 2 + c)
+                                field_seed + 2 + c)
         for c in range(config.x_channels)
     ], axis=-1)
     classes = np.argmax(scores, axis=-1)
@@ -255,7 +259,8 @@ def gen_grid(config: GridConfig, treatment_field: np.ndarray | None = None,
     if config.n_units > n_avail:
         raise DataError(f"requested {config.n_units} units but only {n_avail} "
                         f"interior pixels fit d_s={config.d_s}")
-    flat = np.random.default_rng(config.seed_units).choice(
+    _, unit_seed, net_seed, u_seed = _stream_seeds(config.seed)
+    flat = np.random.default_rng(unit_seed).choice(
         n_avail, size=config.n_units, replace=False)
     unit_r = flat // valid_c + half
     unit_c = flat % valid_c + half
@@ -274,11 +279,11 @@ def gen_grid(config: GridConfig, treatment_field: np.ndarray | None = None,
     hi = max(float(sums.max()), 0.0)
     if hi - lo < 1e-9:
         lo, hi = lo - 0.5, hi + 0.5
-    spline = spline_fn(config.seed_nets, (lo, hi))
-    f_x = random_fn(config.seed_nets + 1, config.x_channels)
+    spline = spline_fn(net_seed, (lo, hi))
+    f_x = random_fn(net_seed + 1, config.x_channels)
 
     u = sample_gp(coords, KernelSpec(family="exponential", sigma=1.0, lengthscale=10.0),
-                  config.seed_u)
+                  u_seed)
 
     def interference(indices, pat):
         pat = np.asarray(pat, dtype=np.float64)
@@ -297,16 +302,14 @@ def gen_grid(config: GridConfig, treatment_field: np.ndarray | None = None,
 
 
 def oracle_effects(truth: GroundTruth, dataset: SpatialDataset, m: int,
-                   t_grid: np.ndarray | None = None, b_draws: int = 32,
-                   seed: int = 0,
+                   t_grid: np.ndarray | None = None,
                    draw_indices: np.ndarray | None = None) -> EffectReport:
     """Dose-mode effects of the true outcome model, with uniform weights.
 
     Grid and draws default and check as in ``estimate_effects_dose``; the
     truth needs no confounding correction.
     """
-    t_grid, draw_indices = dose_inputs(dataset, m, t_grid, b_draws, seed,
-                                       draw_indices)
+    t_grid, draw_indices = dose_inputs(dataset, m, t_grid, draw_indices)
     units = np.arange(dataset.n_units)
     shape = (dataset.n_units,) + dataset.patch_shape
     # one truth call per draw on a broadcast view, never a (draws x units) copy

@@ -112,8 +112,7 @@ class TestSamplerFidelity:
 
 
 def _line_benchmark_errors(seed: int, kind: str, gp: bool, opt: str) -> dict:
-    cfg = LineGraphConfig(seed_x=10 * seed, seed_u=10 * seed + 1,
-                          seed_nets=10 * seed + 2, seed_noise=10 * seed + 3)
+    cfg = LineGraphConfig(seed=seed)
     ds, truth = gen_line_graph(cfg)
     t_grid = default_t_grid(ds, 0, 21)
     draws = dose_draw_indices(ds.n_units, 32, 0)
@@ -173,9 +172,7 @@ class TestGridWeightingBenchmark:
             warnings.simplefilter("ignore")
             for seed in range(3):
                 cfg = GridConfig(rows=256, cols=256, d_s=25, n_units=500,
-                                 x_channels=4, seed_fields=10 * seed,
-                                 seed_units=10 * seed + 1,
-                                 seed_nets=10 * seed + 2, seed_u=10 * seed + 3)
+                                 x_channels=4, seed=seed)
                 ds, truth = gen_grid(cfg)
                 mc = ModelConfig(m=1, patch_shape=(25, 25), x_dim=4,
                                  interference="cnn", confounder="mlp",
@@ -288,7 +285,8 @@ class TestEstimatorIdentities:
         ds, models = _small_trained_models()
         for model in models:
             for rep in (estimate_effects_observed(model, ds, 0),
-                        estimate_effects_dose(model, ds, 0, b_draws=16, seed=3)):
+                        estimate_effects_dose(model, ds, 0,
+                                              draw_indices=dose_draw_indices(ds.n_units, 16, 3))):
                 assert abs(rep.te - (rep.de + rep.ie)) <= 1e-9
 
     def test_flat_density_ratio_reproduces_unweighted(self):
@@ -299,8 +297,10 @@ class TestEstimatorIdentities:
         model = models[0]
         obs_u = estimate_effects_observed(model, ds, 0)
         obs_w = estimate_effects_observed(model, ds, 0, weights=w)
-        dose_u = estimate_effects_dose(model, ds, 0, b_draws=16, seed=3)
-        dose_w = estimate_effects_dose(model, ds, 0, weights=w, b_draws=16, seed=3)
+        dose_u = estimate_effects_dose(model, ds, 0,
+                                       draw_indices=dose_draw_indices(ds.n_units, 16, 3))
+        dose_w = estimate_effects_dose(model, ds, 0, weights=w,
+                                       draw_indices=dose_draw_indices(ds.n_units, 16, 3))
         for a, b in ((obs_u, obs_w), (dose_u, dose_w)):
             assert a.de == b.de and a.ie == b.ie and a.te == b.te
 

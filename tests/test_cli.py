@@ -30,7 +30,7 @@ from spatialcausal.model import (
     load_model,
     save_model,
 )
-from spatialcausal.raster import extract_units, load_manifest
+from spatialcausal.raster import extract_units, load_grid, load_manifest, save_grid
 from spatialcausal.synthgen import GroundTruth, LineGraphConfig, gen_line_graph
 
 TINY_INI = textwrap.dedent("""\
@@ -155,16 +155,6 @@ class TestConfig:
         assert config.resolved["train"]["lr"] == 0.001
         assert config.resolved["effects"]["weighted"] == "both"
         assert config.resolved["run"]["seeds"] == (0,)
-
-    def test_full_scale_restores_wide_patches(self, tmp_path):
-        config = load_config(write_ini(
-            tmp_path, "[data]\ngenerator = grid\nfull_scale = true\n"))
-        assert config.resolved["data"]["d_s"] == 51
-
-    def test_explicit_d_s_wins(self, tmp_path):
-        config = load_config(write_ini(
-            tmp_path, "[data]\nfull_scale = true\nd_s = 11\n"))
-        assert config.resolved["data"]["d_s"] == 11
 
     def test_unknown_key_rejected_with_path(self, tmp_path):
         with pytest.raises(ConfigError, match="data.bogus"):
@@ -396,6 +386,50 @@ class TestEffectsCmd:
             with open(os.path.join(out, name), "rb") as a, \
                     open(os.path.join(eff_dir, name), "rb") as b:
                 assert a.read() == b.read(), name
+
+    def test_truth_with_full_scale_key_loads(self, workspace, eff_dir, tmp_path):
+        """A truth.json that still records data.full_scale gives the same bytes."""
+        data = str(tmp_path / "data")
+        shutil.copytree(workspace["data"], data)
+        sidecar = os.path.join(data, "truth.json")
+        with open(sidecar) as fh:
+            doc = json.load(fh)
+        doc["data"]["full_scale"] = False
+        with open(sidecar, "w") as fh:
+            json.dump(doc, fh, sort_keys=True, indent=1)
+        out = str(tmp_path / "eff")
+        assert cli.main(["effects", "--config", workspace["ini"], "--ckpt",
+                         workspace["ckpt"], "--data", data, "--out", out]) == 0
+        assert sorted(os.listdir(out)) == sorted(os.listdir(eff_dir))
+        for name in os.listdir(out):
+            with open(os.path.join(out, name), "rb") as a, \
+                    open(os.path.join(eff_dir, name), "rb") as b:
+                assert a.read() == b.read(), name
+
+    @pytest.mark.parametrize("shift,code", [("ulps", 0), (1e-6, 2)],
+                             ids=["rounding", "real_change"])
+    def test_truth_check_tolerates_rounding(self, workspace, tmp_path, capsys,
+                                            shift, code):
+        """Data written at another BLAS thread count differ from the regenerated
+        dataset in the last bits; that is no data error, a real change is."""
+        data = str(tmp_path / "data")
+        shutil.copytree(workspace["data"], data)
+        path = os.path.join(data, "treatment_1.grd")
+        grid = load_grid(path)
+        values = grid.data.copy()
+        if shift == "ulps":
+            for _ in range(3):
+                values[0, 0, 7] = np.nextafter(values[0, 0, 7], np.inf)
+        else:
+            values[0, 0, 7] += shift
+        save_grid(dataclasses.replace(grid, data=values), path)
+        assert cli.main(["effects", "--config", workspace["ini"], "--ckpt",
+                         workspace["ckpt"], "--data", data,
+                         "--out", str(tmp_path / "eff")]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("data_error\t"), err
+            assert "regenerated treatments differ" in err, err
 
     def test_no_interference_nets_gives_zero_ie(self, tmp_path):
         ini = write_ini(tmp_path, TINY_INI.replace("interference = linear",
@@ -715,10 +749,12 @@ class TestMainErrors:
         # the draws and the validation split are seeded 0 in every run
         ("b_draws = 8", "b_draws = 8\nseed = 0", ["effects"], "effects.seed: unknown key"),
         ("x_dim = 2", "x_dim = 2\nsplit_seed = 0", ["gen"], "data.split_seed: unknown key"),
+        # wide windows are set as d_s = 51
+        ("x_dim = 2", "x_dim = 2\nfull_scale = true", ["gen"], "data.full_scale: unknown key"),
         ("grid_size = 5", "grid_size = -1", ["effects"], "effects.grid_size: must be >= 1"),
         ("", "", ["gen", "--seed", "-1"], "--seed: must be >= 0"),
-    ], ids=["run_seeds", "effects_seed", "data_split_seed", "effects_grid_size",
-            "seed_flag"])
+    ], ids=["run_seeds", "effects_seed", "data_split_seed", "data_full_scale",
+            "effects_grid_size", "seed_flag"])
     def test_negative_seed_or_size_is_config_error(self, tmp_path, capsys,
                                                    old, new, command, message):
         ini = write_ini(tmp_path, TINY_INI.replace(old, new) if old else TINY_INI)

@@ -253,14 +253,16 @@ class TestDoseMode:
     def test_linear_direct_curve_exact(self):
         ds = make_dataset(n=10, seed=9)
         model = linear_model(alpha=2.0)
-        rep = estimate_effects_dose(model, ds, 0, seed=11)
+        rep = estimate_effects_dose(model, ds, 0)
         assert_array_equal(rep.de_curve, 2.0 * rep.t_grid)
         assert rep.de == pytest.approx(np.mean(2.0 * rep.t_grid))
         assert rep.n_draws == 32
+        assert_array_equal(rep.sample_units, dose_draw_indices(10, 32, 0))
 
     def test_indirect_curve_constant_under_additivity(self):
         ds = make_dataset(n=10, seed=10)
-        rep = estimate_effects_dose(mlp_model(), ds, 0, seed=1)
+        rep = estimate_effects_dose(mlp_model(), ds, 0,
+                                    draw_indices=dose_draw_indices(10, 32, 1))
         assert np.all(rep.ie_curve == rep.ie_curve[0])
 
     def test_collapse_to_observed_mode(self):
@@ -274,7 +276,8 @@ class TestDoseMode:
 
     def test_te_identity(self):
         ds = make_dataset(n=16, seed=12)
-        rep = estimate_effects_dose(mlp_model(), ds, 0, seed=5)
+        rep = estimate_effects_dose(mlp_model(), ds, 0,
+                                    draw_indices=dose_draw_indices(16, 32, 5))
         assert abs(rep.te - (rep.de + rep.ie)) <= 1e-9
 
     def test_grid_outside_observed_range(self):
@@ -305,8 +308,8 @@ class TestDoseMode:
     def test_same_seed_same_report(self):
         ds = make_dataset(n=14, seed=14)
         model = mlp_model()
-        a = estimate_effects_dose(model, ds, 0, seed=3)
-        b = estimate_effects_dose(model, ds, 0, seed=3)
+        a = estimate_effects_dose(model, ds, 0)
+        b = estimate_effects_dose(model, ds, 0)
         assert_array_equal(a.ie_curve, b.ie_curve)
         assert a.te == b.te
 
@@ -391,8 +394,9 @@ class TestBruteForce:
         ds = make_dataset(n=10, seed=19)
         base = linear_model(alpha=1.3, iw=(0.4, 0.0, -0.2))
         doubled = linear_model(alpha=2.6, iw=(0.8, 0.0, -0.4))
-        a = estimate_effects_dose(base, ds, 0, seed=2)
-        b = estimate_effects_dose(doubled, ds, 0, seed=2)
+        draws = dose_draw_indices(10, 32, 2)
+        a = estimate_effects_dose(base, ds, 0, draw_indices=draws)
+        b = estimate_effects_dose(doubled, ds, 0, draw_indices=draws)
         assert_allclose(b.de_curve, 2.0 * a.de_curve, atol=1e-12)
         assert_allclose(b.ie_curve, 2.0 * a.ie_curve, atol=1e-12)
         assert b.te == pytest.approx(2.0 * a.te, abs=1e-12)
@@ -442,7 +446,8 @@ class TestErrorsAndCsv:
         ds = make_dataset(n=10, seed=21)
         model = mlp_model()
         dose = estimate_effects_dose(model, ds, 0, t_grid=np.linspace(
-            ds.treatments[:, 0].min(), ds.treatments[:, 0].max(), 5), seed=1)
+            ds.treatments[:, 0].min(), ds.treatments[:, 0].max(), 5),
+            draw_indices=dose_draw_indices(10, 32, 1))
         obs = estimate_effects_observed(model, ds, 0)
         path = tmp_path / "effects.csv"
         write_effects_csv([dose, obs], str(path))

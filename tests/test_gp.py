@@ -190,6 +190,29 @@ class TestGpTerm:
             assert report.passed, (family, report)
 
 
+    @pytest.mark.parametrize("family", ["rbf", "exponential"])
+    def test_trainable_lengthscale_features_match_fixed(self, family):
+        # at its initial lengthscale the trainable term runs the fixed forward
+        rng = np.random.default_rng(14)
+        kernel = G.KernelSpec(family, sigma=1.1, lengthscale=0.6, noise=1e-6)
+        nmap = G.build_nystrom(G.InducingSet(rng.uniform(size=(6, 2))), kernel)
+        coords = rng.uniform(size=(9, 2))
+        fixed = G.GpTerm(nmap).features_op(coords).data
+        trained = G.GpTerm(nmap, train_lengthscale=True).features_op(coords).data
+        assert trained.shape == fixed.shape
+        assert trained.tobytes() == fixed.tobytes()
+        assert fixed.flags.c_contiguous and trained.flags.c_contiguous
+
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+    def test_trained_lengthscale_outside_domain_is_numeric_error(self, value):
+        nmap = G.build_nystrom(G.InducingSet(np.linspace(0, 1, 4)), RBF)
+        term = G.GpTerm(nmap, train_lengthscale=True)
+        term.lengthscale.data[...] = value
+        with pytest.raises(NumericError, match="lengthscale left"):
+            term.features_op(np.linspace(0, 1, 5))
+
+
 class TestSampling:
     def test_mean_and_covariance_oracle(self):
         rng = np.random.default_rng(21)

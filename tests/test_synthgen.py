@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from spatialcausal.effects import effect_error, estimate_effects_dose
+from spatialcausal.effects import dose_draw_indices, effect_error, estimate_effects_dose
 from spatialcausal.errors import ConfigError, ContractError, DataError
 from spatialcausal.model import ModelConfig, build_model
 from spatialcausal.synthgen import (
@@ -150,11 +150,11 @@ class TestLineGraph:
         assert truth.beta == truth2.beta
         assert_array_equal(truth.u, truth2.u)
 
-    def test_noise_seed_only_changes_outcomes(self, line_generated):
-        ds, _ = line_generated
-        ds2, _ = gen_line_graph(LineGraphConfig(seed_noise=99))
-        assert_array_equal(ds.treatments, ds2.treatments)
-        assert not np.array_equal(ds.outcomes, ds2.outcomes)
+    def test_seed_splits_into_streams(self):
+        # stream k of seed s is seeded 10 * s + k; the confounders are stream 0
+        ds, _ = gen_line_graph(LineGraphConfig(n=20, seed=1))
+        assert_array_equal(ds.confounders,
+                           np.random.default_rng(10).normal(0.0, 1.0, (20, 4)))
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -170,6 +170,12 @@ class TestLineGraph:
             "grid_sigma_l_inf", "grid_field_lengthscale_inf"])
     def test_nan_config_rejected(self, cfg):
         with pytest.raises(ConfigError):
+            cfg.validate()
+
+    @pytest.mark.parametrize("cfg", [LineGraphConfig(seed=-1), GridConfig(seed=-1)],
+                             ids=["line", "grid"])
+    def test_negative_seed_rejected(self, cfg):
+        with pytest.raises(ConfigError, match="seed must be nonnegative"):
             cfg.validate()
 
 
@@ -248,7 +254,7 @@ class TestGridGen:
         x_field = np.zeros((60, 60, 2))
         x_field[..., 0] = 1.0
         cfg = GridConfig(rows=60, cols=60, d_s=51, n_units=5, x_channels=2,
-                         seed_units=3)
+                         seed=3)
         ds, _ = gen_grid(cfg, treatment_field=t_field, confounder_field=x_field)
         for i in range(5):
             c, r = int(ds.coords[i, 0]), int(ds.coords[i, 1])
@@ -294,7 +300,8 @@ def line_style_dataset(n=10, seed=0):
 class TestOracle:
     def test_zero_interference_truth(self):
         ds = line_style_dataset()
-        rep = oracle_effects(flat_truth(10, beta=2.0), ds, 0, seed=1)
+        rep = oracle_effects(flat_truth(10, beta=2.0), ds, 0,
+                             draw_indices=dose_draw_indices(10, 32, 1))
         assert_array_equal(rep.ie_curve, np.zeros(21))
         assert_array_equal(rep.de_curve, 2.0 * rep.t_grid)
 
@@ -305,7 +312,7 @@ class TestOracle:
 
         ds = line_style_dataset(seed=2)
         rep = oracle_effects(flat_truth(10, beta=1.0, interference=lin), ds, 0,
-                             seed=2)
+                             draw_indices=dose_draw_indices(10, 32, 2))
         assert np.all(rep.ie_curve == rep.ie_curve[0])
         assert abs(rep.te - (rep.de + rep.ie)) <= 1e-9
 
@@ -335,8 +342,9 @@ class TestOracle:
                           confounder="linear", seed=0)
         model = build_model(cfg)
         model.alphas.data[0, 0] = 1.7
-        est = estimate_effects_dose(model, ds, 0, seed=6)
-        orc = oracle_effects(truth, ds, 0, seed=6)
+        draws = dose_draw_indices(12, 32, 6)
+        est = estimate_effects_dose(model, ds, 0, draw_indices=draws)
+        orc = oracle_effects(truth, ds, 0, draw_indices=draws)
         err = effect_error(est, orc)
         assert err["de_err"] <= 1e-12
         assert err["ie_err"] <= 1e-12
@@ -362,6 +370,6 @@ class TestOracle:
     def test_line_graph_truth_vs_neighbors(self):
         # drawn neighborhoods run through each unit's own covariance weights
         ds, truth = gen_line_graph(LineGraphConfig(n=30))
-        rep = oracle_effects(truth, ds, 0, b_draws=8, seed=7)
+        rep = oracle_effects(truth, ds, 0, draw_indices=dose_draw_indices(30, 8, 7))
         assert np.all(np.isfinite(rep.ie_curve))
         assert abs(rep.te - (rep.de + rep.ie)) <= 1e-9
