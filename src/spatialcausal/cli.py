@@ -677,8 +677,9 @@ def _gradcheck_cases():
                   lambda: E.tsum(term_l.values_op(coords)),
                   term_l.parameters()))
     # drawn last so that every case above keeps its inputs
-    h4, hb4 = param(2, 3, 2, 2), param(3)
-    cases.append(("bias_add_4d", lambda: E.tsum(E.bias_add(h4, hb4)), [h4, hb4]))
+    nbi, nbk = param(2, 3, 2, 2), param(3, 3, 2, 2)
+    cases.append(("conv2d_no_bias", lambda: E.tsum(E.conv2d(nbi, nbk, padding=1)),
+                  [nbi, nbk]))
     return cases
 
 

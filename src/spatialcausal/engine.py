@@ -4,6 +4,15 @@ A ``Tape`` records every operation executed while it is active; ``Tape.backward`
 replays the records in reverse and accumulates vector-Jacobian products into the
 ``grad`` buffers of the participating leaf tensors.  All arithmetic is float64.
 Outside an active tape the same operations run as plain numpy forward passes.
+
+Non-finite values end as ``NumericError``.  ``Tensor(...)`` and every op that
+is not recorded on a tape scan their data, so outside a tape an op raises as
+soon as it produces a NaN or inf.  On a tape, a step fails when a non-finite
+value reaches the loss or a leaf gradient: ``Tape.backward`` scans those
+before it writes any ``grad``, then names the op at fault with the same
+message a scan of every op would give, "non-finite values in output of
+<kind>" for the first recorded output that is not finite, otherwise
+"non-finite values in gradient of <kind>" for the first such vjp result.
 """
 
 from __future__ import annotations
@@ -119,8 +128,25 @@ class Tape:
             raise ContractError("tape stack corrupted by unbalanced enter/exit")
 
     def backward(self, loss: Tensor) -> None:
+        """Add d(loss)/d(leaf) to ``grad``, after scanning the loss and every leaf gradient."""
         if loss.data.shape != ():
             raise ContractError("backward requires a scalar loss")
+        try:
+            _check_finite(loss.data, "loss")
+            grads = self._propagate(loss, scan=False)
+            for g in grads.values():
+                _check_finite(g, "leaf gradient")
+        except NumericError:
+            self._raise_culprit(loss)
+            raise
+        # Flush whatever remains: these are leaves (never produced by a node).
+        for node in self.nodes:
+            for tensor in node.inputs:
+                self._flush(tensor, grads)
+        self._flush(loss, grads)
+
+    def _propagate(self, loss: Tensor, scan: bool) -> dict:
+        """Run every vjp last to first; return the leaf gradients by tensor id."""
         grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
         for node in reversed(self.nodes):
             out_grad = grads.pop(id(node.output), None)
@@ -130,17 +156,24 @@ class Tape:
             for tensor, g in zip(node.inputs, in_grads):
                 if g is None or not tensor.requires_grad:
                     continue
-                _check_finite(g, f"gradient of {node.kind}")
+                if scan:
+                    _check_finite(g, f"gradient of {node.kind}")
                 key = id(tensor)
                 if key in grads:
                     grads[key] = grads[key] + g
                 else:
                     grads[key] = g
-        # Flush whatever remains: these are leaves (never produced by a node).
+        return grads
+
+    def _raise_culprit(self, loss: Tensor) -> None:
+        """Raise what a scan after every op would have raised.
+
+        That is the first non-finite recorded output, else the first non-finite
+        vjp result; vjps are pure, so running them again gives the same values.
+        """
         for node in self.nodes:
-            for tensor in node.inputs:
-                self._flush(tensor, grads)
-        self._flush(loss, grads)
+            _check_finite(node.output.data, f"output of {node.kind}")
+        self._propagate(loss, scan=True)
 
     @staticmethod
     def _flush(tensor: Tensor, grads: dict) -> None:
@@ -153,7 +186,8 @@ class Tape:
 
 
 def _record(kind: str, inputs: tuple, out_data: np.ndarray, vjp: Callable) -> Tensor:
-    _check_finite(out_data, f"output of {kind}")
+    """Wrap an op output: taped when a tape is active and an input needs a gradient,
+    scanned otherwise."""
     needs = any(t.requires_grad for t in inputs)
     out = Tensor.__new__(Tensor)
     out.data = out_data
@@ -161,6 +195,8 @@ def _record(kind: str, inputs: tuple, out_data: np.ndarray, vjp: Callable) -> Te
     out.grad = None
     if _TAPE_STACK and needs:
         _TAPE_STACK[-1].nodes.append(_Node(kind, inputs, out, vjp))
+    else:
+        _check_finite(out_data, f"output of {kind}")
     return out
 
 
@@ -235,28 +271,16 @@ def scale(x, s) -> Tensor:
 
 
 def bias_add(x, b) -> Tensor:
-    """Add a per-feature bias: (n,d)+(d,), or (n,c,h,w)+(c,) on the channel axis."""
+    """Add a per-feature bias: (n,d)+(d,).  conv2d adds its own bias."""
     x, b = as_tensor(x), as_tensor(b)
     xd, bd = x.data, b.data
-    if bd.ndim != 1:
-        raise DimensionError(f"bias must be 1-d, got shape {bd.shape}")
-    if xd.ndim == 2:
-        if xd.shape[1] != bd.shape[0]:
-            raise DimensionError(f"bias length {bd.shape[0]} does not match {xd.shape}")
-        out = xd + bd[None, :]
+    if bd.ndim != 1 or xd.ndim != 2 or xd.shape[1] != bd.shape[0]:
+        raise DimensionError(f"bias_add expects (n,d)+(d,), got {xd.shape} and {bd.shape}")
 
-        def vjp(g):
-            return g, g.sum(axis=0)
-    elif xd.ndim == 4:
-        if xd.shape[1] != bd.shape[0]:
-            raise DimensionError(f"bias length {bd.shape[0]} does not match {xd.shape}")
-        out = xd + bd[None, :, None, None]
+    def vjp(g):
+        return g, g.sum(axis=0)
 
-        def vjp(g):
-            return g, g.sum(axis=(0, 2, 3))
-    else:
-        raise DimensionError(f"bias_add expects 2-d or 4-d input, got {xd.shape}")
-    return _record("bias_add", (x, b), out, vjp)
+    return _record("bias_add", (x, b), xd + bd[None, :], vjp)
 
 
 def relu(x) -> Tensor:
@@ -282,30 +306,49 @@ def elu(x) -> Tensor:
     return _record("elu", (x,), out, vjp)
 
 
-def _sum_shifted_gemms(mats: list, src: np.ndarray, starts: list, span: int) -> np.ndarray:
-    """Sum of ``mats[i] @ src[:, starts[i]:starts[i] + span]`` over i."""
-    acc = mats[0] @ src[:, starts[0]:starts[0] + span]
-    tmp = np.empty_like(acc)
-    for m, s in zip(mats[1:], starts[1:]):
-        np.matmul(m, src[:, s:s + span], out=tmp)
-        acc += tmp
-    return acc
+# Bytes of one conv2d column tile: small enough to stay in a core's L2 cache
+# while its GEMM reads it.
+_TILE_BYTES = 512 << 10
+
+
+def _column_tiles(src: np.ndarray, kh: int, kw: int, wp: int, span: int):
+    """Yield ``(j, tile)`` over blocks of ``span`` output columns.
+
+    ``tile[(c, di, dj), t]`` is ``src[c, j + di * wp + dj + t]``: the kh * kw
+    shifted copies of ``src`` for columns j .. j + b - 1, gathered through one
+    strided view into a buffer reused by every block.
+    """
+    c = src.shape[0]
+    rows = c * kh * kw
+    block = min(span, max(1, _TILE_BYTES // (8 * rows)))
+    buf = np.empty(rows * block, dtype=np.float64)
+    strides = (src.strides[0], 8 * wp, 8, 8)
+    for j in range(0, span, block):
+        b = min(block, span - j)
+        tile = buf[:rows * b].reshape(rows, b)
+        tile.reshape(c, kh, kw, b)[...] = np.ndarray(
+            (c, kh, kw, b), np.float64, buffer=src, offset=8 * j, strides=strides)
+        yield j, tile
 
 
 def conv2d(x, w, bias=None, padding: int = 0) -> Tensor:
-    """2-d convolution, stride 1, square kernel, optional zero padding.
+    """2-d convolution, stride 1, square kernel, optional bias and zero padding.
 
-    ``x`` is (n, c_in, h, w); ``w`` is (c_out, c_in, kh, kw).  The padded
-    input is laid out channel-major, flattened over (n, hp, wp) and followed
-    by ``reach`` zeros, so what kernel offset (di, dj) sees is the contiguous
-    slice ``xf[:, o:o + span]`` with ``o = di * wp + dj``.  Each offset is one
-    (c_out, c_in) @ (c_in, span) GEMM on that view, summed over the offsets,
-    and the backward pass runs the same shifted GEMMs.  No im2col column
-    buffer (kh * kw copies of the input) is built: on the small maps of the
-    U-Net its copies, and the scatter of its gradient, cost more than the
-    GEMMs, as each is a strided numpy pass over image rows a few floats long.
-    Outputs whose window wraps past a row or image edge are computed and
-    dropped.
+    ``x`` is (n, c_in, h, w); ``w`` is (c_out, c_in, kh, kw); ``bias`` is
+    (c_out,).  The padded input is laid out channel-major, flattened over
+    (n, hp, wp) and followed by ``reach`` zeros, so what kernel offset
+    (di, dj) sees at output column j is ``xf[:, j + di * wp + dj]``.  The
+    output columns are cut into tiles whose kh * kw shifted copies of the
+    input take at most ``_TILE_BYTES``.  Each tile gathers its
+    (c_in * kh * kw, block) im2col columns into one reused buffer and runs
+    one (c_out, c_in * kh * kw) GEMM on them, and the bias is added into the
+    channel-major result.  The whole im2col matrix never exists.  The
+    backward pass runs the same tile loop over the output gradient, laid out
+    like ``xf`` with ``reach`` leading zeros: each gradient tile serves one
+    GEMM with the flipped kernel for the input gradient and one with the
+    input's columns for the weight gradient.  Outputs whose window wraps past
+    a row or image edge are computed and dropped.  One ``conv2d`` node is
+    recorded, with inputs (x, w) or (x, w, bias).
     """
     x, w = as_tensor(x), as_tensor(w)
     xd, wd = x.data, w.data
@@ -313,6 +356,12 @@ def conv2d(x, w, bias=None, padding: int = 0) -> Tensor:
         raise DimensionError(f"conv2d got input {xd.shape} and kernel {wd.shape}")
     n, cin, h, wdt = xd.shape
     cout, _, kh, kw = wd.shape
+    inputs, bd = (x, w), None
+    if bias is not None:
+        b = as_tensor(bias)
+        inputs, bd = (x, w, b), b.data
+        if bd.shape != (cout,):
+            raise DimensionError(f"conv2d bias must have shape ({cout},), got {bd.shape}")
     p = int(padding)
     ho, wo = h + 2 * p - kh + 1, wdt + 2 * p - kw + 1
     if ho <= 0 or wo <= 0:
@@ -320,11 +369,15 @@ def conv2d(x, w, bias=None, padding: int = 0) -> Tensor:
     hp, wp = h + 2 * p, wdt + 2 * p
     span = n * hp * wp
     reach = (kh - 1) * wp + kw - 1
-    starts = [di * wp + dj for di in range(kh) for dj in range(kw)]
-    wtaps = list(wd.reshape(cout, cin, kh * kw).transpose(2, 0, 1))
     xf = np.zeros((cin, span + reach), dtype=np.float64)
     xf[:, :span].reshape(cin, n, hp, wp)[:, :, p:p + h, p:p + wdt] = xd.transpose(1, 0, 2, 3)
-    acc = _sum_shifted_gemms(wtaps, xf, starts, span)
+    wmat = wd.reshape(cout, -1)
+    acc = np.empty((cout, span), dtype=np.float64)
+    for j, tile in _column_tiles(xf, kh, kw, wp, span):
+        blk = acc[:, j:j + tile.shape[1]]
+        np.matmul(wmat, tile, out=blk)
+        if bd is not None:
+            blk += bd[:, None]
     out = acc.reshape(cout, n, hp, wp)[:, :, :ho, :wo].transpose(1, 0, 2, 3)
 
     def vjp(g):
@@ -332,17 +385,22 @@ def conv2d(x, w, bias=None, padding: int = 0) -> Tensor:
         gext = np.zeros((cout, reach + span), dtype=np.float64)
         gl = gext[:, reach:]
         gl.reshape(cout, n, hp, wp)[:, :, :ho, :wo] = g.transpose(1, 0, 2, 3)
-        gw = np.stack([gl @ xf[:, o:o + span].T for o in starts], axis=-1).reshape(wd.shape)
-        if not x.requires_grad:
-            return None, gw
-        gxf = _sum_shifted_gemms([m.T for m in wtaps], gext, [reach - o for o in starts], span)
-        gx = gxf.reshape(cin, n, hp, wp)[:, :, p:p + h, p:p + wdt].transpose(1, 0, 2, 3)
-        return gx, gw
+        # gradient tile rows are (c_out, di', dj') with di' = kh - 1 - di: the
+        # flipped kernel's layout, in which the weight gradient is gathered too
+        wflip = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
+        gwf = np.zeros_like(wflip)
+        gxf = np.empty((cin, span), dtype=np.float64) if x.requires_grad else None
+        for j, tile in _column_tiles(gext, kh, kw, wp, span):
+            cols = slice(j, j + tile.shape[1])
+            gwf += xf[:, cols] @ tile.T
+            if gxf is not None:
+                np.matmul(wflip, tile, out=gxf[:, cols])
+        gw = gwf.reshape(cin, cout, kh, kw)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        gx = None if gxf is None else (
+            gxf.reshape(cin, n, hp, wp)[:, :, p:p + h, p:p + wdt].transpose(1, 0, 2, 3))
+        return (gx, gw) if bd is None else (gx, gw, gl.sum(axis=1))
 
-    out_t = _record("conv2d", (x, w), out, vjp)
-    if bias is not None:
-        out_t = bias_add(out_t, bias)
-    return out_t
+    return _record("conv2d", inputs, out, vjp)
 
 
 def maxpool2(x) -> Tensor:

@@ -7,7 +7,10 @@ import json
 import os
 import shutil
 import struct
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -665,6 +668,18 @@ class TestLibraryEntryPoints:
         assert set(result["summary"]) == {"unweighted", "weighted"}
         assert result["summary"]["weighted"]["de_err_std"] == 0.0
 
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        env = dict(os.environ)
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root,
+                                                          env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "spatialcausal", "report",
+                               "--out", str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("data_error\t")
+        assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+
 
 class TestGradcheckCmd:
     def test_covers_every_op_kind(self):
@@ -672,6 +687,15 @@ class TestGradcheckCmd:
         missing = set(E.op_kinds()) - names
         assert not missing
         assert len(names) >= 10
+
+    def test_covers_both_conv2d_arities(self):
+        arities = set()
+        for name, fn, _ in cli._gradcheck_cases():
+            if name.startswith("conv2d"):
+                with E.Tape() as tape:
+                    fn()
+                arities |= {len(nd.inputs) for nd in tape.nodes if nd.kind == "conv2d"}
+        assert arities == {2, 3}
 
     def test_all_pass(self, capsys):
         assert cli.cmd_gradcheck() == 0

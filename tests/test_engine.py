@@ -11,6 +11,7 @@ import spatialcausal
 from spatialcausal import cli
 from spatialcausal import engine as E
 from spatialcausal import model as M
+from spatialcausal import nets as N
 from spatialcausal import synthgen as S
 from spatialcausal.errors import ContractError, DimensionError, NumericError
 
@@ -187,7 +188,12 @@ CONV_SHAPES = [
     (2, 1, 4, 4, 5, 3, 1),
     (3, 12, 8, 8, 4, 3, 1),
     (3, 24, 4, 4, 8, 3, 1),
+    (4, 3, 30, 30, 5, 3, 1),
+    (8, 1, 30, 30, 5, 3, 1),
+    (3, 4, 16, 16, 1, 1, 0),
 ]
+# shapes whose input spans several column tiles, the last one partial
+MULTI_TILE = [(4, 3, 30, 30, 5, 3, 1), (8, 1, 30, 30, 5, 3, 1)]
 
 
 class TestConv2d:
@@ -204,6 +210,33 @@ class TestConv2d:
         npt.assert_allclose(out, ref_out, rtol=1e-12, atol=1e-12)
         npt.assert_allclose(x.grad, ref_gx, rtol=1e-12, atol=1e-12)
         npt.assert_allclose(w.grad, ref_gw, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", MULTI_TILE, ids=["c3", "c1"])
+    def test_shape_spans_several_tiles(self, shape):
+        n, cin, h, wdt, _, k, pad = shape
+        span = n * (h + 2 * pad) * (wdt + 2 * pad)
+        block = E._TILE_BYTES // (8 * cin * k * k)
+        assert span > block and span % block
+
+    def test_bias_folds_into_one_node(self):
+        n, cin, h, wdt, cout, k, pad = MULTI_TILE[0]
+        rng = np.random.default_rng(12)
+        x = E.Tensor(rng.normal(size=(n, cin, h, wdt)), requires_grad=True)
+        w = E.Tensor(rng.normal(size=(cout, cin, k, k)), requires_grad=True)
+        b = E.Tensor(rng.normal(size=cout), requires_grad=True)
+        g = rng.normal(size=(n, cout, h, wdt))
+        with E.Tape() as tape:
+            out = E.conv2d(x, w, b, padding=pad)
+            loss = E.tsum(E.mul(out, E.Tensor(g)))
+        tape.backward(loss)
+        assert [nd.kind for nd in tape.nodes] == ["conv2d", "mul", "sum"]
+        assert tape.nodes[0].inputs == (x, w, b)
+        ref_out, ref_gx, ref_gw = _conv_reference(x.data, w.data, g, pad)
+        npt.assert_allclose(out.data, ref_out + b.data[None, :, None, None],
+                            rtol=1e-12, atol=1e-12)
+        npt.assert_allclose(x.grad, ref_gx, rtol=1e-12, atol=1e-12)
+        npt.assert_allclose(w.grad, ref_gw, rtol=1e-12, atol=1e-12)
+        npt.assert_allclose(b.grad, g.sum(axis=(0, 2, 3)), rtol=1e-12, atol=1e-12)
 
     def test_constant_input_gets_no_gradient(self):
         rng = np.random.default_rng(5)
@@ -227,6 +260,61 @@ class TestConv2d:
             lambda: E.tsum(E.mul(E.conv2d(x, w, b), g)), [x, w, b],
             tolerance=1e-4, step=1e-5)
         assert report.passed, report
+
+
+def _deep_mlp():
+    return N.build_mlp(N.MlpSpec(in_dim=3, width=8, depth=4, out_dim=1), seed=0)
+
+
+class TestFiniteness:
+    """A step fails when a non-finite value reaches the loss or a leaf gradient."""
+
+    def _forward(self, net):
+        rng = np.random.default_rng(4)
+        with E.Tape() as tape:
+            loss = E.mse(net.forward(E.Tensor(rng.normal(size=(6, 3)))),
+                         E.Tensor(rng.normal(size=(6, 1))))
+        return tape, loss
+
+    def test_nan_weight_named_as_matmul_output(self):
+        net = _deep_mlp()
+        net.params[4].data[0, 0] = np.nan
+        tape, loss = self._forward(net)
+        with pytest.raises(NumericError, match="non-finite values in output of matmul"):
+            tape.backward(loss)
+        assert all(p.grad is None for p in net.params)
+
+    def test_backward_overflow_named_as_gradient(self):
+        x = E.Tensor(np.array([1e308, 1e308]), requires_grad=True)
+        s = E.Tensor(1e-10, requires_grad=True)
+        with E.Tape() as tape:
+            loss = E.tsum(E.scale(x, s))
+        assert np.isfinite(loss.data)
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericError, match="non-finite values in gradient of scale"):
+            tape.backward(loss)
+        assert x.grad is None and s.grad is None
+
+    def test_op_outside_tape_raises_at_the_op(self):
+        net = _deep_mlp()
+        net.params[4].data[0, 0] = np.nan
+        with pytest.raises(NumericError, match="non-finite values in output of matmul"):
+            net.forward(E.Tensor(np.ones((6, 3))))
+
+    def test_clean_step_scans_loss_and_each_leaf(self, monkeypatch):
+        net = _deep_mlp()
+        tape, loss = self._forward(net)
+        scanned = []
+        check = E._check_finite
+
+        def counting(arr, where):
+            scanned.append(where)
+            check(arr, where)
+
+        monkeypatch.setattr(E, "_check_finite", counting)
+        tape.backward(loss)
+        assert scanned == ["loss"] + ["leaf gradient"] * len(net.params)
+        assert all(p.grad is not None for p in net.params)
 
 
 class TestFiniteDiff:
