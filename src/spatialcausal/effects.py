@@ -214,6 +214,10 @@ def dose_inputs(dataset: SpatialDataset, m: int, t_grid: np.ndarray | None = Non
     draw_indices = np.asarray(draw_indices, dtype=np.int64)
     if draw_indices.size < 1:
         raise ContractError("need at least 1 neighborhood draw")
+    bad = draw_indices[(draw_indices < 0) | (draw_indices >= dataset.n_units)]
+    if bad.size:
+        raise ContractError(
+            f"draw index {int(bad[0])} outside 0..{dataset.n_units - 1}")
     return t_grid, draw_indices
 
 

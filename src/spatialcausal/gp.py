@@ -9,6 +9,9 @@ linear form ``w^T z(s)`` with trainable ``w``.
 
 Exact sampling uses a dense Cholesky factor and is limited to modest N; large
 regular grids are sampled spectrally through circulant embedding.
+
+``scipy.linalg`` is imported inside the functions that factor or solve, so
+importing this module loads no scipy.  Distances are computed in numpy.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky, solve_triangular
-from scipy.spatial.distance import cdist
 
 from . import engine as E
 from .engine import Tensor
@@ -69,22 +70,32 @@ def _dkernel_dl_from_dist(kernel: KernelSpec, dist: np.ndarray) -> np.ndarray:
     return kmat * dist / (ls * ls)
 
 
+def _dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of a and b, the same bits as ``cdist``."""
+    d = np.subtract.outer(a[:, 0], b[:, 0]) ** 2
+    for k in range(1, a.shape[1]):
+        d += np.subtract.outer(a[:, k], b[:, k]) ** 2
+    return np.sqrt(d, out=d)
+
+
 def gram_matrix(kernel: KernelSpec, coords_a, coords_b=None) -> np.ndarray:
     """Cross-covariance matrix; symmetric Gram when coords_b is omitted."""
     kernel.validate()
     a = _as_coords(coords_a)
     if coords_b is None:
-        d = cdist(a, a)
+        d = _dist(a, a)
         k = kernel_matrix_from_dist(kernel, d)
         return 0.5 * (k + k.T)
     b = _as_coords(coords_b)
     if a.shape[1] != b.shape[1]:
         raise DimensionError(f"coordinate dims differ: {a.shape[1]} vs {b.shape[1]}")
-    return kernel_matrix_from_dist(kernel, cdist(a, b))
+    return kernel_matrix_from_dist(kernel, _dist(a, b))
 
 
 def chol_with_jitter(mat: np.ndarray, eps: float) -> tuple[np.ndarray, float]:
     """Lower Cholesky of mat + jitter*I, escalating jitter as eps, 10 eps, 100 eps."""
+    from scipy.linalg import LinAlgError, cholesky
+
     attempts = [eps, 10.0 * eps, 100.0 * eps]
     eye = np.eye(mat.shape[0])
     for jit in attempts:
@@ -161,6 +172,8 @@ class NystromMap:
 
     def features(self, coords) -> np.ndarray:
         """Rows z(s_i)^T of the feature matrix, by forward triangular solve."""
+        from scipy.linalg import solve_triangular
+
         knq = gram_matrix(self.kernel, coords, self.inducing.points)
         return solve_triangular(self.chol_factor, knq.T, lower=True).T
 
@@ -234,9 +247,11 @@ def _features_with_lengthscale_grad(term: GpTerm, coords) -> Tensor:
     z = nmap.features(coords)
 
     def vjp(g):
+        from scipy.linalg import solve_triangular
+
         factor = nmap.chol_factor
-        dkq = _dkernel_dl_from_dist(nmap.kernel, cdist(pts, pts))
-        dknq = _dkernel_dl_from_dist(nmap.kernel, cdist(_as_coords(coords), pts))
+        dkq = _dkernel_dl_from_dist(nmap.kernel, _dist(pts, pts))
+        dknq = _dkernel_dl_from_dist(nmap.kernel, _dist(_as_coords(coords), pts))
         inner = solve_triangular(factor, dkq, lower=True)
         inner = solve_triangular(factor, inner.T, lower=True)      # L^{-1} dKq L^{-T}
         phi = np.tril(inner)

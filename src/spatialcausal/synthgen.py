@@ -19,21 +19,27 @@ that can evaluate true potential outcomes under arbitrary treatment and
 neighborhood overrides; oracle_effects evaluates the dose-mode effects of
 that truth with uniform weights.  Each generator config takes one ``seed``
 and splits it into four random streams seeded ``10 * seed + k``, k = 0..3.
+
+``scipy.interpolate`` is imported inside ``spline_fn``, so only the grid
+generator and its truth regeneration load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .effects import EffectReport, dose_inputs, dose_report
 from .errors import ConfigError, ContractError, DataError
 from .gp import KernelSpec, chol_with_jitter, sample_gp, sample_gp_grid
 from .model import SpatialDataset
 from .raster import unit_windows
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 
 def random_fn(seed: int, in_dim: int):
@@ -64,6 +70,8 @@ def spline_fn(seed: int, domain) -> CubicSpline:
     lo, hi = float(domain[0]), float(domain[1])
     if not lo < hi:
         raise ContractError(f"domain must be an increasing interval, got ({lo}, {hi})")
+    from scipy.interpolate import CubicSpline
+
     knots_y = np.random.default_rng(seed).normal(0.0, 1.0, 8)
     return CubicSpline(np.linspace(lo, hi, 8), knots_y, bc_type="natural")
 

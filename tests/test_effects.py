@@ -292,6 +292,12 @@ class TestDoseMode:
         with pytest.raises(ContractError):
             estimate_effects_dose(linear_model(), ds, 0, t_grid=np.array([]))
 
+    @pytest.mark.parametrize("bad", [-1, 10**6])
+    def test_draw_index_out_of_range(self, bad):
+        ds = make_dataset(n=30, seed=14)
+        with pytest.raises(ContractError, match=rf"draw index {bad} outside 0\.\.29"):
+            estimate_effects_dose(linear_model(), ds, 0, draw_indices=[3, bad])
+
     def test_zero_outside_support_warns(self):
         ds = make_dataset(n=10, t_values=np.linspace(1.0, 2.0, 10))
         with pytest.warns(UserWarning, match="zero baseline"):

@@ -49,6 +49,21 @@ class TestKernels:
             assert eigs.min() > -1e-10
 
 
+class TestDistance:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e4])
+    def test_matches_cdist_bitwise(self, d, scale):
+        from scipy.spatial.distance import cdist
+
+        rng = np.random.default_rng(100 * d + int(np.log10(scale)) + 3)
+        a = rng.normal(size=(23, d)) * scale
+        b = rng.normal(size=(9, d)) * scale
+        a[5:8] = a[4]                       # duplicate points: exact zero distances
+        b[2] = a[4]
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert G._dist(x, y).tobytes() == cdist(x, y).tobytes()
+
+
 class TestInducing:
     def test_subsample_full_set(self):
         coords = np.random.default_rng(0).uniform(size=(12, 2))

@@ -1,0 +1,64 @@
+"""Import footprint: each path loads only the scipy submodules it runs.
+
+Every check runs in a fresh interpreter, since the test process itself has
+long since imported scipy.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import spatialcausal
+
+PRINT_SCIPY = ("import json, sys; "
+               "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))")
+
+
+def _scipy_modules_after(snippet: str) -> set:
+    env = dict(os.environ)
+    package_root = str(Path(spatialcausal.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root,
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", f"{snippet}\n{PRINT_SCIPY}"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def _loaded(mods: set, name: str) -> bool:
+    return name in mods or any(m.startswith(name + ".") for m in mods)
+
+
+def test_package_import_loads_no_scipy():
+    assert _scipy_modules_after("import spatialcausal") == set()
+
+
+def test_report_loads_no_scipy(tmp_path):
+    (tmp_path / "metrics.json").write_text(json.dumps({"r2_all": 0.5, "mae_all": 0.1}))
+    mods = _scipy_modules_after(
+        "from spatialcausal import cli\n"
+        f"assert cli.main(['report', '--out', {str(tmp_path)!r}]) == 0")
+    assert mods == set()
+
+
+def test_line_model_path_loads_only_linalg():
+    mods = _scipy_modules_after(
+        "from spatialcausal import gp, model, synthgen\n"
+        "ds, _ = synthgen.gen_line_graph(synthgen.LineGraphConfig(n=30))\n"
+        "cfg = model.ModelConfig(m=1, patch_shape=ds.patch_shape,\n"
+        "                        x_dim=ds.confounders.shape[1], gp=True,\n"
+        "                        kernel=gp.KernelSpec('rbf', noise=1e-8), q=5)\n"
+        "model.predict(model.build_model(cfg, ds.coords), ds, 0)")
+    assert _loaded(mods, "scipy.linalg")
+    assert not _loaded(mods, "scipy.spatial")
+    assert not _loaded(mods, "scipy.interpolate")
+
+
+def test_grid_generator_loads_interpolate():
+    mods = _scipy_modules_after(
+        "from spatialcausal import synthgen\n"
+        "synthgen.gen_grid(synthgen.GridConfig(rows=40, cols=40, d_s=11, n_units=20,\n"
+        "                                      x_channels=3, field_lengthscale=6.0))")
+    assert _loaded(mods, "scipy.interpolate")

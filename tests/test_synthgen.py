@@ -367,6 +367,13 @@ class TestOracle:
             oracle_effects(flat_truth(10, 1.0), ds, 0,
                            draw_indices=np.array([], dtype=np.int64))
 
+    @pytest.mark.parametrize("bad", [-1, 10**6])
+    def test_draw_index_out_of_range_rejected(self, bad):
+        # -1 used to wrap to the last unit; 10**6 used to raise IndexError
+        ds, truth = gen_line_graph(LineGraphConfig(n=30))
+        with pytest.raises(ContractError, match=rf"draw index {bad} outside 0\.\.29"):
+            oracle_effects(truth, ds, 0, draw_indices=[0, bad])
+
     def test_line_graph_truth_vs_neighbors(self):
         # drawn neighborhoods run through each unit's own covariance weights
         ds, truth = gen_line_graph(LineGraphConfig(n=30))
