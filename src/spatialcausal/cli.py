@@ -27,7 +27,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,8 +47,11 @@ from .effects import (
     write_effects_csv,
 )
 from .errors import ConfigError, DataError, SpatialCausalError
-from .gp import KernelSpec, GpTerm, build_nystrom, select_inducing
+from .gp import KERNEL_FAMILIES, KernelSpec, GpTerm, build_nystrom, select_inducing
 from .model import (
+    CONFOUNDER_KINDS,
+    INTERFERENCE_KINDS,
+    OPTIMIZERS,
     ModelConfig,
     SpatialDataset,
     TrainConfig,
@@ -97,9 +100,8 @@ _SCHEMA = {
         "split_ratios": ("floatlist", (0.6, 0.2, 0.2)),
     },
     "model": {
-        "interference": ("str", "linear",
-                         ("linear", "mlp", "cnn", "unet", "none")),
-        "confounder": ("str", "linear", ("linear", "mlp")),
+        "interference": ("str", "linear", INTERFERENCE_KINDS),
+        "confounder": ("str", "linear", CONFOUNDER_KINDS),
         "gp": ("bool", False),
         "mlp_width": ("int", 256),
         "mlp_depth": ("int", 3),
@@ -107,7 +109,7 @@ _SCHEMA = {
         "cnn_depth": ("int", 9),
         "unet_base": ("int", 16),
         "unet_depth": ("int", 3),
-        "kernel_family": ("str", "rbf", ("rbf", "exponential")),
+        "kernel_family": ("str", "rbf", KERNEL_FAMILIES),
         "kernel_sigma": ("float", 1.0),
         "kernel_lengthscale": ("float", 0.5),
         "kernel_noise": ("float", 0.5),
@@ -116,7 +118,7 @@ _SCHEMA = {
         "train_lengthscale": ("bool", False),
     },
     "train": {
-        "optimizer": ("str", "auto", ("auto", "sgd", "adam")),
+        "optimizer": ("str", "auto", OPTIMIZERS),
         "lr": ("float", 0.001),
         "epochs": ("int", 200),
         "batch_size": ("int", 0),
@@ -227,16 +229,14 @@ def load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig(resolved=resolved)
 
 
-def _line_config(data: dict, seed: int) -> LineGraphConfig:
-    return LineGraphConfig(n=data["n"], x_dim=data["x_dim"],
-                           noise_sigma=data["noise_sigma"], seed=seed)
+def _from_section(cls, section: dict, prefix: str = "", **given):
+    """``cls`` from ``given`` plus, for each other field, the entry ``prefix + name``.
 
-
-def _grid_config(data: dict, seed: int) -> GridConfig:
-    return GridConfig(rows=data["rows"], cols=data["cols"], beta=data["beta"],
-                      d_s=data["d_s"], sigma_l=data["sigma_l"],
-                      n_units=data["n_units"], x_channels=data["x_channels"],
-                      field_lengthscale=data["field_lengthscale"], seed=seed)
+    A missing entry raises ``KeyError``, so a sidecar that lacks a key cannot
+    fall back to a dataclass default.
+    """
+    return cls(**given, **{f.name: section[prefix + f.name] for f in fields(cls)
+                           if f.name not in given})
 
 
 def _synthesize(generator: str, data: dict, seed: int):
@@ -245,7 +245,7 @@ def _synthesize(generator: str, data: dict, seed: int):
     ``grids`` is the (treatment, confounder, outcome) triple that ``gen`` writes.
     """
     if generator == "line":
-        ds, truth = gen_line_graph(_line_config(data, seed))
+        ds, truth = gen_line_graph(_from_section(LineGraphConfig, data, seed=seed))
         n = ds.n_units
         res = 1.0 / (n - 1)
         geom = dict(origin_x=-0.5 * res, origin_y=0.0, resolution=res)
@@ -253,7 +253,7 @@ def _synthesize(generator: str, data: dict, seed: int):
                            Grid(data=ds.confounders.T.reshape(-1, 1, n), **geom),
                            Grid(data=ds.outcomes.reshape(1, 1, n), **geom))
     if generator == "grid":
-        cfg = _grid_config(data, seed)
+        cfg = _from_section(GridConfig, data, seed=seed)
         t_field, x_field = synth_fields(cfg)
         ds, truth = gen_grid(cfg, treatment_field=t_field, confounder_field=x_field)
         y_field = np.full((cfg.rows, cfg.cols), np.nan)
@@ -286,29 +286,17 @@ def regenerate_truth(sidecar: dict):
 def model_config_from(config: ExperimentConfig, dataset: SpatialDataset,
                       seed: int) -> ModelConfig:
     mm = config.resolved["model"]
-    kernel = None
-    if mm["gp"]:
-        kernel = KernelSpec(family=mm["kernel_family"], sigma=mm["kernel_sigma"],
-                            lengthscale=mm["kernel_lengthscale"],
-                            noise=mm["kernel_noise"])
-    return ModelConfig(m=dataset.n_treatments, patch_shape=dataset.patch_shape,
-                       x_dim=dataset.confounders.shape[1],
-                       interference=mm["interference"],
-                       confounder=mm["confounder"], mlp_width=mm["mlp_width"],
-                       mlp_depth=mm["mlp_depth"],
-                       cnn_channels=mm["cnn_channels"],
-                       cnn_depth=mm["cnn_depth"], unet_base=mm["unet_base"],
-                       unet_depth=mm["unet_depth"], gp=mm["gp"], kernel=kernel,
-                       q=mm["q"], inducing_strategy=mm["inducing"],
-                       train_lengthscale=mm["train_lengthscale"], seed=seed)
+    kernel = _from_section(KernelSpec, mm, "kernel_") if mm["gp"] else None
+    return _from_section(ModelConfig, mm, m=dataset.n_treatments,
+                         patch_shape=dataset.patch_shape,
+                         x_dim=dataset.confounders.shape[1], kernel=kernel,
+                         inducing_strategy=mm["inducing"], seed=seed)
 
 
 def train_config_from(config: ExperimentConfig, seed: int) -> TrainConfig:
     tt = config.resolved["train"]
-    return TrainConfig(epochs=tt["epochs"], lr=tt["lr"],
-                       batch_size=tt["batch_size"] or None,
-                       optimizer=tt["optimizer"], momentum=tt["momentum"],
-                       seed=seed, patience=tt["patience"] or None)
+    return _from_section(TrainConfig, tt, batch_size=tt["batch_size"] or None,
+                         patience=tt["patience"] or None, seed=seed)
 
 
 def _variants(config: ExperimentConfig):
@@ -661,7 +649,7 @@ def _gradcheck_cases():
                   lambda: E.tsum(unet.forward(E.Tensor(unet_in))), unet.params))
 
     coords = rng.uniform(0.0, 1.0, (6, 2))
-    for family in ("rbf", "exponential"):
+    for family in KERNEL_FAMILIES:
         kern = KernelSpec(family=family, sigma=1.0, lengthscale=0.5, noise=1e-6)
         nmap = build_nystrom(select_inducing(coords, 4, "subsample", seed=4), kern)
         term = GpTerm(nmap)

@@ -211,14 +211,20 @@ def dose_inputs(dataset: SpatialDataset, m: int, t_grid: np.ndarray | None = Non
         raise ContractError("empty treatment grid")
     if draw_indices is None:
         draw_indices = dose_draw_indices(dataset.n_units, 32, 0)
-    draw_indices = np.asarray(draw_indices, dtype=np.int64)
+    draw_indices = np.asarray(draw_indices)
     if draw_indices.size < 1:
         raise ContractError("need at least 1 neighborhood draw")
+    if draw_indices.dtype.kind not in "iu":
+        draw_indices = draw_indices.astype(np.float64)
+        frac = draw_indices[~np.isfinite(draw_indices)
+                            | (np.trunc(draw_indices) != draw_indices)]
+        if frac.size:
+            raise ContractError(f"draw index {float(frac[0])} is not a whole number")
     bad = draw_indices[(draw_indices < 0) | (draw_indices >= dataset.n_units)]
     if bad.size:
         raise ContractError(
             f"draw index {int(bad[0])} outside 0..{dataset.n_units - 1}")
-    return t_grid, draw_indices
+    return t_grid, draw_indices.astype(np.int64, copy=False)
 
 
 def dose_report(m: int, de_curve: np.ndarray, t_grid: np.ndarray, ie_value: float,

@@ -25,7 +25,7 @@ from . import engine as E
 from .engine import Tensor
 from .errors import ContractError, DimensionError, NumericError
 
-_FAMILIES = ("rbf", "exponential")
+KERNEL_FAMILIES = ("rbf", "exponential")
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,10 @@ class KernelSpec:
     lengthscale: float = 1.0
     noise: float = 0.0        # diagonal jitter added to Gram matrices
 
-    def validate(self) -> None:
-        if self.family not in _FAMILIES:
-            raise ContractError(f"kernel family must be one of {_FAMILIES}, got {self.family!r}")
+    def __post_init__(self) -> None:
+        if self.family not in KERNEL_FAMILIES:
+            raise ContractError(
+                f"kernel family must be one of {KERNEL_FAMILIES}, got {self.family!r}")
         # NaN fails every comparison, so these bounds reject NaN as well as inf
         if not (0 < self.sigma < math.inf and 0 < self.lengthscale < math.inf
                 and 0 <= self.noise < math.inf):
@@ -80,7 +81,6 @@ def _dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def gram_matrix(kernel: KernelSpec, coords_a, coords_b=None) -> np.ndarray:
     """Cross-covariance matrix; symmetric Gram when coords_b is omitted."""
-    kernel.validate()
     a = _as_coords(coords_a)
     if coords_b is None:
         d = _dist(a, a)
@@ -183,7 +183,6 @@ class NystromMap:
 
 
 def build_nystrom(inducing: InducingSet, kernel: KernelSpec) -> NystromMap:
-    kernel.validate()
     kq = gram_matrix(kernel, inducing.points)
     factor, jit = chol_with_jitter(kq, kernel.noise)
     return NystromMap(inducing, kernel, factor, jit)
@@ -192,28 +191,25 @@ def build_nystrom(inducing: InducingSet, kernel: KernelSpec) -> NystromMap:
 class GpTerm:
     """Spatial adjustment U(s) = w^T z(s) with trainable w.
 
-    When ``train_lengthscale`` is set the kernel lengthscale becomes a second
-    trainable parameter and features are recomputed from it on every forward
-    pass; otherwise features are constants of the coordinates.
+    The kernel lengthscale l is a leaf tensor, trainable when
+    ``train_lengthscale`` is set; ``map`` is the Nystrom map at its value.
     """
 
     def __init__(self, nmap: NystromMap, train_lengthscale: bool = False):
         self.map = nmap
         self.weights = Tensor(np.zeros((nmap.q, 1)), requires_grad=True)
-        self.train_lengthscale = bool(train_lengthscale)
-        self.lengthscale = (Tensor(np.asarray(nmap.kernel.lengthscale), requires_grad=True)
-                            if train_lengthscale else None)
+        self.lengthscale = Tensor(np.asarray(nmap.kernel.lengthscale),
+                                  requires_grad=train_lengthscale)
+
+    @property
+    def train_lengthscale(self) -> bool:
+        return self.lengthscale.requires_grad
 
     def parameters(self) -> list[Tensor]:
-        params = [self.weights]
-        if self.lengthscale is not None:
-            params.append(self.lengthscale)
-        return params
+        return [self.weights, self.lengthscale] if self.train_lengthscale else [self.weights]
 
     def features_op(self, coords) -> Tensor:
         """Feature matrix as an engine tensor; differentiable in l if trainable."""
-        if not self.train_lengthscale:
-            return Tensor(self.map.features(coords))
         return _features_with_lengthscale_grad(self, coords)
 
     def values_op(self, coords) -> Tensor:
@@ -229,12 +225,14 @@ class GpTerm:
 
 
 def _features_with_lengthscale_grad(term: GpTerm, coords) -> Tensor:
-    """Features at the current lengthscale with a hand-built vjp.
+    """Features at the lengthscale leaf's value, with a hand-built vjp.
 
-    The forward is the Nystrom map of the kernel at that lengthscale, so it
-    matches the fixed-lengthscale features bit for bit.  l is scalar, so the
-    full Jacobian dZ/dl is a single directional derivative; the vjp computes
-    it, so a forward outside a tape skips it.  Using dL = L*Phi(L^{-1} dKq
+    ``term.map`` is rebuilt only when the leaf's value differs from its
+    kernel's lengthscale, so a fixed lengthscale factors once and
+    ``term.map.jitter_used`` is the jitter of the map in use.  A leaf that
+    needs no gradient records no tape node.  l is scalar, so the full
+    Jacobian dZ/dl is a single directional derivative; the vjp computes it,
+    so a forward outside a tape skips it.  Using dL = L*Phi(L^{-1} dKq
     L^{-T}) with Phi = lower triangle and halved diagonal, the feature
     differential is dZ^T = L^{-1} (dKnq^T - dL Z^T).
     """
@@ -242,8 +240,11 @@ def _features_with_lengthscale_grad(term: GpTerm, coords) -> Tensor:
     ls = float(l_param.data.reshape(()))
     if not 0 < ls < math.inf:
         raise NumericError(f"lengthscale left (0, inf) during training: {ls}")
-    pts = term.map.inducing.points
-    nmap = build_nystrom(term.map.inducing, replace(term.map.kernel, lengthscale=ls))
+    if ls != term.map.kernel.lengthscale:
+        term.map = build_nystrom(term.map.inducing,
+                                 replace(term.map.kernel, lengthscale=ls))
+    nmap = term.map
+    pts = nmap.inducing.points
     z = nmap.features(coords)
 
     def vjp(g):
@@ -268,7 +269,6 @@ def sample_gp(coords, kernel: KernelSpec, seed: int, n_draws: int | None = None)
 
     Returns shape (N,) by default, or (n_draws, N) when n_draws is given.
     """
-    kernel.validate()
     pts = _as_coords(coords)
     n = pts.shape[0]
     if n > 10_000:
@@ -290,7 +290,6 @@ def sample_gp_grid(rows: int, cols: int, kernel: KernelSpec, resolution: float,
     clipped to zero; for the kernels used here the clipped mass is negligible.
     Returns (rows, cols) or (n_draws, rows, cols).
     """
-    kernel.validate()
     if rows < 1 or cols < 1 or resolution <= 0:
         raise ContractError(f"bad grid geometry rows={rows} cols={cols} res={resolution}")
     p, q = 2 * rows, 2 * cols

@@ -92,6 +92,11 @@ class SpatialDataset:
                               self.confounders[idx], self.outcomes[idx], self.d_s)
 
 
+INTERFERENCE_KINDS = ("linear", "mlp", "cnn", "unet", "none")
+CONFOUNDER_KINDS = ("linear", "mlp")
+OPTIMIZERS = ("auto", "sgd", "adam")
+
+
 @dataclass
 class ModelConfig:
     """Names each component kind plus the hyperparameters to build it."""
@@ -99,8 +104,8 @@ class ModelConfig:
     m: int
     patch_shape: tuple
     x_dim: int
-    interference: str = "linear"        # linear | mlp | cnn | unet | none
-    confounder: str = "linear"          # linear | mlp
+    interference: str = "linear"        # one of INTERFERENCE_KINDS
+    confounder: str = "linear"          # one of CONFOUNDER_KINDS
     mlp_width: int = 256
     mlp_depth: int = 3
     cnn_channels: int = 64
@@ -117,9 +122,9 @@ class ModelConfig:
     def validate(self) -> None:
         if self.m < 1 or self.x_dim < 1:
             raise ConfigError(f"need m >= 1 and x_dim >= 1, got m={self.m} x_dim={self.x_dim}")
-        if self.interference not in ("linear", "mlp", "cnn", "unet", "none"):
+        if self.interference not in INTERFERENCE_KINDS:
             raise ConfigError(f"unknown interference kind {self.interference!r}")
-        if self.confounder not in ("linear", "mlp"):
+        if self.confounder not in CONFOUNDER_KINDS:
             raise ConfigError(f"unknown confounder kind {self.confounder!r}")
         if self.interference in ("cnn", "unet") and len(self.patch_shape) != 2:
             raise ConfigError(f"{self.interference} interference needs 2-d patches, "
@@ -287,7 +292,7 @@ class TrainConfig:
     epochs: int
     lr: float = 0.001
     batch_size: int | None = None       # None = full batch
-    optimizer: str = "auto"             # auto | sgd | adam
+    optimizer: str = "auto"             # one of OPTIMIZERS
     momentum: float = 0.99
     seed: int = 0
     patience: int | None = None         # early stopping on validation MSE
@@ -299,7 +304,7 @@ class TrainConfig:
             raise ContractError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.patience is not None and self.patience < 1:
             raise ContractError(f"patience must be >= 1 or None, got {self.patience}")
-        if self.optimizer not in ("auto", "sgd", "adam"):
+        if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
 
 
@@ -374,14 +379,15 @@ def train(model: SpatialModel, dataset: SpatialDataset, cfg: TrainConfig,
             val_mse = float(np.mean(resid * resid))
             if val_mse < best_val - 1e-12:
                 best_val = val_mse
-                best_snap = _snapshot(model)
                 stale = 0
+                if cfg.patience is not None:
+                    best_snap = _snapshot(model)
             else:
                 stale += 1
         trace.append((epoch, train_mse, val_mse))
         if (cfg.patience is not None and val_obs is not None and stale >= cfg.patience):
             break
-    if best_snap is not None and cfg.patience is not None:
+    if best_snap is not None:
         _restore(model, best_snap)
     resid = model.predict_dataset(obs) - obs.outcomes
     model.noise_sigma = float(np.std(resid))

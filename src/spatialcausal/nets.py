@@ -28,7 +28,7 @@ class MlpSpec:
     depth: int            # number of hidden layers
     out_dim: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if min(self.in_dim, self.width, self.depth, self.out_dim) < 1:
             raise ContractError(f"invalid mlp spec {self}")
 
@@ -40,7 +40,7 @@ class CnnSpec:
     depth: int            # number of 3x3 conv layers
     input_side: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if min(self.in_channels, self.channels, self.depth, self.input_side) < 1:
             raise ContractError(f"invalid cnn spec {self}")
         if self.input_side < 3:
@@ -54,7 +54,7 @@ class UnetSpec:
     input_side: int
     depth: int = 3        # number of down/up levels
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if min(self.in_channels, self.base_channels, self.depth, self.input_side) < 1:
             raise ContractError(f"invalid unet spec {self}")
 
@@ -64,7 +64,7 @@ class LinearSpec:
     in_dim: int
     bias: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.in_dim < 1:
             raise ContractError(f"invalid linear spec {self}")
 
@@ -98,7 +98,6 @@ class Network:
 
 def build_mlp(spec: MlpSpec, seed: int) -> Network:
     """Fully connected net: ``depth`` ReLU hidden layers plus a linear head."""
-    spec.validate()
     rng = np.random.default_rng(seed)
     dims = [spec.in_dim] + [spec.width] * spec.depth + [spec.out_dim]
     params = []
@@ -110,7 +109,6 @@ def build_mlp(spec: MlpSpec, seed: int) -> Network:
 
 def build_cnn(spec: CnnSpec, seed: int) -> Network:
     """3x3 conv stack (ReLU, padding 1), global average pool, linear head."""
-    spec.validate()
     rng = np.random.default_rng(seed)
     k = 3
     params = []
@@ -136,7 +134,6 @@ def build_unet(spec: UnetSpec, seed: int) -> Network:
     encoder and center cropped after the decoder, so the output map always has
     the input's spatial size.
     """
-    spec.validate()
     rng = np.random.default_rng(seed)
     params = []
 
@@ -171,7 +168,6 @@ def build_linear_interference(patch_shape: Sequence[int]) -> Network:
     """Trainable weighted sum of the patch entries, no bias, zero initialized."""
     size = int(np.prod(patch_shape))
     spec = LinearSpec(in_dim=size, bias=False)
-    spec.validate()
     params = [Tensor(np.zeros((size, 1)), requires_grad=True)]
     return Network("linear", spec, params)
 
@@ -179,7 +175,6 @@ def build_linear_interference(patch_shape: Sequence[int]) -> Network:
 def build_affine(in_dim: int) -> Network:
     """Zero-initialized affine map x -> x @ w + b, used by the linear baselines."""
     spec = LinearSpec(in_dim=in_dim, bias=True)
-    spec.validate()
     params = [Tensor(np.zeros((in_dim, 1)), requires_grad=True),
               Tensor(np.zeros(1), requires_grad=True)]
     return Network("linear", spec, params)

@@ -195,6 +195,83 @@ class TestConfig:
             assert config.resolved["model"]["gp"] is want
 
 
+# Every [data], [model] and [train] key that lands in a dataclass field, set to
+# a valid value that differs from both the schema and the field default.
+LINE_KEYS = {"n": 37, "x_dim": 3, "noise_sigma": 0.25}
+GRID_KEYS = {"rows": 40, "cols": 44, "d_s": 7, "n_units": 30, "x_channels": 3,
+             "sigma_l": 3.5, "field_lengthscale": 4.5, "beta": 2.5}
+MODEL_KEYS = {"interference": "cnn", "confounder": "mlp", "gp": True, "mlp_width": 7,
+              "mlp_depth": 2, "cnn_channels": 5, "cnn_depth": 4, "unet_base": 6,
+              "unet_depth": 2, "q": 9, "train_lengthscale": True}
+KERNEL_KEYS = {"family": "exponential", "sigma": 1.5, "lengthscale": 0.75, "noise": 0.25}
+TRAIN_KEYS = {"optimizer": "sgd", "lr": 0.02, "epochs": 17, "batch_size": 11,
+              "momentum": 0.5, "patience": 3}
+# keys read outside the dataclasses, or under another name
+UNFIELDED_KEYS = {("data", "generator"), ("data", "manifest"), ("data", "split_ratios"),
+                  ("model", "inducing"), ("train", "use_split")}
+
+
+def _ini_text(sections: dict) -> str:
+    def raw(v):
+        return str(v).lower() if isinstance(v, bool) else str(v)
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {raw(v)}\n" for k, v in keys.items())
+                   for name, keys in sections.items())
+
+
+class _Captured(Exception):
+    pass
+
+
+def _capture(cfg, *args, **kwargs):
+    raise _Captured(cfg)
+
+
+class TestConfigMapping:
+    def test_tables_cover_every_schema_key(self):
+        listed = ({("data", k) for k in {**LINE_KEYS, **GRID_KEYS}}
+                  | {("model", k) for k in MODEL_KEYS}
+                  | {("model", "kernel_" + k) for k in KERNEL_KEYS}
+                  | {("train", k) for k in TRAIN_KEYS} | UNFIELDED_KEYS)
+        schema = {(section, key) for section in ("data", "model", "train")
+                  for key in cli._SCHEMA[section]}
+        assert listed == schema
+
+    @pytest.mark.parametrize("generator, keys, target", [
+        ("line", LINE_KEYS, "gen_line_graph"), ("grid", GRID_KEYS, "synth_fields")])
+    def test_data_keys_reach_generator_config(self, tmp_path, monkeypatch,
+                                              generator, keys, target):
+        config = load_config(write_ini(tmp_path, _ini_text(
+            {"data": {"generator": generator, **keys}})))
+        monkeypatch.setattr(cli, target, _capture)
+        with pytest.raises(_Captured) as info:
+            cli.generate_dataset(config, 5)
+        cfg = info.value.args[0]
+        assert {k: getattr(cfg, k) for k in keys} == keys
+        assert cfg.seed == 5
+
+    def test_model_keys_reach_model_config(self, tmp_path):
+        kernel = {"kernel_" + k: v for k, v in KERNEL_KEYS.items()}
+        config = load_config(write_ini(tmp_path, _ini_text(
+            {"model": {**MODEL_KEYS, **kernel, "inducing": "subsample"}})))
+        ds, _ = gen_line_graph(LineGraphConfig(n=10, x_dim=3))
+        mc = cli.model_config_from(config, ds, 5)
+        assert {k: getattr(mc, k) for k in MODEL_KEYS} == MODEL_KEYS
+        assert dataclasses.asdict(mc.kernel) == KERNEL_KEYS
+        assert mc.inducing_strategy == "subsample"
+        assert (mc.m, mc.patch_shape, mc.x_dim, mc.seed) == (1, (3,), 3, 5)
+
+    def test_train_keys_reach_train_config(self, tmp_path):
+        config = load_config(write_ini(tmp_path, _ini_text({"train": TRAIN_KEYS})))
+        tc = cli.train_config_from(config, 5)
+        assert {k: getattr(tc, k) for k in TRAIN_KEYS} == TRAIN_KEYS
+        assert tc.seed == 5
+
+    def test_zero_batch_size_and_patience_mean_none(self, tmp_path):
+        config = load_config(write_ini(tmp_path, "[train]\nbatch_size = 0\npatience = 0\n"))
+        tc = cli.train_config_from(config, 0)
+        assert tc.batch_size is None and tc.patience is None
+
+
 class TestConfigHash:
     def test_formatting_never_changes_hash(self, tmp_path):
         a = load_config(write_ini(tmp_path, TINY_INI, "a.ini"))
@@ -831,9 +908,12 @@ class TestMainErrors:
             assert f"effects.{key}: must be >= 1" in err, err
 
 
-def _drop_key(key):
-    return lambda text: json.dumps({k: v for k, v in json.loads(text).items()
-                                    if k != key})
+def _drop_key(key, section=None):
+    def edit(text):
+        doc = json.loads(text)
+        del (doc[section] if section else doc)[key]
+        return json.dumps(doc)
+    return edit
 
 
 def _set_key(key, value, section=None):
@@ -912,6 +992,9 @@ MALFORMED_FILES = [
     ("truth_missing_seed", "truth.json", _drop_key("seed"), "data_error"),
     ("truth_missing_data", "truth.json", _drop_key("data"), "data_error"),
     ("truth_missing_generator", "truth.json", _drop_key("generator"), "data_error"),
+    # the dropped value equals its field default, so only the missing key can fail
+    ("truth_missing_data_key", "truth.json", _drop_key("noise_sigma", "data"),
+     "data_error"),
     ("truth_unknown_generator", "truth.json", _set_key("generator", "hexmesh"),
      "data_error"),
     ("truth_wrong_generator", "truth.json", _set_key("generator", "grid"), "data_error"),

@@ -298,6 +298,20 @@ class TestDoseMode:
         with pytest.raises(ContractError, match=rf"draw index {bad} outside 0\.\.29"):
             estimate_effects_dose(linear_model(), ds, 0, draw_indices=[3, bad])
 
+    @pytest.mark.parametrize("bad", [2.7, -0.5, np.nan, np.inf])
+    def test_draw_index_not_whole_rejected(self, bad):
+        ds = make_dataset(n=30, seed=14)
+        with pytest.raises(ContractError, match=rf"draw index {bad} is not a whole number"):
+            estimate_effects_dose(linear_model(), ds, 0, draw_indices=[3, bad])
+
+    def test_whole_valued_draw_indices_of_any_dtype(self):
+        ds = make_dataset(n=30, seed=14)
+        want = estimate_effects_dose(linear_model(), ds, 0, draw_indices=[3, 7, 29])
+        for idx in (np.array([3.0, 7.0, 29.0]), np.array([3, 7, 29], dtype=np.uint8),
+                    np.array([3, 7, 29], dtype=np.int32)):
+            got = estimate_effects_dose(linear_model(), ds, 0, draw_indices=idx)
+            assert (got.de, got.ie, got.te) == (want.de, want.ie, want.te)
+
     def test_zero_outside_support_warns(self):
         ds = make_dataset(n=10, t_values=np.linspace(1.0, 2.0, 10))
         with pytest.warns(UserWarning, match="zero baseline"):

@@ -1,5 +1,7 @@
 """Tests for kernels, low-rank features, and GP samplers."""
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -34,9 +36,9 @@ class TestKernels:
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ContractError):
-            G.KernelSpec("rbf", sigma=0.0).validate()
+            G.KernelSpec("rbf", sigma=0.0)
         with pytest.raises(ContractError):
-            G.KernelSpec("matern").validate()
+            G.KernelSpec("matern")
 
     def test_gram_symmetric_psd(self):
         rng = np.random.default_rng(4)
@@ -218,6 +220,39 @@ class TestGpTerm:
         assert trained.tobytes() == fixed.tobytes()
         assert fixed.flags.c_contiguous and trained.flags.c_contiguous
 
+
+    def test_fixed_lengthscale_records_no_node(self):
+        nmap = G.build_nystrom(G.InducingSet(np.linspace(0, 1, 5)), RBF)
+        term = G.GpTerm(nmap)
+        coords = np.linspace(0, 1, 7)
+        with E.Tape() as tape:
+            feats = term.features_op(coords)
+        assert tape.nodes == [] and not feats.requires_grad
+        assert not term.train_lengthscale and term.parameters() == [term.weights]
+        assert term.map is nmap
+        assert feats.data.tobytes() == nmap.features(coords).tobytes()
+
+    @pytest.mark.parametrize("family", ["rbf", "exponential"])
+    def test_map_follows_trained_lengthscale(self, family):
+        rng = np.random.default_rng(15)
+        kernel = G.KernelSpec(family, sigma=1.0, lengthscale=0.6, noise=1e-6)
+        inducing = G.InducingSet(rng.uniform(size=(6, 2)))
+        coords = rng.uniform(size=(9, 2))
+        term = G.GpTerm(G.build_nystrom(inducing, kernel), train_lengthscale=True)
+        term.weights.data = rng.normal(size=(6, 1))
+        assert term.parameters() == [term.weights, term.lengthscale]
+        opt = E.Adam(term.parameters(), lr=0.05)
+        with E.Tape() as tape:
+            loss = E.mse(term.values_op(coords), E.Tensor(rng.normal(size=(9, 1))))
+        tape.backward(loss)
+        opt.step()
+        ls = float(term.lengthscale.data)
+        assert ls != kernel.lengthscale
+        term.values_op(coords)
+        assert term.map.kernel.lengthscale == ls
+        fresh = G.build_nystrom(inducing, replace(kernel, lengthscale=ls))
+        assert term.map.features(coords).tobytes() == fresh.features(coords).tobytes()
+        assert term.map.jitter_used == fresh.jitter_used
 
     @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
     def test_trained_lengthscale_outside_domain_is_numeric_error(self, value):

@@ -108,7 +108,7 @@ class TestCnn:
 
     def test_kernel_larger_than_input_rejected(self):
         with pytest.raises(DimensionError):
-            N.CnnSpec(1, 4, 2, input_side=2).validate()
+            N.CnnSpec(1, 4, 2, input_side=2)
 
     def test_constant_input_constant_interior_features(self):
         # Zero-padded convs only disturb a one-pixel border per layer, so a

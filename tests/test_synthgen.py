@@ -374,6 +374,15 @@ class TestOracle:
         with pytest.raises(ContractError, match=rf"draw index {bad} outside 0\.\.29"):
             oracle_effects(truth, ds, 0, draw_indices=[0, bad])
 
+    @pytest.mark.parametrize("bad", [2.7, np.nan])
+    def test_draw_index_not_whole_rejected(self, bad):
+        # 2.7 used to truncate to 2 without a word; nan raised numpy's ValueError
+        ds, truth = gen_line_graph(LineGraphConfig(n=30))
+        with pytest.raises(ContractError, match=rf"draw index {bad} is not a whole number"):
+            oracle_effects(truth, ds, 0, draw_indices=[bad])
+        whole = oracle_effects(truth, ds, 0, draw_indices=[2.0])
+        assert whole.ie == oracle_effects(truth, ds, 0, draw_indices=[2]).ie
+
     def test_line_graph_truth_vs_neighbors(self):
         # drawn neighborhoods run through each unit's own covariance weights
         ds, truth = gen_line_graph(LineGraphConfig(n=30))
