@@ -285,12 +285,15 @@ def bias_add(x, b) -> Tensor:
 
 def relu(x) -> Tensor:
     x = as_tensor(x)
-    mask = x.data > 0.0
+    # one pass over x, which may be a strided view (conv2d's output); the mask
+    # is read from the contiguous result and is False for NaN and -0.0 alike
+    out = np.maximum(x.data, 0.0)
+    mask = out > 0.0
 
     def vjp(g):
         return (g * mask,)
 
-    return _record("relu", (x,), np.maximum(x.data, 0.0), vjp)
+    return _record("relu", (x,), out, vjp)
 
 
 def elu(x) -> Tensor:

@@ -239,7 +239,8 @@ def _features_with_lengthscale_grad(term: GpTerm, coords) -> Tensor:
     l_param = term.lengthscale
     ls = float(l_param.data.reshape(()))
     if not 0 < ls < math.inf:
-        raise NumericError(f"lengthscale left (0, inf) during training: {ls}")
+        cause = "left (0, inf) during training" if l_param.requires_grad else "outside (0, inf)"
+        raise NumericError(f"lengthscale {cause}: {ls}")
     if ls != term.map.kernel.lengthscale:
         term.map = build_nystrom(term.map.inducing,
                                  replace(term.map.kernel, lengthscale=ls))

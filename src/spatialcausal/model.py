@@ -16,8 +16,9 @@ the unit's own treatment enters only through the direct term.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -165,8 +166,7 @@ class SpatialModel:
             x = patches_m[:, None, :, :]
         else:
             x = patches_m.reshape(patches_m.shape[0], -1)
-        out = net.forward(Tensor(x))
-        return N.unet_reduce(out) if net.kind == "unet" else out
+        return net.forward(Tensor(x))
 
     def forward_batch(self, treatments: np.ndarray, patches: np.ndarray,
                       confounders: np.ndarray, coords: np.ndarray) -> Tensor:
@@ -215,8 +215,13 @@ def build_model(config: ModelConfig, coords: np.ndarray | None = None) -> Spatia
     return _assemble(config, inducing)
 
 
-def _assemble(config: ModelConfig, inducing: G.InducingSet | None) -> SpatialModel:
-    """Every component of the model once its inducing points are known."""
+def _assemble(config: ModelConfig, inducing: G.InducingSet | None,
+              lengthscale: float | None = None) -> SpatialModel:
+    """Every component of the model once its inducing points are known.
+
+    ``lengthscale``, when given, replaces the config kernel's for the GP term's
+    Nystrom map and lengthscale leaf (a checkpoint's trained value).
+    """
     config.validate()
     alphas = Tensor(np.zeros((config.m, 1)), requires_grad=True)
     patch_size = int(np.prod(config.patch_shape))
@@ -244,7 +249,9 @@ def _assemble(config: ModelConfig, inducing: G.InducingSet | None) -> SpatialMod
             N.MlpSpec(config.x_dim, config.mlp_width, config.mlp_depth), config.seed + 7)
     gp_term = None
     if config.gp:
-        gp_term = G.GpTerm(G.build_nystrom(inducing, config.kernel),
+        kernel = config.kernel if lengthscale is None else replace(config.kernel,
+                                                                   lengthscale=lengthscale)
+        gp_term = G.GpTerm(G.build_nystrom(inducing, kernel),
                            train_lengthscale=config.train_lengthscale)
     return SpatialModel(config, alphas, nets, conf_net, gp_term)
 
@@ -457,6 +464,19 @@ def save_model(model: SpatialModel, path: str) -> None:
         fh.write(payload.astype("<f8").tobytes())
 
 
+def _stored_lengthscale(stream: bytes, config: ModelConfig) -> float | None:
+    """A trained lengthscale, which ``save_model`` writes as the stream's last value.
+
+    Building the GP map at it, not at the config's initial value, spares the
+    first forward a second Cholesky.  None when there is none or it lies
+    outside (0, inf); the stream checks in ``load_model`` still run.
+    """
+    if not (config.gp and config.train_lengthscale) or len(stream) < 8:
+        return None
+    (ls,) = struct.unpack("<d", stream[-8:])
+    return ls if 0 < ls < math.inf else None
+
+
 def load_model(path: str) -> SpatialModel:
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -479,7 +499,7 @@ def load_model(path: str) -> SpatialModel:
             fields["kernel"] = G.KernelSpec(**fields["kernel"])
         config = ModelConfig(**fields)
         inducing = G.InducingSet(head["inducing"]) if config.gp else None
-        model = _assemble(config, inducing)
+        model = _assemble(config, inducing, _stored_lengthscale(blob[8 + hlen:], config))
         model.noise_sigma = float(head["noise_sigma"])
     except FormatError:
         raise

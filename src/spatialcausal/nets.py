@@ -4,8 +4,9 @@ The MLP, CNN and U-Net builders take an explicit seed and draw weights from
 ``numpy.random.default_rng(seed)`` with Glorot-uniform limits, so construction
 is reproducible bit for bit; the linear maps start at zero.  Forward
 procedures are pure functions of the parameters; convolutional nets consume
-(n, c, h, w) batches, dense nets (n, d) batches, and every scalar-valued head
-returns shape (n, 1).
+(n, c, h, w) batches, dense nets (n, d) batches, and every net returns shape
+(n, 1).  The U-Net's value is the center pixel of its output map, so its
+decoder convolutions run only on the windows that pixel depends on.
 """
 
 from __future__ import annotations
@@ -126,13 +127,16 @@ def build_cnn(spec: CnnSpec, seed: int) -> Network:
 
 
 def build_unet(spec: UnetSpec, seed: int) -> Network:
-    """Encoder-decoder with skip connections and a 1x1 head to a 1-channel map.
+    """Encoder-decoder with skip connections and a 1x1 head; returns the center value.
 
     Each level applies conv-conv then 2x2 max pooling on the way down; the way
     up is nearest upsampling, concatenation with the matching skip, conv-conv.
-    Inputs whose sides are not divisible by 2**depth are zero padded before the
-    encoder and center cropped after the decoder, so the output map always has
-    the input's spatial size.
+    Input sides must be odd; inputs whose sides are not divisible by 2**depth
+    are zero padded before the encoder.  The forward returns (n, 1): the value
+    the full output map holds at the input's center pixel.  Encoder and
+    bottleneck run on whole maps, which pooling needs; each decoder conv runs
+    only on the rows and columns the next layer reads, zero padded where they
+    meet the map's edge, so each decoder feature is bit for bit the full-map one.
     """
     rng = np.random.default_rng(seed)
     params = []
@@ -209,11 +213,27 @@ def _cnn_forward(net: Network, x: Tensor) -> Tensor:
     return E.bias_add(E.matmul(pooled, net.params[-2]), net.params[-1])
 
 
+def _grow(win: tuple, sides: tuple) -> tuple:
+    """The rows and columns a 3x3 conv reads for output window ``win``, clipped to the map."""
+    return tuple((max(lo - 1, 0), min(hi + 1, side)) for (lo, hi), side in zip(win, sides))
+
+
+def _crop(t: Tensor, win: tuple, origin: tuple = (0, 0)) -> Tensor:
+    """Window ``win`` of a map whose first row and column sit at ``origin``."""
+    (r0, r1), (c0, c1) = ((lo - o, hi - o) for (lo, hi), o in zip(win, origin))
+    if (r0, r1, c0, c1) == (0, t.data.shape[2], 0, t.data.shape[3]):
+        return t
+    return E.crop2d(t, r0, r1, c0, c1)
+
+
 def _unet_forward(net: Network, x: Tensor) -> Tensor:
     spec = net.spec
     if x.data.ndim != 4 or x.data.shape[1] != spec.in_channels:
         raise DimensionError(f"unet expects (n,{spec.in_channels},h,w), got {x.data.shape}")
     n, _, h_in, w_in = x.data.shape
+    if h_in % 2 == 0 or w_in % 2 == 0:
+        raise ContractError(f"unet returns the center pixel, which needs odd sides, "
+                            f"got {h_in}x{w_in}")
     mult = 2 ** spec.depth
     pad_h = (-h_in) % mult
     pad_w = (-w_in) % mult
@@ -228,6 +248,15 @@ def _unet_forward(net: Network, x: Tensor) -> Tensor:
         idx += 2
         return out
 
+    def window_conv(h, src, dst):
+        """conv + relu from input window ``src`` to output window ``dst``, zero
+        padded only where ``src`` stops at the map's edge."""
+        pads = [side for (s0, s1), (d0, d1) in zip(src, dst)
+                for side in (s0 - d0 + 1, d1 + 1 - s1)]
+        if len(set(pads)) == 1:
+            return E.relu(conv(h, pad=pads[0]))
+        return E.relu(conv(E.pad2d(h, *pads), pad=0))
+
     skips = []
     h = x
     for _ in range(spec.depth):
@@ -237,16 +266,27 @@ def _unet_forward(net: Network, x: Tensor) -> Tensor:
         h = E.maxpool2(h)
     h = E.relu(conv(h))
     h = E.relu(conv(h))
+
+    # Decoder windows ((r0, r1), (c0, c1)), from the head down: the head reads
+    # the center pixel, each 3x3 conv one more pixel on every side, and
+    # upsample2 halves a window (floor at the start, ceil at the end).
+    win = tuple((c, c + 1) for c in (pad_h // 2 + h_in // 2, pad_w // 2 + w_in // 2))
+    windows = []
+    for lvl in range(spec.depth):
+        sides = [s >> lvl for s in x.data.shape[2:]]
+        mid = _grow(win, sides)
+        cat = _grow(mid, sides)
+        windows.append((cat, mid, win))
+        win = tuple((lo // 2, -(-hi // 2)) for lo, hi in cat)
+    h = _crop(h, win)
     for lvl in reversed(range(spec.depth)):
-        h = E.upsample2(h)
-        h = E.concat_channels([h, skips[lvl]])
-        h = E.relu(conv(h))
-        h = E.relu(conv(h))
-    h = conv(h, pad=0)  # 1x1 head
-    if pad_h or pad_w:
-        r0, c0 = pad_h // 2, pad_w // 2
-        h = E.crop2d(h, r0, r0 + h_in, c0, c0 + w_in)
-    return h
+        cat, mid, out = windows[lvl]
+        up = _crop(E.upsample2(h), cat, origin=[2 * lo for lo, _ in win])
+        h = E.concat_channels([up, _crop(skips[lvl], cat)])
+        h = window_conv(h, cat, mid)
+        h = window_conv(h, mid, out)
+        win = out
+    return E.reshape(conv(h, pad=0), (n, 1))  # 1x1 head on the center pixel
 
 
 def _linear_forward(net: Network, x: Tensor) -> Tensor:
@@ -266,12 +306,3 @@ _FORWARD = {
     "unet": _unet_forward,
     "linear": _linear_forward,
 }
-
-
-def unet_reduce(output_map: Tensor) -> Tensor:
-    """Collapse a (n, 1, h, w) map to (n, 1) by taking the center pixel."""
-    out = E.center_pixel(output_map)
-    if out.data.shape[1] != 1:
-        raise ContractError(f"unet_reduce expects a 1-channel map, got {out.data.shape}")
-    return out
-

@@ -774,6 +774,15 @@ class TestGradcheckCmd:
                 arities |= {len(nd.inputs) for nd in tape.nodes if nd.kind == "conv2d"}
         assert arities == {2, 3}
 
+    def test_unet_case_reaches_every_parameter(self):
+        # the U-Net returns one pixel; a dead ReLU there would check nothing
+        (fn, params), = [(fn, ps) for name, fn, ps in cli._gradcheck_cases()
+                         if name == "unet_composite"]
+        with E.Tape() as tape:
+            loss = fn()
+        tape.backward(loss)
+        assert all(np.any(p.grad != 0.0) for p in params)
+
     def test_all_pass(self, capsys):
         assert cli.cmd_gradcheck() == 0
         out = capsys.readouterr().out

@@ -262,6 +262,19 @@ class TestGpTerm:
         with pytest.raises(NumericError, match="lengthscale left"):
             term.features_op(np.linspace(0, 1, 5))
 
+    @pytest.mark.parametrize("trainable,message", [
+        (True, "lengthscale left (0, inf) during training: 0.0"),
+        (False, "lengthscale outside (0, inf): 0.0"),
+    ])
+    def test_lengthscale_domain_message_names_the_cause(self, trainable, message):
+        # only a trainable leaf can have been moved out of the domain by training
+        nmap = G.build_nystrom(G.InducingSet(np.linspace(0, 1, 4)), RBF)
+        term = G.GpTerm(nmap, train_lengthscale=trainable)
+        term.lengthscale.data[...] = 0.0
+        with pytest.raises(NumericError) as err:
+            term.features_op(np.linspace(0, 1, 5))
+        assert str(err.value) == message
+
 
 class TestSampling:
     def test_mean_and_covariance_oracle(self):

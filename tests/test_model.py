@@ -342,6 +342,31 @@ class TestCheckpoint:
         assert clone.noise_sigma == model.noise_sigma
         npt.assert_array_equal(model.predict_dataset(data), clone.predict_dataset(data))
 
+    def test_trained_lengthscale_factored_once_per_load(self, tmp_path, monkeypatch):
+        data = patch_dataset((3,), seed=13)
+        model = random_model(data, "linear", "trained")
+        path = str(tmp_path / "model.ckpt")
+        M.save_model(model, path)
+        calls = []
+        chol = G.chol_with_jitter
+        monkeypatch.setattr(G, "chol_with_jitter", lambda *a: calls.append(1) or chol(*a))
+        clone = M.load_model(path)
+        pred = clone.predict_dataset(data)
+        assert len(calls) == 1
+        assert clone.gp_term.map.kernel.lengthscale == 0.55
+        assert clone.config.kernel.lengthscale == 0.4
+        npt.assert_array_equal(pred, model.predict_dataset(data))
+
+    @pytest.mark.parametrize("gp", ["fixed", "trained"])
+    def test_truncated_gp_stream_rejected(self, tmp_path, gp):
+        model = random_model(patch_dataset((3,), seed=13), "linear", gp)
+        path = str(tmp_path / "model.ckpt")
+        M.save_model(model, path)
+        blob = open(path, "rb").read()
+        open(path, "wb").write(blob[:-8])
+        with pytest.raises(FormatError, match="truncated"):
+            M.load_model(path)
+
     def test_header_without_config_rejected(self, tmp_path):
         head = b'{"version": 2}'
         path = tmp_path / "model.ckpt"

@@ -127,16 +127,69 @@ class TestCnn:
         assert report.passed, report
 
 
+def full_map_unet(net, x, head_first=True):
+    """U-Net forward with every decoder conv on the whole map, from the engine ops.
+
+    With ``head_first`` the 1x1 head runs on the whole map before
+    ``E.center_pixel`` keeps its center; otherwise ``E.center_pixel`` keeps the
+    decoder's center features and the head runs on those alone.
+    """
+    spec = net.spec
+    x = E.as_tensor(x)
+    _, _, h_in, w_in = x.data.shape
+    mult = 2 ** spec.depth
+    pad_h, pad_w = (-h_in) % mult, (-w_in) % mult
+    r0, c0 = pad_h // 2, pad_w // 2
+    h = E.pad2d(x, r0, pad_h - r0, c0, pad_w - c0)
+    params = iter(net.params)
+
+    def conv(h, pad=1):
+        return E.conv2d(h, next(params), next(params), padding=pad)
+
+    skips = []
+    for _ in range(spec.depth):
+        h = E.relu(conv(E.relu(conv(h))))
+        skips.append(h)
+        h = E.maxpool2(h)
+    h = E.relu(conv(E.relu(conv(h))))
+    for lvl in reversed(range(spec.depth)):
+        h = E.concat_channels([E.upsample2(h), skips[lvl]])
+        h = E.relu(conv(E.relu(conv(h))))
+    h = E.crop2d(h, r0, r0 + h_in, c0, c0 + w_in)
+    if head_first:
+        return E.center_pixel(conv(h, pad=0))
+    features = E.center_pixel(h)
+    return E.reshape(conv(E.reshape(features, features.data.shape + (1, 1)), pad=0), (-1, 1))
+
+
+def loss_and_grads(net, forward, x, seed=0):
+    """A random linear functional of the output, and every parameter's gradient."""
+    for p in net.params:
+        p.zero_grad()
+    with E.Tape() as tape:
+        out = forward(x)
+        weights = np.random.default_rng(seed).normal(size=out.data.shape)
+        loss = E.tsum(E.mul(out, E.Tensor(weights)))
+    tape.backward(loss)
+    return out.data, [p.grad.copy() for p in net.params]
+
+
 class TestUnet:
-    @pytest.mark.parametrize("side", [16, 24, 51])
-    def test_output_side_matches_input(self, side):
+    @pytest.mark.parametrize("side", [15, 25, 51])
+    def test_output_is_one_value_per_sample(self, side):
         net = N.build_unet(N.UnetSpec(in_channels=1, base_channels=2, input_side=side), 0)
-        out = net.forward(np.random.default_rng(0).normal(size=(1, 1, side, side)))
-        assert out.data.shape == (1, 1, side, side)
+        out = net.forward(np.random.default_rng(0).normal(size=(2, 1, side, side)))
+        assert out.data.shape == (2, 1)
+
+    @pytest.mark.parametrize("shape", [(16, 16), (15, 16), (16, 15), (24, 24)])
+    def test_even_side_rejected(self, shape):
+        net = N.build_unet(N.UnetSpec(1, 2, 15, depth=2), 0)
+        with pytest.raises(ContractError, match="odd"):
+            net.forward(np.ones((1, 1) + shape))
 
     def test_same_seed_same_output(self):
-        x = np.random.default_rng(5).normal(size=(1, 1, 16, 16))
-        spec = N.UnetSpec(1, 2, 16)
+        x = np.random.default_rng(5).normal(size=(1, 1, 16, 16))[:, :, :15, :15]
+        spec = N.UnetSpec(1, 2, 15)
         a = N.build_unet(spec, 9).forward(x).data
         b = N.build_unet(spec, 9).forward(x).data
         npt.assert_array_equal(a, b)
@@ -145,32 +198,69 @@ class TestUnet:
         spec = N.UnetSpec(in_channels=1, base_channels=2, input_side=16)
         assert N.build_unet(spec, 0).param_count() == expected_param_count(spec)
 
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("side", [5, 7, 9, 13, 15, 25])
+    def test_matches_full_map_decoder(self, side, depth, batch):
+        net = N.build_unet(N.UnetSpec(1, 2, side, depth=depth), side + depth)
+        x = np.random.default_rng(side * depth + batch).normal(size=(batch, 1, side, side))
+        out, grads = loss_and_grads(net, net.forward, x)
+        ref, ref_grads = loss_and_grads(
+            net, lambda t: full_map_unet(net, t, head_first=False), x)
+        assert out.tobytes() == ref.tobytes()
+        # A 1x1 head over the whole map is one long matrix-vector product, which
+        # BLAS may sum in another order than the short one over the center pixels.
+        npt.assert_allclose(out, full_map_unet(net, x).data, rtol=1e-14, atol=0.0)
+        for g, r in zip(grads, ref_grads, strict=True):
+            npt.assert_allclose(g, r, rtol=1e-12, atol=1e-12 * np.abs(r).max())
+
+    def test_edge_windows_are_zero_padded(self):
+        # At side 5 and depth 3 the decoder windows reach the map's edge, where
+        # pad2d adds the zeros; the input's own padding is a constant, not taped.
+        net = N.build_unet(N.UnetSpec(1, 2, 5, depth=3), 1)
+        with E.Tape() as tape:
+            net.forward(np.random.default_rng(2).normal(size=(1, 1, 5, 5)))
+        assert [nd.kind for nd in tape.nodes].count("pad2d") >= 1
+
+    def test_decoder_conv_output_sides(self):
+        net = N.build_unet(N.UnetSpec(1, 2, 15, depth=2), 0)
+        with E.Tape() as tape:
+            net.forward(np.random.default_rng(3).normal(size=(2, 1, 15, 15)))
+        convs = [nd.output.data.shape for nd in tape.nodes if nd.kind == "conv2d"]
+        assert [s[2] for s in convs[-5:]] == [5, 3, 3, 1, 1]
+        assert [s[3] for s in convs[-5:]] == [5, 3, 3, 1, 1]
+
     def test_reduce_center_pixel(self):
-        m = np.arange(1.0, 10.0).reshape(1, 1, 3, 3)
-        out = N.unet_reduce(E.Tensor(m))
-        npt.assert_array_equal(out.data, [[5.0]])
-        const = N.unet_reduce(E.Tensor(np.full((2, 1, 5, 5), 3.25)))
-        npt.assert_array_equal(const.data, 3.25)
-        with pytest.raises(ContractError):
-            N.unet_reduce(E.Tensor(np.ones((1, 1, 4, 4))))
+        # rows and columns have their own center and their own padding
+        net = N.build_unet(N.UnetSpec(1, 2, 9, depth=2), 6)
+        for shape in [(7, 9), (13, 5)]:
+            x = np.random.default_rng(4).normal(size=(3, 1) + shape)
+            out = net.forward(x).data
+            assert out.shape == (3, 1)
+            npt.assert_array_equal(out, full_map_unet(net, x, head_first=False).data)
 
     def test_reduce_51_is_index_25(self):
-        m = np.zeros((1, 1, 51, 51))
-        m[0, 0, 25, 25] = 7.5
-        assert N.unet_reduce(E.Tensor(m)).data[0, 0] == 7.5
+        # Only the pixel (25, 25) of the output map reaches the value: moving an
+        # input pixel outside the center's receptive field changes nothing.
+        net = N.build_unet(N.UnetSpec(1, 2, 51, depth=2), 7)
+        x = np.random.default_rng(5).normal(size=(1, 1, 51, 51))
+        out = net.forward(x).data
+        npt.assert_array_equal(out, full_map_unet(net, x, head_first=False).data)
+        far = x.copy()
+        far[0, 0, 0, 0] += 1.0
+        npt.assert_array_equal(net.forward(far).data, out)
 
-    def test_gradient_check_side16_miniature(self):
-        net = N.build_unet(N.UnetSpec(1, 1, 16, depth=2), 4)
-        x = E.Tensor(np.random.default_rng(6).normal(size=(1, 1, 16, 16)))
+    def test_gradient_check_side15_miniature(self):
+        net = N.build_unet(N.UnetSpec(1, 1, 15, depth=2), 4)
+        x = E.Tensor(np.random.default_rng(6).normal(size=(1, 1, 16, 16))[:, :, :15, :15])
         report = E.finite_diff_check(lambda: E.tsum(net.forward(x)), net.params)
         assert report.passed, report
 
     def test_gradient_check_through_center_reduction(self):
-        # Odd side exercises the internal pad/crop path plus the reduction.
+        # Odd side exercises the internal pad path plus the windowed decoder.
         net = N.build_unet(N.UnetSpec(1, 1, 7, depth=2), 4)
         x = E.Tensor(np.random.default_rng(6).normal(size=(2, 1, 7, 7)))
-        report = E.finite_diff_check(
-            lambda: E.tsum(N.unet_reduce(net.forward(x))), net.params)
+        report = E.finite_diff_check(lambda: E.tsum(net.forward(x)), net.params)
         assert report.passed, report
 
 
