@@ -23,7 +23,6 @@ import configparser
 import csv
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -46,7 +45,7 @@ from .effects import (
     reweighted,
     write_effects_csv,
 )
-from .errors import ConfigError, DataError, SpatialCausalError
+from .errors import ConfigError, DataError, SpatialCausalError, DOMAINS, UNSET, check
 from .gp import KERNEL_FAMILIES, KernelSpec, GpTerm, build_nystrom, select_inducing
 from .model import (
     CONFOUNDER_KINDS,
@@ -138,11 +137,6 @@ _SCHEMA = {
     },
 }
 
-# lower bounds: numpy rejects a negative seed with a traceback, and an effects
-# grid or draw count below 1 leaves nothing to average
-_MINIMUM = ((("run", "seeds"), 0), (("effects", "grid_size"), 1),
-            (("effects", "b_draws"), 1))
-
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
@@ -153,7 +147,7 @@ def _parse_value(kind: str, raw: str, path: str):
         if kind == "int":
             return int(raw)
         if kind == "float":
-            return _finite(float(raw), path)
+            return float(raw)
         if kind == "bool":
             low = raw.lower()
             if low in _TRUE:
@@ -164,16 +158,10 @@ def _parse_value(kind: str, raw: str, path: str):
         if kind == "intlist":
             return tuple(int(x) for x in raw.split(","))
         if kind == "floatlist":
-            return tuple(_finite(float(x), path) for x in raw.split(","))
+            return tuple(float(x) for x in raw.split(","))
         return raw
     except ValueError:
         raise ConfigError(f"{path}: cannot parse {raw!r} as {kind}") from None
-
-
-def _finite(val: float, path: str) -> float:
-    if not math.isfinite(val):
-        raise ConfigError(f"{path}: must be finite, got {val}")
-    return val
 
 
 @dataclass
@@ -188,7 +176,7 @@ class ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         found = cp.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as exc:
@@ -214,18 +202,21 @@ def load_config(path: str) -> ExperimentConfig:
                 values[key] = val
             else:
                 values[key] = default
+            # a list key is the plural of the field that each element is checked as
+            listed = kind.endswith("list")
+            name = key.removeprefix("kernel_")[:-1 if listed else None]
+            for item in values[key] if listed else (values[key],):
+                if name in DOMAINS:
+                    check(name, None if item == 0 and name in UNSET else item,
+                          ConfigError, f"{section}.{key}")
         resolved[section] = values
     data = resolved["data"]
     if data["generator"] == "manifest" and not data["manifest"]:
         raise ConfigError("data.manifest: required when generator = manifest")
     if data["generator"] == "line" and cp.has_option("data", "sigma_l"):
         raise ConfigError("data.sigma_l: the line generator has no sigma_l; remove the key")
-    data["split_ratios"] = check_split_ratios(data["split_ratios"], ConfigError)
-    resolved["run"]["seeds"] = tuple(resolved["run"]["seeds"])
-    for (section, key), low in _MINIMUM:
-        val = resolved[section][key]
-        if np.min(val) < low:
-            raise ConfigError(f"{section}.{key}: must be >= {low}, got {val}")
+    data["split_ratios"] = check_split_ratios(data["split_ratios"], ConfigError,
+                                              "data.split_ratios")
     return ExperimentConfig(resolved=resolved)
 
 
@@ -760,9 +751,7 @@ def main(argv=None) -> int:
             return cmd_report(args.out)
         config = load_config(args.config)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
-            config.resolved["run"]["seeds"] = (args.seed,)
+            config.resolved["run"]["seeds"] = (check("seed", args.seed, ConfigError, "--seed"),)
         out_dir = args.out if args.out is not None else config.resolved["run"]["out"]
         if args.command == "gen":
             return cmd_gen(config, out_dir)

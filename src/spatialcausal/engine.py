@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, NumericError
+from .errors import ContractError, DimensionError, NumericError, check
 
 _TAPE_STACK: list["Tape"] = []
 
@@ -690,12 +690,8 @@ class SGD(Optimizer):
 
     def __init__(self, params: Iterable[Tensor], lr: float, momentum: float = 0.0):
         super().__init__(params)
-        if lr <= 0.0:
-            raise ContractError(f"lr must be positive, got {lr}")
-        if not 0.0 <= momentum < 1.0:
-            raise ContractError(f"momentum must lie in [0, 1), got {momentum}")
-        self.lr = float(lr)
-        self.momentum = float(momentum)
+        self.lr = float(check("lr", lr, ContractError))
+        self.momentum = float(check("momentum", momentum, ContractError))
         self.velocity = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
@@ -716,9 +712,7 @@ class Adam(Optimizer):
 
     def __init__(self, params: Iterable[Tensor], lr: float):
         super().__init__(params)
-        if lr <= 0.0:
-            raise ContractError(f"lr must be positive, got {lr}")
-        self.lr = float(lr)
+        self.lr = float(check("lr", lr, ContractError))
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all spatialcausal modules."""
+"""Exception hierarchy shared by all spatialcausal modules, and the domain of
+every numeric setting, keyed by field name, with the one check against it."""
+
+import math
+from numbers import Integral
 
 
 class SpatialCausalError(Exception):
@@ -41,3 +45,54 @@ class ConfigError(SpatialCausalError):
     """An experiment configuration is malformed or inconsistent."""
 
     code = "config_error"
+
+
+def _whole(low: int, odd: bool = False):
+    """The domain of whole numbers >= ``low``, odd ones only if ``odd``."""
+    bound = ("odd and " if odd else "") + f">= {low}"
+    return True, bound, lambda v: v >= low and (not odd or v % 2 == 1)
+
+
+# field -> (whole number?, the bound as messages state it, its test); a real
+# must also be finite, so NaN and inf never reach the test
+DOMAINS = {
+    **dict.fromkeys(("seed", "split_seed"), _whole(0)),
+    **dict.fromkeys((
+        "m", "x_dim", "rows", "cols", "n_units", "mlp_width", "mlp_depth",
+        "cnn_channels", "cnn_depth", "unet_base", "unet_depth", "q", "epochs",
+        "batch_size", "patience", "grid_size", "b_draws", "in_dim", "out_dim",
+        "width", "depth", "channels", "in_channels", "base_channels",
+        "input_side"), _whole(1)),
+    "x_channels": _whole(2),
+    "n": _whole(3),
+    "d_s": _whole(1, odd=True),
+    **dict.fromkeys(("lr", "sigma", "lengthscale", "sigma_l", "field_lengthscale",
+                     "resolution"), (False, "> 0", lambda v: v > 0)),
+    **dict.fromkeys(("noise", "noise_sigma"), (False, ">= 0", lambda v: v >= 0)),
+    "momentum": (False, "in [0, 1)", lambda v: 0 <= v < 1),
+    "beta": (False, "finite", lambda v: True),
+}
+# fields that None leaves unset (0 in a config file)
+UNSET = ("batch_size", "patience")
+
+
+def check(name: str, value, error, label: str | None = None):
+    """``value`` if it lies in field ``name``'s domain; else raises ``error``
+    with a message that starts with ``label`` (default: ``name``)."""
+    whole, bound, test = DOMAINS[name]
+    if value is None and name in UNSET:
+        return value
+    if whole and not isinstance(value, Integral):
+        bound = "a whole number"
+    elif not whole and not math.isfinite(value):
+        bound = "finite"
+    elif test(value):
+        return value
+    raise error(f"{label or name}: must be {bound}, got {value}")
+
+
+def check_fields(obj, error) -> None:
+    """``check`` on every field of dataclass ``obj`` that has a domain."""
+    for name, value in vars(obj).items():
+        if name in DOMAINS:
+            check(name, value, error)

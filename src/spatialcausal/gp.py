@@ -23,7 +23,7 @@ import numpy as np
 
 from . import engine as E
 from .engine import Tensor
-from .errors import ContractError, DimensionError, NumericError
+from .errors import ContractError, DimensionError, NumericError, check, check_fields
 
 KERNEL_FAMILIES = ("rbf", "exponential")
 
@@ -39,10 +39,7 @@ class KernelSpec:
         if self.family not in KERNEL_FAMILIES:
             raise ContractError(
                 f"kernel family must be one of {KERNEL_FAMILIES}, got {self.family!r}")
-        # NaN fails every comparison, so these bounds reject NaN as well as inf
-        if not (0 < self.sigma < math.inf and 0 < self.lengthscale < math.inf
-                and 0 <= self.noise < math.inf):
-            raise ContractError(f"invalid kernel parameters {self}")
+        check_fields(self, ContractError)
 
 
 def _as_coords(arr) -> np.ndarray:
@@ -131,8 +128,7 @@ def select_inducing(coords, q: int, strategy: str = "grid", seed: int = 0) -> In
     a ceil(sqrt(q)) x ceil(sqrt(q)) lattice in 2-d (so q rounds up to a
     square).  ``subsample`` draws q distinct data coordinates uniformly.
     """
-    if q < 1:
-        raise ContractError(f"q must be at least 1, got {q}")
+    check("q", q, ContractError)
     pts = _as_coords(coords)
     if strategy == "grid":
         lo, hi = pts.min(axis=0), pts.max(axis=0)
@@ -291,8 +287,8 @@ def sample_gp_grid(rows: int, cols: int, kernel: KernelSpec, resolution: float,
     clipped to zero; for the kernels used here the clipped mass is negligible.
     Returns (rows, cols) or (n_draws, rows, cols).
     """
-    if rows < 1 or cols < 1 or resolution <= 0:
-        raise ContractError(f"bad grid geometry rows={rows} cols={cols} res={resolution}")
+    for name, value in (("rows", rows), ("cols", cols), ("resolution", resolution)):
+        check(name, value, ContractError)
     p, q = 2 * rows, 2 * cols
     di = np.minimum(np.arange(p), p - np.arange(p)) * resolution
     dj = np.minimum(np.arange(q), q - np.arange(q)) * resolution

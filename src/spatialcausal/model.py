@@ -27,8 +27,8 @@ from . import engine as E
 from . import gp as G
 from . import nets as N
 from .engine import Tensor
-from .errors import (ConfigError, ContractError, DataError, DimensionError,
-                     FormatError, NumericError, SpatialCausalError)
+from .errors import (ConfigError, ContractError, DataError, DimensionError, FormatError,
+                     NumericError, SpatialCausalError, check, check_fields)
 
 
 @dataclass
@@ -63,8 +63,7 @@ class SpatialDataset:
             raise DimensionError(f"confounders must be (N, dx), got {self.confounders.shape}")
         if self.outcomes.shape != (n,):
             raise DimensionError(f"outcomes must be (N,), got {self.outcomes.shape}")
-        if self.d_s < 1 or self.d_s % 2 == 0:
-            raise ContractError(f"d_s must be odd and positive, got {self.d_s}")
+        check("d_s", self.d_s, ContractError)
         if self.patches.shape[2] != self.d_s or (self.patches.ndim == 4
                                                  and self.patches.shape[3] != self.d_s):
             raise DimensionError(f"patch side {self.patches.shape[2:]} != d_s {self.d_s}")
@@ -121,8 +120,7 @@ class ModelConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.m < 1 or self.x_dim < 1:
-            raise ConfigError(f"need m >= 1 and x_dim >= 1, got m={self.m} x_dim={self.x_dim}")
+        check_fields(self, ConfigError)
         if self.interference not in INTERFERENCE_KINDS:
             raise ConfigError(f"unknown interference kind {self.interference!r}")
         if self.confounder not in CONFOUNDER_KINDS:
@@ -305,12 +303,7 @@ class TrainConfig:
     patience: int | None = None         # early stopping on validation MSE
 
     def validate(self) -> None:
-        if self.epochs < 1:
-            raise ContractError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ContractError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.patience is not None and self.patience < 1:
-            raise ContractError(f"patience must be >= 1 or None, got {self.patience}")
+        check_fields(self, ContractError)
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import engine as E
 from .engine import Tensor
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, check_fields
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,7 @@ class MlpSpec:
     out_dim: int = 1
 
     def __post_init__(self) -> None:
-        if min(self.in_dim, self.width, self.depth, self.out_dim) < 1:
-            raise ContractError(f"invalid mlp spec {self}")
+        check_fields(self, ContractError)
 
 
 @dataclass(frozen=True)
@@ -42,8 +41,7 @@ class CnnSpec:
     input_side: int
 
     def __post_init__(self) -> None:
-        if min(self.in_channels, self.channels, self.depth, self.input_side) < 1:
-            raise ContractError(f"invalid cnn spec {self}")
+        check_fields(self, ContractError)
         if self.input_side < 3:
             raise DimensionError(f"input side {self.input_side} smaller than kernel 3")
 
@@ -56,8 +54,7 @@ class UnetSpec:
     depth: int = 3        # number of down/up levels
 
     def __post_init__(self) -> None:
-        if min(self.in_channels, self.base_channels, self.depth, self.input_side) < 1:
-            raise ContractError(f"invalid unet spec {self}")
+        check_fields(self, ContractError)
 
 
 @dataclass(frozen=True)
@@ -66,8 +63,7 @@ class LinearSpec:
     bias: bool = False
 
     def __post_init__(self) -> None:
-        if self.in_dim < 1:
-            raise ContractError(f"invalid linear spec {self}")
+        check_fields(self, ContractError)
 
 
 def _glorot(rng: np.random.Generator, shape: tuple, fan_in: int, fan_out: int) -> np.ndarray:

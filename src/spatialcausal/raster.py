@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, ContractError, DataError, DimensionError, FormatError
+from .errors import (ConfigError, ContractError, DataError, DimensionError, FormatError,
+                     check, check_fields)
 from .model import SpatialDataset
 
 _MAGIC = b"GRD1"
@@ -46,8 +47,7 @@ class GridGeometry:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise DimensionError(f"grid must be nonempty, got {self.rows}x{self.cols}")
-        if self.resolution <= 0:
-            raise ContractError(f"resolution must be positive, got {self.resolution}")
+        check("resolution", self.resolution, ContractError)
 
 
 @dataclass
@@ -64,8 +64,7 @@ class Grid:
         if self.data.ndim != 3:
             raise DimensionError(f"grid data must be (channels, rows, cols), "
                                  f"got shape {self.data.shape}")
-        if self.resolution <= 0:
-            raise ContractError(f"resolution must be positive, got {self.resolution}")
+        check("resolution", self.resolution, ContractError)
 
     @property
     def channels(self) -> int:
@@ -198,14 +197,13 @@ def onehot_landcover(class_grid: Grid) -> Grid:
                 origin_y=class_grid.origin_y, resolution=class_grid.resolution)
 
 
-def check_split_ratios(ratios, error=ContractError) -> tuple:
-    """The train/val/test ratios as 3 floats; raises ``error`` unless they are
-    positive and sum to 1."""
+def check_split_ratios(ratios, error=ContractError, label="split_ratios") -> tuple:
+    """The train/val/test ratios as 3 floats; raises ``error``, naming ``label``,
+    unless they are positive and sum to 1."""
     ratios = tuple(float(r) for r in ratios)
     if len(ratios) != 3 or not all(r > 0 for r in ratios) \
             or not abs(sum(ratios) - 1.0) <= 1e-9:
-        raise error(f"split ratios must be 3 positive values summing to 1, "
-                    f"got {ratios}")
+        raise error(f"{label}: must be 3 positive values summing to 1, got {ratios}")
     return ratios
 
 
@@ -221,13 +219,12 @@ class Manifest:
     def __post_init__(self):
         if not self.treatments:
             raise ConfigError("manifest needs at least one treatment grid")
-        if self.d_s < 1 or self.d_s % 2 == 0:
-            raise ConfigError(f"d_s must be odd and positive, got {self.d_s}")
+        check_fields(self, ConfigError)
         self.split_ratios = check_split_ratios(self.split_ratios, ConfigError)
 
 
 def save_manifest(manifest: Manifest, path: str) -> None:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp.add_section("manifest")
     for i, p in enumerate(manifest.treatments, start=1):
         cp.set("manifest", f"treatment.{i}", p)
@@ -242,7 +239,7 @@ def save_manifest(manifest: Manifest, path: str) -> None:
 
 
 def load_manifest(path: str) -> Manifest:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         found = cp.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as exc:

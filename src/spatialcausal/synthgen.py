@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .effects import EffectReport, dose_inputs, dose_report
-from .errors import ConfigError, ContractError, DataError
+from .errors import ConfigError, ContractError, DataError, check, check_fields
 from .gp import KernelSpec, chol_with_jitter, sample_gp, sample_gp_grid
 from .model import SpatialDataset
 from .raster import unit_windows
@@ -44,8 +44,7 @@ if TYPE_CHECKING:
 
 def random_fn(seed: int, in_dim: int):
     """Frozen random MLP (two hidden layers, width 64, ReLU, variance-preserving init)."""
-    if in_dim < 1:
-        raise ContractError(f"in_dim must be positive, got {in_dim}")
+    check("in_dim", in_dim, ContractError)
     rng = np.random.default_rng(seed)
     dims = [in_dim, 64, 64, 1]
     weights = [rng.normal(0.0, 1.0 / math.sqrt(a), (a, b))
@@ -106,15 +105,7 @@ class LineGraphConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.n < 3:
-            raise ConfigError(f"need at least 3 units on the line, got {self.n}")
-        if self.x_dim < 1:
-            raise ConfigError(f"x_dim must be positive, got {self.x_dim}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        # NaN fails every comparison, so this bound rejects NaN as well as inf
-        if not 0 <= self.noise_sigma < math.inf:
-            raise ConfigError("noise_sigma must be nonnegative and finite")
+        check_fields(self, ConfigError)
 
 
 def line_graph_covariance(coords: np.ndarray, sigma_d: float,
@@ -187,26 +178,13 @@ class GridConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ConfigError(f"grid must be nonempty, got {self.rows}x{self.cols}")
-        if self.d_s < 1 or self.d_s % 2 == 0:
-            raise ConfigError(f"d_s must be odd and positive, got {self.d_s}")
-        if not (0 < self.sigma_l < math.inf and 0 < self.field_lengthscale < math.inf):
-            raise ConfigError("length scales must be positive and finite")
-        if not np.isfinite(self.beta):
-            raise ConfigError(f"beta must be finite, got {self.beta}")
-        if self.n_units < 1:
-            raise ConfigError(f"n_units must be positive, got {self.n_units}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        if self.x_channels < 2:
-            raise ConfigError(f"need at least 2 confounder channels, got {self.x_channels}")
+        check_fields(self, ConfigError)
 
 
 def grid_weight_matrix(d_s: int, sigma_l: float) -> np.ndarray:
     """Exponential-decay neighborhood weights, zero center, summing to one."""
-    if d_s < 1 or d_s % 2 == 0:
-        raise ContractError(f"d_s must be odd and positive, got {d_s}")
+    check("d_s", d_s, ContractError)
+    check("sigma_l", sigma_l, ContractError)
     half = d_s // 2
     offsets = np.arange(-half, half + 1, dtype=np.float64)
     dist = np.hypot(offsets[:, None], offsets[None, :])

@@ -5,6 +5,8 @@ import dataclasses
 import itertools
 import json
 import os
+import random
+import re
 import shutil
 import struct
 import subprocess
@@ -158,6 +160,10 @@ class TestConfig:
         assert config.resolved["train"]["lr"] == 0.001
         assert config.resolved["effects"]["weighted"] == "both"
         assert config.resolved["run"]["seeds"] == (0,)
+
+    def test_percent_in_value_kept_literally(self, tmp_path):
+        config = load_config(write_ini(tmp_path, "[run]\nout = runs%x/%%y\n"))
+        assert config.resolved["run"]["out"] == "runs%x/%%y"
 
     def test_unknown_key_rejected_with_path(self, tmp_path):
         with pytest.raises(ConfigError, match="data.bogus"):
@@ -916,6 +922,27 @@ class TestMainErrors:
         elif key in ("b_draws", "grid_size"):
             assert f"effects.{key}: must be >= 1" in err, err
 
+    @pytest.mark.parametrize("command,section,key,value", [
+        ("gen", "model", "mlp_width", "0"),
+        ("train", "train", "patience", "-1"),
+        ("effects", "model", "kernel_lengthscale", "-1"),
+        ("eval", "train", "batch_size", "-1"),
+    ])
+    def test_out_of_domain_key_ends_command_before_it_writes(
+            self, workspace, tmp_path, capsys, command, section, key, value):
+        ini = write_ini(tmp_path, TINY_INI.replace(f"[{section}]\n",
+                                                   f"[{section}]\n{key} = {value}\n"))
+        out_dir = tmp_path / "out"
+        argv = [command, "--config", ini, "--out", str(out_dir)]
+        if command != "gen":
+            argv += ["--data", workspace["data"]]
+        if command in ("effects", "eval"):
+            argv += ["--ckpt", workspace["ckpt"]]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config_error\t{section}.{key}: "), err
+        assert not out_dir.exists()
+
 
 def _drop_key(key, section=None):
     def edit(text):
@@ -1053,3 +1080,53 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert err.partition("\t")[0] == code, err
         assert "Traceback" not in err
+
+
+def _corruptions(count=60):
+    """(file, truncate?, position as a fraction of the file) drawn from Random(0)."""
+    rng = random.Random(0)
+    return [(rng.choice(CORRUPTED_FILES), rng.random() < 0.5, rng.random())
+            for _ in range(count)]
+
+
+CORRUPTED_FILES = ("treatment_1.grd", "confounder.grd", "outcome.grd", "run.manifest",
+                   "truth.json", "model.ckpt")
+
+
+@pytest.fixture(scope="module")
+def grid_run(tmp_path_factory):
+    """A tiny grid gen + train pass whose files the corruption sweep damages."""
+    root = tmp_path_factory.mktemp("grid_run")
+    ini = write_ini(root, ROUTE_CONFIGS["grid_unet_gp"])
+    data_dir, fit_dir = root / "data", root / "fit"
+    assert cli.main(["gen", "--config", ini, "--out", str(data_dir)]) == 0
+    assert cli.main(["train", "--config", ini, "--data", str(data_dir),
+                     "--out", str(fit_dir)]) == 0
+    return ini, {name: (fit_dir if name == "model.ckpt" else data_dir) / name
+                 for name in CORRUPTED_FILES}
+
+
+class TestCorruptionSweep:
+    """A truncated or bit-flipped input ends ``effects --ckpt`` as exit 0, or as
+    exit 2 with one ``code<TAB>message`` line, never as an uncaught exception."""
+
+    @pytest.mark.parametrize("name,truncate,where", _corruptions(),
+                             ids=[f"{k}-{name}-{'cut' if cut else 'flip'}"
+                                  for k, (name, cut, _) in enumerate(_corruptions())])
+    def test_effects_ckpt_survives(self, grid_run, tmp_path, capsys, name, truncate, where):
+        ini, paths = grid_run
+        for other, path in paths.items():
+            (tmp_path / other).write_bytes(path.read_bytes())
+        blob = bytearray(paths[name].read_bytes())
+        if truncate:
+            blob = blob[:int(where * len(blob))]
+        else:
+            bit = int(where * 8 * len(blob))
+            blob[bit // 8] ^= 1 << (bit % 8)
+        (tmp_path / name).write_bytes(bytes(blob))
+        status = cli.main(["effects", "--config", ini, "--ckpt", str(tmp_path / "model.ckpt"),
+                           "--data", str(tmp_path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert status in (0, 2)
+        if status == 2:
+            assert re.fullmatch(r"[a-z_]+_error\t[^\n]*\n", err), err

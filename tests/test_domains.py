@@ -1,0 +1,170 @@
+"""Setting domains: every numeric INI key through ``load_config``, and every
+numeric field of the configs, net specs and optimizers through the Python API.
+
+Each probe puts one of 0, -1, nan, inf and 2.5 into one setting.  It must
+either run or end as a typed error whose message starts with the setting's
+name; a raw ``TypeError``, ``ValueError`` or ``OverflowError`` fails it.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from spatialcausal import cli
+from spatialcausal import engine as E
+from spatialcausal import nets as N
+from spatialcausal.errors import ConfigError, SpatialCausalError
+from spatialcausal.gp import KernelSpec
+from spatialcausal.model import ModelConfig, TrainConfig, build_model, train
+from spatialcausal.synthgen import GridConfig, LineGraphConfig, gen_grid, gen_line_graph
+
+RAW_VALUES = ("0", "-1", "nan", "inf", "2.5")
+VALUES = (0, -1, math.nan, math.inf, 2.5)
+
+# (section, key) -> the values of RAW_VALUES it accepts; each other value of a
+# numeric key must end as a config_error naming the key.  The line generator
+# is the default, so every data.sigma_l is rejected.
+ACCEPTED = {
+    ("data", "noise_sigma"): ("0", "2.5"),
+    ("data", "field_lengthscale"): ("2.5",),
+    ("data", "beta"): ("0", "-1", "2.5"),
+    ("model", "kernel_sigma"): ("2.5",),
+    ("model", "kernel_lengthscale"): ("2.5",),
+    ("model", "kernel_noise"): ("0", "2.5"),
+    ("train", "lr"): ("2.5",),
+    ("train", "batch_size"): ("0",),
+    ("train", "momentum"): ("0",),
+    ("train", "patience"): ("0",),
+    ("run", "seeds"): ("0",),
+}
+
+NUMERIC_KEYS = [(section, key) for section, schema in cli._SCHEMA.items()
+                for key, spec in schema.items()
+                if spec[0] in ("int", "float", "intlist", "floatlist")]
+
+
+class TestIniSweep:
+    def test_accepted_keys_are_numeric(self):
+        assert set(ACCEPTED) <= set(NUMERIC_KEYS)
+        assert len(NUMERIC_KEYS) == 30
+
+    @pytest.mark.parametrize("raw", RAW_VALUES)
+    @pytest.mark.parametrize("section,key", NUMERIC_KEYS,
+                             ids=[f"{s}.{k}" for s, k in NUMERIC_KEYS])
+    def test_value_resolves_or_names_key(self, tmp_path, section, key, raw):
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[{section}]\n{key} = {raw}\n")
+        if raw in ACCEPTED.get((section, key), ()):
+            got = cli.load_config(str(path)).resolved[section][key]
+            want = float(raw) if cli._SCHEMA[section][key][0] == "float" else int(raw)
+            assert got == ((want,) if key == "seeds" else want)
+        else:
+            with pytest.raises(ConfigError) as err:
+                cli.load_config(str(path))
+            assert str(err.value).startswith(f"{section}.{key}: "), err.value
+
+    def test_every_default_in_domain(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_text("[data]\n")
+        defaults = {s: {k: spec[1] for k, spec in schema.items()}
+                    for s, schema in cli._SCHEMA.items()}
+        assert cli.load_config(str(path)).resolved == defaults
+
+
+def _line_data():
+    dataset, _ = gen_line_graph(LineGraphConfig(n=30, x_dim=2, seed=0))
+    return dataset
+
+
+DATA = _line_data()
+KERNEL = dict(family="rbf", lengthscale=0.5, noise=0.5)
+MODEL = dict(m=1, patch_shape=(3,), x_dim=2, interference="mlp", confounder="mlp",
+             mlp_width=4, mlp_depth=1, gp=True, kernel=KernelSpec(**KERNEL), q=5)
+GRID = dict(rows=12, cols=12, d_s=3, n_units=10, x_channels=2, sigma_l=2.0,
+            field_lengthscale=3.0)
+
+
+def _fit(model_fields=(), train_fields=()):
+    model = build_model(ModelConfig(**{**MODEL, **dict(model_fields)}), coords=DATA.coords)
+    train(model, DATA, TrainConfig(**{"epochs": 1, **dict(train_fields)}))
+
+
+def _net(build, spec, shape):
+    build(spec, 0).forward(np.ones(shape))
+
+
+def _optimizer(cls, base, field, value):
+    p = E.Tensor(np.ones(2), requires_grad=True)
+    opt = cls([p], **{**base, field: value})
+    with E.Tape() as tape:
+        loss = E.tsum(E.mul(p, p))
+    tape.backward(loss)
+    opt.step()
+
+
+# holder -> (its numeric fields, probe(field, value))
+PROBES = {
+    "LineGraphConfig": (("n", "x_dim", "noise_sigma", "seed"),
+                        lambda f, v: gen_line_graph(LineGraphConfig(**{"n": 30, f: v}))),
+    "GridConfig": (("rows", "cols", "beta", "d_s", "sigma_l", "n_units", "x_channels",
+                    "field_lengthscale", "seed"),
+                   lambda f, v: gen_grid(GridConfig(**{**GRID, f: v}))),
+    "ModelConfig": (("m", "x_dim", "mlp_width", "mlp_depth", "cnn_channels", "cnn_depth",
+                     "unet_base", "unet_depth", "q", "seed"),
+                    lambda f, v: _fit(model_fields={f: v})),
+    "TrainConfig": (("epochs", "lr", "batch_size", "momentum", "seed", "patience"),
+                    lambda f, v: _fit(train_fields={f: v})),
+    "KernelSpec": (("sigma", "lengthscale", "noise"),
+                   lambda f, v: _fit(model_fields={"kernel": KernelSpec(**{**KERNEL, f: v})})),
+    "MlpSpec": (("in_dim", "width", "depth", "out_dim"),
+                lambda f, v: _net(N.build_mlp, N.MlpSpec(**{"in_dim": 3, "width": 4,
+                                                            "depth": 1, f: v}), (2, 3))),
+    "CnnSpec": (("in_channels", "channels", "depth", "input_side"),
+                lambda f, v: _net(N.build_cnn, N.CnnSpec(**{"in_channels": 1, "channels": 2,
+                                                            "depth": 1, "input_side": 5,
+                                                            f: v}), (2, 1, 5, 5))),
+    "UnetSpec": (("in_channels", "base_channels", "input_side", "depth"),
+                 lambda f, v: _net(N.build_unet, N.UnetSpec(**{"in_channels": 1,
+                                                               "base_channels": 2,
+                                                               "input_side": 5, "depth": 1,
+                                                               f: v}), (2, 1, 5, 5))),
+    "LinearSpec": (("in_dim",), lambda f, v: N.LinearSpec(**{f: v})),
+    "SGD": (("lr", "momentum"), lambda f, v: _optimizer(E.SGD, {"lr": 0.1}, f, v)),
+    "Adam": (("lr",), lambda f, v: _optimizer(E.Adam, {"lr": 0.1}, f, v)),
+}
+
+CASES = [(holder, f) for holder, (names, _) in PROBES.items() for f in names]
+
+
+class TestApiSweep:
+    @pytest.mark.parametrize("value", VALUES, ids=[str(v) for v in VALUES])
+    @pytest.mark.parametrize("holder,field", CASES, ids=[f"{h}.{f}" for h, f in CASES])
+    def test_runs_or_typed_error_naming_field(self, holder, field, value):
+        try:
+            PROBES[holder][1](field, value)
+        except SpatialCausalError as exc:
+            assert str(exc).startswith(f"{field}: "), exc
+
+    @pytest.mark.parametrize("cls", [LineGraphConfig, GridConfig, ModelConfig, TrainConfig,
+                                     KernelSpec, N.MlpSpec, N.CnnSpec, N.UnetSpec,
+                                     N.LinearSpec], ids=lambda c: c.__name__)
+    def test_every_numeric_field_probed(self, cls):
+        numeric = {f.name for f in dataclasses.fields(cls)
+                   if f.type in ("int", "float", "int | None")}
+        assert set(PROBES[cls.__name__][0]) == numeric
+
+    @pytest.mark.parametrize("holder,field,value,error", [
+        ("TrainConfig", "epochs", 2.5, "epochs: must be a whole number, got 2.5"),
+        ("GridConfig", "rows", math.nan, "rows: must be a whole number, got nan"),
+        ("TrainConfig", "seed", -1, "seed: must be >= 0, got -1"),
+        ("KernelSpec", "noise", math.inf, "noise: must be finite, got inf"),
+        ("SGD", "momentum", 2.5, "momentum: must be in [0, 1), got 2.5"),
+        ("GridConfig", "d_s", 0, "d_s: must be odd and >= 1, got 0"),
+        ("LineGraphConfig", "n", 2.5, "n: must be a whole number, got 2.5"),
+    ])
+    def test_message(self, holder, field, value, error):
+        with pytest.raises(SpatialCausalError) as err:
+            PROBES[holder][1](field, value)
+        assert str(err.value) == error

@@ -306,6 +306,13 @@ class TestSampling:
         npt.assert_array_equal(a, b)
         assert not np.array_equal(a, G.sample_gp(coords, RBF, seed=6))
 
+    @pytest.mark.parametrize("rows,cols,res,message", [
+        (2.5, 4, 1.0, "rows: must be a whole number"), (4, 0, 1.0, "cols: must be >= 1"),
+        (4, 4, np.nan, "resolution: must be finite")])
+    def test_grid_sampler_geometry_rejected(self, rows, cols, res, message):
+        with pytest.raises(ContractError, match=message):
+            G.sample_gp_grid(rows, cols, RBF, res, seed=0)
+
     def test_grid_sampler_covariance_oracle(self):
         kernel = G.KernelSpec("exponential", sigma=1.0, lengthscale=4.0)
         n_draws = 6000

@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -92,6 +93,13 @@ class TestGridIO:
     def test_bad_resolution_rejected(self):
         with pytest.raises(ContractError):
             Grid(data=np.ones((2, 2)), resolution=0.0)
+
+    @pytest.mark.parametrize("res", [np.nan, np.inf, -1.0])
+    def test_nonfinite_or_negative_resolution_rejected(self, res):
+        with pytest.raises(ContractError, match="resolution: must be"):
+            Grid(data=np.ones((2, 2)), resolution=res)
+        with pytest.raises(ContractError, match="resolution: must be"):
+            GridGeometry(rows=2, cols=2, resolution=res)
 
 
 class TestNdvi:
@@ -216,6 +224,15 @@ class TestManifest:
         assert back.split_seed == 7
         assert back.split_ratios == (0.5, 0.25, 0.25)
         assert [p.split("/")[-1] for p in back.treatments] == ["t1.grd", "t2.grd"]
+
+    def test_percent_in_path_kept_literally(self, tmp_path):
+        man = Manifest(treatments=("t%1.grd",), confounder="x%%.grd", outcome="y.grd",
+                       d_s=3)
+        path = str(tmp_path / "run.manifest")
+        save_manifest(man, path)
+        back = load_manifest(path)
+        assert [os.path.basename(p) for p in back.treatments + (back.confounder,)] \
+            == ["t%1.grd", "x%%.grd"]
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.manifest"

@@ -175,7 +175,7 @@ class TestLineGraph:
     @pytest.mark.parametrize("cfg", [LineGraphConfig(seed=-1), GridConfig(seed=-1)],
                              ids=["line", "grid"])
     def test_negative_seed_rejected(self, cfg):
-        with pytest.raises(ConfigError, match="seed must be nonnegative"):
+        with pytest.raises(ConfigError, match="seed: must be >= 0"):
             cfg.validate()
 
 
