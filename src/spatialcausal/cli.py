@@ -12,8 +12,8 @@ Subcommands:
 Configuration is an INI file with sections [data], [model], [train],
 [effects], [run].  Every key is schema-checked, unknown keys are rejected,
 and the config hash is the SHA-256 of the fully resolved key set: comments
-and ordering never change it, any meaningful key does.  Failures print
-``error_code<TAB>message`` to stderr and exit nonzero.
+and ordering never change it, any meaningful key does.  Failures print one
+``error_code<TAB>message`` line to stderr and exit nonzero.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -46,7 +47,7 @@ from .effects import (
     write_effects_csv,
 )
 from .errors import ConfigError, DataError, SpatialCausalError, DOMAINS, UNSET, check
-from .gp import KERNEL_FAMILIES, KernelSpec, GpTerm, build_nystrom, select_inducing
+from .gp import KERNEL_FAMILIES, KernelSpec, GpTerm, select_inducing
 from .model import (
     CONFOUNDER_KINDS,
     INTERFERENCE_KINDS,
@@ -73,6 +74,7 @@ from .raster import (
 )
 from .synthgen import (
     GridConfig,
+    GroundTruth,
     LineGraphConfig,
     gen_grid,
     gen_line_graph,
@@ -256,8 +258,15 @@ def _synthesize(generator: str, data: dict, seed: int):
 
 
 def _synthetic_units(generator: str, data: dict, seed: int):
-    """(dataset, truth): the units ``extract_units`` reads back from ``gen``'s grids."""
-    ds, truth, (t_grid, x_grid, y_grid) = _synthesize(generator, data, seed)
+    """(dataset, truth): the units ``extract_units`` reads back from ``gen``'s grids.
+
+    Those units come row by row, so the truth is reindexed to that order.
+    """
+    ds, gen_truth, (t_grid, x_grid, y_grid) = _synthesize(generator, data, seed)
+    order = np.lexsort(ds.coords.T)
+    truth = GroundTruth(gen_truth.beta,
+                        lambda idx, pat: gen_truth.interference(order[idx], pat),
+                        gen_truth.u[order], gen_truth.base[order])
     return units_from_grids([t_grid], x_grid, y_grid, ds.d_s), truth
 
 
@@ -644,15 +653,14 @@ def _gradcheck_cases():
     coords = rng.uniform(0.0, 1.0, (6, 2))
     for family in KERNEL_FAMILIES:
         kern = KernelSpec(family=family, sigma=1.0, lengthscale=0.5, noise=1e-6)
-        nmap = build_nystrom(select_inducing(coords, 4, "subsample", seed=4), kern)
-        term = GpTerm(nmap)
+        term = GpTerm(select_inducing(coords, 4, "subsample", seed=4), kern)
         term.weights.data[:] = rng.normal(size=term.weights.data.shape)
         cases.append((f"gp_weights_{family}",
                       lambda t=term: E.tsum(t.values_op(coords)),
                       term.parameters()))
     kern = KernelSpec(family="rbf", sigma=1.0, lengthscale=0.5, noise=1e-6)
-    nmap = build_nystrom(select_inducing(coords, 4, "subsample", seed=5), kern)
-    term_l = GpTerm(nmap, train_lengthscale=True)
+    term_l = GpTerm(select_inducing(coords, 4, "subsample", seed=5), kern,
+                    train_lengthscale=True)
     term_l.weights.data[:] = rng.normal(size=term_l.weights.data.shape)
     cases.append(("gp_lengthscale",
                   lambda: E.tsum(term_l.values_op(coords)),
@@ -762,11 +770,10 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return cmd_eval(config, args.ckpt, args.data, out_dir)
         raise ConfigError(f"unknown command {args.command}")
-    except SpatialCausalError as exc:
-        sys.stderr.write(f"{exc.code}\t{exc}\n")
-        return 2
-    except OSError as exc:
-        sys.stderr.write(f"data_error\t{exc}\n")
+    except (SpatialCausalError, OSError) as exc:
+        code = exc.code if isinstance(exc, SpatialCausalError) else "data_error"
+        # configparser's messages span lines, and each error must print as one
+        sys.stderr.write(code + "\t" + re.sub(r"\s*\n\s*", " ", str(exc)) + "\n")
         return 2
 
 

@@ -66,14 +66,23 @@ DOMAINS = {
     "x_channels": _whole(2),
     "n": _whole(3),
     "d_s": _whole(1, odd=True),
-    **dict.fromkeys(("lr", "sigma", "lengthscale", "sigma_l", "field_lengthscale",
-                     "resolution"), (False, "> 0", lambda v: v > 0)),
+    **dict.fromkeys(("lr", "sigma_l", "resolution"), (False, "> 0", lambda v: v > 0)),
+    # kernel reals are squared or cubed as Python floats, which raise on overflow
+    **dict.fromkeys(("sigma", "lengthscale", "field_lengthscale"),
+                    (False, "in (0, 1e100]", lambda v: 0 < v <= 1e100)),
     **dict.fromkeys(("noise", "noise_sigma"), (False, ">= 0", lambda v: v >= 0)),
     "momentum": (False, "in [0, 1)", lambda v: 0 <= v < 1),
     "beta": (False, "finite", lambda v: True),
 }
 # fields that None leaves unset (0 in a config file)
 UNSET = ("batch_size", "patience")
+
+
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:       # an int too large for a float
+        return False
 
 
 def check(name: str, value, error, label: str | None = None):
@@ -84,7 +93,7 @@ def check(name: str, value, error, label: str | None = None):
         return value
     if whole and not isinstance(value, Integral):
         bound = "a whole number"
-    elif not whole and not math.isfinite(value):
+    elif not whole and not _finite(value):
         bound = "finite"
     elif test(value):
         return value

@@ -162,10 +162,6 @@ class NystromMap:
         self.chol_factor = chol_factor
         self.jitter_used = jitter_used
 
-    @property
-    def q(self) -> int:
-        return self.inducing.q
-
     def features(self, coords) -> np.ndarray:
         """Rows z(s_i)^T of the feature matrix, by forward triangular solve."""
         from scipy.linalg import solve_triangular
@@ -191,11 +187,31 @@ class GpTerm:
     ``train_lengthscale`` is set; ``map`` is the Nystrom map at its value.
     """
 
-    def __init__(self, nmap: NystromMap, train_lengthscale: bool = False):
-        self.map = nmap
-        self.weights = Tensor(np.zeros((nmap.q, 1)), requires_grad=True)
-        self.lengthscale = Tensor(np.asarray(nmap.kernel.lengthscale),
+    def __init__(self, inducing: InducingSet, kernel: KernelSpec,
+                 train_lengthscale: bool = False):
+        self.inducing = inducing
+        self._kernel = kernel
+        self.weights = Tensor(np.zeros((inducing.q, 1)), requires_grad=True)
+        self.lengthscale = Tensor(np.asarray(kernel.lengthscale),
                                   requires_grad=train_lengthscale)
+        self._map: NystromMap | None = None
+
+    @property
+    def map(self) -> NystromMap:
+        """The Nystrom map at the lengthscale leaf's value.
+
+        Factored on first use and again only when the leaf's value has
+        changed, so a fixed lengthscale factors once and ``map.jitter_used``
+        is the jitter of the map in use.
+        """
+        ls = float(self.lengthscale.data.reshape(()))
+        if not 0 < ls < math.inf:
+            cause = ("left (0, inf) during training" if self.train_lengthscale
+                     else "outside (0, inf)")
+            raise NumericError(f"lengthscale {cause}: {ls}")
+        if self._map is None or ls != self._map.kernel.lengthscale:
+            self._map = build_nystrom(self.inducing, replace(self._kernel, lengthscale=ls))
+        return self._map
 
     @property
     def train_lengthscale(self) -> bool:
@@ -223,23 +239,13 @@ class GpTerm:
 def _features_with_lengthscale_grad(term: GpTerm, coords) -> Tensor:
     """Features at the lengthscale leaf's value, with a hand-built vjp.
 
-    ``term.map`` is rebuilt only when the leaf's value differs from its
-    kernel's lengthscale, so a fixed lengthscale factors once and
-    ``term.map.jitter_used`` is the jitter of the map in use.  A leaf that
-    needs no gradient records no tape node.  l is scalar, so the full
-    Jacobian dZ/dl is a single directional derivative; the vjp computes it,
-    so a forward outside a tape skips it.  Using dL = L*Phi(L^{-1} dKq
+    A leaf that needs no gradient records no tape node.  l is scalar, so the
+    full Jacobian dZ/dl is a single directional derivative; the vjp computes
+    it, so a forward outside a tape skips it.  Using dL = L*Phi(L^{-1} dKq
     L^{-T}) with Phi = lower triangle and halved diagonal, the feature
     differential is dZ^T = L^{-1} (dKnq^T - dL Z^T).
     """
     l_param = term.lengthscale
-    ls = float(l_param.data.reshape(()))
-    if not 0 < ls < math.inf:
-        cause = "left (0, inf) during training" if l_param.requires_grad else "outside (0, inf)"
-        raise NumericError(f"lengthscale {cause}: {ls}")
-    if ls != term.map.kernel.lengthscale:
-        term.map = build_nystrom(term.map.inducing,
-                                 replace(term.map.kernel, lengthscale=ls))
     nmap = term.map
     pts = nmap.inducing.points
     z = nmap.features(coords)

@@ -16,9 +16,8 @@ the unit's own treatment enters only through the direct term.
 from __future__ import annotations
 
 import json
-import math
 import struct
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -97,7 +96,7 @@ CONFOUNDER_KINDS = ("linear", "mlp")
 OPTIMIZERS = ("auto", "sgd", "adam")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     """Names each component kind plus the hyperparameters to build it."""
 
@@ -119,7 +118,7 @@ class ModelConfig:
     train_lengthscale: bool = False
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_fields(self, ConfigError)
         if self.interference not in INTERFERENCE_KINDS:
             raise ConfigError(f"unknown interference kind {self.interference!r}")
@@ -213,14 +212,8 @@ def build_model(config: ModelConfig, coords: np.ndarray | None = None) -> Spatia
     return _assemble(config, inducing)
 
 
-def _assemble(config: ModelConfig, inducing: G.InducingSet | None,
-              lengthscale: float | None = None) -> SpatialModel:
-    """Every component of the model once its inducing points are known.
-
-    ``lengthscale``, when given, replaces the config kernel's for the GP term's
-    Nystrom map and lengthscale leaf (a checkpoint's trained value).
-    """
-    config.validate()
+def _assemble(config: ModelConfig, inducing: G.InducingSet | None) -> SpatialModel:
+    """Every component of the model once its inducing points are known."""
     alphas = Tensor(np.zeros((config.m, 1)), requires_grad=True)
     patch_size = int(np.prod(config.patch_shape))
     nets = []
@@ -247,10 +240,7 @@ def _assemble(config: ModelConfig, inducing: G.InducingSet | None,
             N.MlpSpec(config.x_dim, config.mlp_width, config.mlp_depth), config.seed + 7)
     gp_term = None
     if config.gp:
-        kernel = config.kernel if lengthscale is None else replace(config.kernel,
-                                                                   lengthscale=lengthscale)
-        gp_term = G.GpTerm(G.build_nystrom(inducing, kernel),
-                           train_lengthscale=config.train_lengthscale)
+        gp_term = G.GpTerm(inducing, config.kernel, config.train_lengthscale)
     return SpatialModel(config, alphas, nets, conf_net, gp_term)
 
 
@@ -292,7 +282,7 @@ def predict(model: SpatialModel, dataset: SpatialDataset, index: int,
                                direct, interference, confounder, spatial)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     epochs: int
     lr: float = 0.001
@@ -302,7 +292,7 @@ class TrainConfig:
     seed: int = 0
     patience: int | None = None         # early stopping on validation MSE
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_fields(self, ContractError)
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
@@ -335,7 +325,6 @@ def train(model: SpatialModel, dataset: SpatialDataset, cfg: TrainConfig,
     training stops after that many non-improving epochs and the best
     parameters (by validation MSE) are restored.
     """
-    cfg.validate()
     mask = dataset.observed_mask()
     if not mask.any():
         raise DataError("no units with observed outcomes")
@@ -441,7 +430,7 @@ def _model_header(model: SpatialModel) -> dict:
     """The config rebuilds every net; inducing points depend on training coords."""
     inducing = None
     if model.gp_term is not None:
-        inducing = model.gp_term.map.inducing.points.tolist()
+        inducing = model.gp_term.inducing.points.tolist()
     return {"version": _CKPT_VERSION, "config": asdict(model.config),
             "inducing": inducing, "noise_sigma": model.noise_sigma}
 
@@ -455,19 +444,6 @@ def save_model(model: SpatialModel, path: str) -> None:
         fh.write(struct.pack("<I", len(head)))
         fh.write(head)
         fh.write(payload.astype("<f8").tobytes())
-
-
-def _stored_lengthscale(stream: bytes, config: ModelConfig) -> float | None:
-    """A trained lengthscale, which ``save_model`` writes as the stream's last value.
-
-    Building the GP map at it, not at the config's initial value, spares the
-    first forward a second Cholesky.  None when there is none or it lies
-    outside (0, inf); the stream checks in ``load_model`` still run.
-    """
-    if not (config.gp and config.train_lengthscale) or len(stream) < 8:
-        return None
-    (ls,) = struct.unpack("<d", stream[-8:])
-    return ls if 0 < ls < math.inf else None
 
 
 def load_model(path: str) -> SpatialModel:
@@ -492,7 +468,7 @@ def load_model(path: str) -> SpatialModel:
             fields["kernel"] = G.KernelSpec(**fields["kernel"])
         config = ModelConfig(**fields)
         inducing = G.InducingSet(head["inducing"]) if config.gp else None
-        model = _assemble(config, inducing, _stored_lengthscale(blob[8 + hlen:], config))
+        model = _assemble(config, inducing)
         model.noise_sigma = float(head["noise_sigma"])
     except FormatError:
         raise

@@ -97,14 +97,14 @@ class GroundTruth:
                 + self.base[indices])
 
 
-@dataclass
+@dataclass(frozen=True)
 class LineGraphConfig:
     n: int = 500
     x_dim: int = 4
     noise_sigma: float = 0.1
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_fields(self, ConfigError)
 
 
@@ -123,7 +123,6 @@ def line_graph_covariance(coords: np.ndarray, sigma_d: float,
 
 def gen_line_graph(config: LineGraphConfig):
     """Line of evenly spaced units with 2-neighbor interference."""
-    config.validate()
     n = config.n
     s = np.linspace(0.0, 1.0, n)
     x_seed, u_seed, net_seed, noise_seed = _stream_seeds(config.seed)
@@ -165,7 +164,7 @@ def gen_line_graph(config: LineGraphConfig):
     return dataset, truth
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridConfig:
     rows: int = 256
     cols: int = 256
@@ -177,7 +176,7 @@ class GridConfig:
     field_lengthscale: float = 10.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_fields(self, ConfigError)
 
 
@@ -195,7 +194,6 @@ def grid_weight_matrix(d_s: int, sigma_l: float) -> np.ndarray:
 
 def synth_fields(config: GridConfig):
     """Stand-in treatment and land-class fields from shared latent draws."""
-    config.validate()
     field_seed = _stream_seeds(config.seed)[0]
     kern = KernelSpec(family="rbf", sigma=1.0,
                       lengthscale=config.field_lengthscale)
@@ -222,7 +220,6 @@ def gen_grid(config: GridConfig, treatment_field: np.ndarray | None = None,
     Supplied fields must be (rows, cols) for treatment and (rows, cols, C)
     for confounders; both default to synthetic stand-ins.
     """
-    config.validate()
     rows, cols, half = config.rows, config.cols, config.d_s // 2
     if treatment_field is None or confounder_field is None:
         t_synth, x_synth = synth_fields(config)

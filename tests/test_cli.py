@@ -20,6 +20,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from spatialcausal import cli
 from spatialcausal import engine as E
+from spatialcausal import gp as G
 from spatialcausal.cli import (
     ExperimentConfig,
     load_config,
@@ -259,12 +260,15 @@ class TestConfigMapping:
         kernel = {"kernel_" + k: v for k, v in KERNEL_KEYS.items()}
         config = load_config(write_ini(tmp_path, _ini_text(
             {"model": {**MODEL_KEYS, **kernel, "inducing": "subsample"}})))
-        ds, _ = gen_line_graph(LineGraphConfig(n=10, x_dim=3))
+        # cnn interference needs 2-d patches
+        ds = SpatialDataset(coords=np.zeros((10, 2)), treatments=np.zeros((10, 1)),
+                            patches=np.zeros((10, 1, 3, 3)), confounders=np.zeros((10, 3)),
+                            outcomes=np.zeros(10), d_s=3)
         mc = cli.model_config_from(config, ds, 5)
         assert {k: getattr(mc, k) for k in MODEL_KEYS} == MODEL_KEYS
         assert dataclasses.asdict(mc.kernel) == KERNEL_KEYS
         assert mc.inducing_strategy == "subsample"
-        assert (mc.m, mc.patch_shape, mc.x_dim, mc.seed) == (1, (3,), 3, 5)
+        assert (mc.m, mc.patch_shape, mc.x_dim, mc.seed) == (1, (3, 3), 3, 5)
 
     def test_train_keys_reach_train_config(self, tmp_path):
         config = load_config(write_ini(tmp_path, _ini_text({"train": TRAIN_KEYS})))
@@ -357,6 +361,15 @@ class TestGen:
         old = open(os.path.join(workspace["data"], "outcome.grd"), "rb").read()
         new = open(os.path.join(other, "outcome.grd"), "rb").read()
         assert old != new
+
+    @pytest.mark.parametrize("name", sorted(ROUTE_CONFIGS))
+    def test_truth_indexed_like_dataset(self, tmp_path, name):
+        # gen's grids list the units row by row, not in the order they were drawn
+        config = load_config(write_ini(tmp_path, ROUTE_CONFIGS[name]))
+        ds, truth = cli.generate_dataset(config, 2)
+        y = truth.potential_outcomes(np.arange(ds.n_units), ds.treatments[:, 0],
+                                     ds.patches[:, 0])
+        assert_allclose(y, ds.outcomes, rtol=0, atol=1e-12)
 
     def test_grid_outcome_sparse(self, tmp_path):
         ini = write_ini(tmp_path, textwrap.dedent("""\
@@ -568,6 +581,19 @@ class TestEffectsCmd:
                 with open(os.path.join(out["both"], name), "rb") as a, \
                         open(os.path.join(out[flag], name), "rb") as b:
                     assert a.read() == b.read(), name
+
+    def test_gp_checkpoint_factors_only_the_truth(self, grid_run, tmp_path, monkeypatch):
+        # the effects never evaluate the GP term, so its q x q Gram is never factored
+        ini, paths = grid_run
+        sizes = []
+        chol = G.chol_with_jitter
+        monkeypatch.setattr(G, "chol_with_jitter",
+                            lambda mat, eps: sizes.append(mat.shape[0]) or chol(mat, eps))
+        assert cli.main(["effects", "--config", ini, "--ckpt", str(paths["model.ckpt"]),
+                         "--data", str(paths["run.manifest"].parent),
+                         "--out", str(tmp_path / "eff")]) == 0
+        # one dense draw of the truth's field over its 60 units
+        assert sizes == [60]
 
 
 def _two_treatment_setup(tmp_path):
@@ -901,10 +927,13 @@ class TestMainErrors:
         ("lr = 0.05", "lr = 0.05\nmomentum = nan", "train", "config_error"),
         ("b_draws = 8", "b_draws = 0", "effects", "config_error"),
         ("grid_size = 5", "grid_size = 0", "effects", "config_error"),
+        ("confounder = linear", "confounder = linear\ngp = true\ntrain_lengthscale = true\n"
+         "kernel_lengthscale = 1e308", "train", "config_error"),
     ], ids=["grid_x_channels_zero", "kernel_sigma_nan", "kernel_lengthscale_nan",
             "kernel_noise_nan", "kernel_sigma_inf", "protocol_split_ratios",
             "grid_beta_nan", "line_noise_sigma_nan", "sigma_l_nan", "line_sigma_l_set",
-            "lr_nan", "momentum_nan", "effects_b_draws_zero", "effects_grid_size_zero"])
+            "lr_nan", "momentum_nan", "effects_b_draws_zero", "effects_grid_size_zero",
+            "kernel_lengthscale_overflow"])
     def test_bad_value_is_typed_error(self, workspace, tmp_path, capsys,
                                       old, new, command, code):
         ini = write_ini(tmp_path, TINY_INI.replace(old, new))
@@ -921,6 +950,8 @@ class TestMainErrors:
             assert "data.sigma_l" in err, err
         elif key in ("b_draws", "grid_size"):
             assert f"effects.{key}: must be >= 1" in err, err
+        elif key == "kernel_lengthscale":
+            assert "model.kernel_lengthscale: must be in (0, 1e100]" in err, err
 
     @pytest.mark.parametrize("command,section,key,value", [
         ("gen", "model", "mlp_width", "0"),
@@ -1130,3 +1161,22 @@ class TestCorruptionSweep:
         assert status in (0, 2)
         if status == 2:
             assert re.fullmatch(r"[a-z_]+_error\t[^\n]*\n", err), err
+
+    @pytest.mark.parametrize("command,code", [("gen", "config_error"),
+                                              ("train", "format_error")],
+                             ids=["config_bare_line", "manifest_stray_first_line"])
+    def test_parse_error_is_one_line(self, grid_run, tmp_path, capsys, command, code):
+        # configparser's messages for these span two and three lines
+        ini, paths = grid_run
+        argv = [command, "--out", str(tmp_path / "out")]
+        if command == "gen":
+            argv += ["--config", write_ini(tmp_path, Path(ini).read_text() + "foo\n")]
+        else:
+            data = tmp_path / "data"
+            shutil.copytree(paths["run.manifest"].parent, data)
+            manifest = data / "run.manifest"
+            manifest.write_text("stray\n" + manifest.read_text())
+            argv += ["--config", ini, "--data", str(data)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"{code}\t[^\n]*\n", err), err

@@ -15,7 +15,7 @@ import pytest
 from spatialcausal import cli
 from spatialcausal import engine as E
 from spatialcausal import nets as N
-from spatialcausal.errors import ConfigError, SpatialCausalError
+from spatialcausal.errors import ConfigError, ContractError, SpatialCausalError
 from spatialcausal.gp import KernelSpec
 from spatialcausal.model import ModelConfig, TrainConfig, build_model, train
 from spatialcausal.synthgen import GridConfig, LineGraphConfig, gen_grid, gen_line_graph
@@ -167,4 +167,28 @@ class TestApiSweep:
     def test_message(self, holder, field, value, error):
         with pytest.raises(SpatialCausalError) as err:
             PROBES[holder][1](field, value)
+        assert str(err.value) == error
+
+    @pytest.mark.parametrize("cls,fields,error", [
+        (ModelConfig, {**MODEL, "q": 0}, ConfigError),
+        (ModelConfig, {**MODEL, "interference": "cnn"}, ConfigError),
+        (TrainConfig, {"epochs": 0}, ContractError),
+        (TrainConfig, {"epochs": 1, "optimizer": "lbfgs"}, ConfigError),
+        (LineGraphConfig, {"n": 2}, ConfigError),
+        (GridConfig, {**GRID, "d_s": 2}, ConfigError),
+    ], ids=["model_field", "model_cnn_on_line_patches", "train_field", "train_optimizer",
+            "line", "grid"])
+    def test_config_checked_when_built(self, cls, fields, error):
+        with pytest.raises(error):
+            cls(**fields)
+
+    @pytest.mark.parametrize("field,value,error", [
+        ("sigma", 10 ** 400, "sigma: must be finite, got " + "1" + "0" * 400),
+        ("sigma", 1e200, "sigma: must be in (0, 1e100], got 1e+200"),
+        ("lengthscale", 1e308, "lengthscale: must be in (0, 1e100], got 1e+308"),
+    ], ids=["sigma_int_past_float", "sigma_squared_overflows", "lengthscale_cubed_overflows"])
+    def test_kernel_real_too_large_is_typed(self, field, value, error):
+        # the kernel squares sigma and cubes the lengthscale as Python floats
+        with pytest.raises(ContractError) as err:
+            KernelSpec("rbf", **{field: value})
         assert str(err.value) == error

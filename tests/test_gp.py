@@ -148,8 +148,7 @@ class TestNystrom:
 
 class TestGpTerm:
     def test_zero_weights_vanish(self):
-        nmap = G.build_nystrom(G.InducingSet(np.linspace(0, 1, 5)), RBF)
-        term = G.GpTerm(nmap)
+        term = G.GpTerm(G.InducingSet(np.linspace(0, 1, 5)), RBF)
         coords = np.random.default_rng(0).uniform(size=(7, 1))
         npt.assert_array_equal(term.values_op(coords).data, 0.0)
 
@@ -157,17 +156,17 @@ class TestGpTerm:
         rng = np.random.default_rng(9)
         pts = rng.uniform(size=(4, 2))
         kernel = G.KernelSpec("rbf", sigma=1.0, lengthscale=0.7, noise=0.0)
-        nmap = G.build_nystrom(G.InducingSet(pts), kernel)
         dense_l = np.linalg.cholesky(G.gram_matrix(kernel, pts))
         for j in range(4):
-            term = G.GpTerm(nmap)
+            term = G.GpTerm(G.InducingSet(pts), kernel)
             term.weights.data[j, 0] = 1.0
             val = term.values_op(pts[j][None]).item()
             npt.assert_allclose(val, dense_l[j, j], atol=1e-12)
 
     def test_gradient_wrt_weights_is_features(self):
-        nmap = G.build_nystrom(G.InducingSet(np.linspace(0, 1, 6)), RBF)
-        term = G.GpTerm(nmap)
+        inducing = G.InducingSet(np.linspace(0, 1, 6))
+        nmap = G.build_nystrom(inducing, RBF)
+        term = G.GpTerm(inducing, RBF)
         coords = np.random.default_rng(2).uniform(size=(5, 1))
         with E.Tape() as tape:
             loss = E.tsum(term.values_op(coords))
@@ -175,14 +174,14 @@ class TestGpTerm:
         npt.assert_allclose(term.weights.grad.reshape(-1), nmap.features(coords).sum(axis=0))
 
     def test_linearity_in_weights(self):
-        nmap = G.build_nystrom(G.InducingSet(np.linspace(0, 1, 5)), RBF)
+        inducing = G.InducingSet(np.linspace(0, 1, 5))
         coords = np.random.default_rng(3).uniform(size=(6, 1))
         rng = np.random.default_rng(4)
         w1, w2 = rng.normal(size=(5, 1)), rng.normal(size=(5, 1))
         a, b = 1.7, -0.4
 
         def value(w):
-            term = G.GpTerm(nmap)
+            term = G.GpTerm(inducing, RBF)
             term.weights.data = w.copy()
             return term.values_op(coords).data
 
@@ -197,7 +196,7 @@ class TestGpTerm:
         target = rng.normal(size=(8, 1))
         for family in ("rbf", "exponential"):
             k = G.KernelSpec(family, kernel.sigma, kernel.lengthscale, kernel.noise)
-            term = G.GpTerm(G.build_nystrom(G.InducingSet(pts), k), train_lengthscale=True)
+            term = G.GpTerm(G.InducingSet(pts), k, train_lengthscale=True)
             term.weights.data = rng.normal(size=(5, 1))
 
             def fn():
@@ -212,25 +211,26 @@ class TestGpTerm:
         # at its initial lengthscale the trainable term runs the fixed forward
         rng = np.random.default_rng(14)
         kernel = G.KernelSpec(family, sigma=1.1, lengthscale=0.6, noise=1e-6)
-        nmap = G.build_nystrom(G.InducingSet(rng.uniform(size=(6, 2))), kernel)
+        inducing = G.InducingSet(rng.uniform(size=(6, 2)))
         coords = rng.uniform(size=(9, 2))
-        fixed = G.GpTerm(nmap).features_op(coords).data
-        trained = G.GpTerm(nmap, train_lengthscale=True).features_op(coords).data
+        fixed = G.GpTerm(inducing, kernel).features_op(coords).data
+        trained = G.GpTerm(inducing, kernel, train_lengthscale=True).features_op(coords).data
         assert trained.shape == fixed.shape
         assert trained.tobytes() == fixed.tobytes()
         assert fixed.flags.c_contiguous and trained.flags.c_contiguous
 
 
     def test_fixed_lengthscale_records_no_node(self):
-        nmap = G.build_nystrom(G.InducingSet(np.linspace(0, 1, 5)), RBF)
-        term = G.GpTerm(nmap)
+        inducing = G.InducingSet(np.linspace(0, 1, 5))
+        term = G.GpTerm(inducing, RBF)
         coords = np.linspace(0, 1, 7)
         with E.Tape() as tape:
             feats = term.features_op(coords)
         assert tape.nodes == [] and not feats.requires_grad
         assert not term.train_lengthscale and term.parameters() == [term.weights]
-        assert term.map is nmap
-        assert feats.data.tobytes() == nmap.features(coords).tobytes()
+        fresh = G.build_nystrom(inducing, RBF).features(coords)
+        assert term.map.features(coords).tobytes() == fresh.tobytes()
+        assert feats.data.tobytes() == fresh.tobytes()
 
     @pytest.mark.parametrize("family", ["rbf", "exponential"])
     def test_map_follows_trained_lengthscale(self, family):
@@ -238,7 +238,7 @@ class TestGpTerm:
         kernel = G.KernelSpec(family, sigma=1.0, lengthscale=0.6, noise=1e-6)
         inducing = G.InducingSet(rng.uniform(size=(6, 2)))
         coords = rng.uniform(size=(9, 2))
-        term = G.GpTerm(G.build_nystrom(inducing, kernel), train_lengthscale=True)
+        term = G.GpTerm(inducing, kernel, train_lengthscale=True)
         term.weights.data = rng.normal(size=(6, 1))
         assert term.parameters() == [term.weights, term.lengthscale]
         opt = E.Adam(term.parameters(), lr=0.05)
@@ -256,8 +256,7 @@ class TestGpTerm:
 
     @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
     def test_trained_lengthscale_outside_domain_is_numeric_error(self, value):
-        nmap = G.build_nystrom(G.InducingSet(np.linspace(0, 1, 4)), RBF)
-        term = G.GpTerm(nmap, train_lengthscale=True)
+        term = G.GpTerm(G.InducingSet(np.linspace(0, 1, 4)), RBF, train_lengthscale=True)
         term.lengthscale.data[...] = value
         with pytest.raises(NumericError, match="lengthscale left"):
             term.features_op(np.linspace(0, 1, 5))
@@ -268,8 +267,8 @@ class TestGpTerm:
     ])
     def test_lengthscale_domain_message_names_the_cause(self, trainable, message):
         # only a trainable leaf can have been moved out of the domain by training
-        nmap = G.build_nystrom(G.InducingSet(np.linspace(0, 1, 4)), RBF)
-        term = G.GpTerm(nmap, train_lengthscale=trainable)
+        term = G.GpTerm(G.InducingSet(np.linspace(0, 1, 4)), RBF,
+                        train_lengthscale=trainable)
         term.lengthscale.data[...] = 0.0
         with pytest.raises(NumericError) as err:
             term.features_op(np.linspace(0, 1, 5))

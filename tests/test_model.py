@@ -351,6 +351,7 @@ class TestCheckpoint:
         chol = G.chol_with_jitter
         monkeypatch.setattr(G, "chol_with_jitter", lambda *a: calls.append(1) or chol(*a))
         clone = M.load_model(path)
+        assert calls == []
         pred = clone.predict_dataset(data)
         assert len(calls) == 1
         assert clone.gp_term.map.kernel.lengthscale == 0.55

@@ -160,23 +160,22 @@ class TestLineGraph:
         with pytest.raises(ConfigError):
             gen_line_graph(LineGraphConfig(n=2))
 
-    @pytest.mark.parametrize("cfg", [
-        LineGraphConfig(noise_sigma=np.nan), GridConfig(sigma_l=np.nan),
-        GridConfig(field_lengthscale=np.nan), GridConfig(beta=np.nan),
-        LineGraphConfig(noise_sigma=np.inf),
-        GridConfig(sigma_l=np.inf), GridConfig(field_lengthscale=np.inf),
+    @pytest.mark.parametrize("cls,field,value", [
+        (LineGraphConfig, "noise_sigma", np.nan), (GridConfig, "sigma_l", np.nan),
+        (GridConfig, "field_lengthscale", np.nan), (GridConfig, "beta", np.nan),
+        (LineGraphConfig, "noise_sigma", np.inf),
+        (GridConfig, "sigma_l", np.inf), (GridConfig, "field_lengthscale", np.inf),
     ], ids=["line_noise_sigma", "grid_sigma_l",
             "grid_field_lengthscale", "grid_beta", "line_noise_sigma_inf",
             "grid_sigma_l_inf", "grid_field_lengthscale_inf"])
-    def test_nan_config_rejected(self, cfg):
+    def test_nan_config_rejected(self, cls, field, value):
         with pytest.raises(ConfigError):
-            cfg.validate()
+            cls(**{field: value})
 
-    @pytest.mark.parametrize("cfg", [LineGraphConfig(seed=-1), GridConfig(seed=-1)],
-                             ids=["line", "grid"])
-    def test_negative_seed_rejected(self, cfg):
+    @pytest.mark.parametrize("cls", [LineGraphConfig, GridConfig], ids=["line", "grid"])
+    def test_negative_seed_rejected(self, cls):
         with pytest.raises(ConfigError, match="seed: must be >= 0"):
-            cfg.validate()
+            cls(seed=-1)
 
 
 class TestGridWeights:
