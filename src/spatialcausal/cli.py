@@ -669,6 +669,10 @@ def _gradcheck_cases():
     nbi, nbk = param(2, 3, 2, 2), param(3, 3, 2, 2)
     cases.append(("conv2d_no_bias", lambda: E.tsum(E.conv2d(nbi, nbk, padding=1)),
                   [nbi, nbk]))
+    dx, dw, db = param(4, 3), param(3, 5), param(5)
+    cases.append(("dense", lambda: E.tsum(E.dense(dx, dw, db, relu=True)), [dx, dw, db]))
+    lx, lw, lb = E.Tensor(rng.normal(size=(4, 3))), param(3, 2), param(2)
+    cases.append(("dense_no_relu", lambda: E.tsum(E.dense(lx, lw, lb)), [lw, lb]))
     return cases
 
 

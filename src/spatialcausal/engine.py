@@ -181,8 +181,11 @@ class Tape:
         if g is None:
             return
         if tensor.grad is None:
-            tensor.grad = np.zeros_like(tensor.data)
-        tensor.grad += g
+            # a new array (add hands one g to two leaves) with the bits of
+            # zeros + g, so -0.0 becomes +0.0
+            tensor.grad = g + 0.0
+        else:
+            tensor.grad += g
 
 
 def _record(kind: str, inputs: tuple, out_data: np.ndarray, vjp: Callable) -> Tensor:
@@ -294,6 +297,39 @@ def relu(x) -> Tensor:
         return (g * mask,)
 
     return _record("relu", (x,), out, vjp)
+
+
+def dense(x, w, b, relu: bool = False) -> Tensor:
+    """One fully connected layer: (n,k)@(k,m)+(m,), then a ReLU if ``relu``.
+
+    The arithmetic and its order are those of ``relu(bias_add(matmul(x, w),
+    b))``, so the bytes out and the gradients are the same, but one node is
+    recorded and it keeps one (n, m) array: ``x @ w`` with the bias added and
+    the ReLU applied in place.  The ReLU's mask is read back from that array
+    in the vjp.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    xd, wd, bd = x.data, w.data, b.data
+    if (xd.ndim != 2 or wd.ndim != 2 or bd.ndim != 1
+            or xd.shape[1] != wd.shape[0] or wd.shape[1] != bd.shape[0]):
+        raise DimensionError(
+            f"dense expects (n,k)@(k,m)+(m,), got {xd.shape}, {wd.shape} and {bd.shape}")
+    out = xd @ wd
+    out += bd
+    if relu:
+        if not (_TAPE_STACK and (x.requires_grad or w.requires_grad or b.requires_grad)):
+            # outside a tape, a -inf that the ReLU would clamp still raises
+            _check_finite(out, "output of dense")
+        np.maximum(out, 0.0, out=out)
+
+    def vjp(g):
+        if relu:
+            g = g * (out > 0.0)  # never in place: add's vjp hands g to two branches
+        gx = g @ wd.T if x.requires_grad else None
+        gw = xd.T @ g if w.requires_grad else None
+        return gx, gw, g.sum(axis=0)
+
+    return _record("dense", (x, w, b), out, vjp)
 
 
 def elu(x) -> Tensor:
@@ -583,6 +619,7 @@ _OPS: dict[str, Callable] = {
     "scale": scale,
     "bias_add": bias_add,
     "relu": relu,
+    "dense": dense,
     "elu": elu,
     "conv2d": conv2d,
     "maxpool2": maxpool2,

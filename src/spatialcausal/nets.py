@@ -5,7 +5,9 @@ The MLP, CNN and U-Net builders take an explicit seed and draw weights from
 is reproducible bit for bit; the linear maps start at zero.  Forward
 procedures are pure functions of the parameters; convolutional nets consume
 (n, c, h, w) batches, dense nets (n, d) batches, and every net returns shape
-(n, 1).  The U-Net's value is the center pixel of its output map, so its
+(n, 1).  Each MLP layer, the CNN head and ``build_affine``'s map are one
+engine ``dense`` op each, so a training step keeps one activation array per
+layer.  The U-Net's value is the center pixel of its output map, so its
 decoder convolutions run only on the windows that pixel depends on.
 """
 
@@ -190,9 +192,7 @@ def _mlp_forward(net: Network, x: Tensor) -> Tensor:
     h = x
     n_layers = len(net.params) // 2
     for i in range(n_layers):
-        h = E.bias_add(E.matmul(h, net.params[2 * i]), net.params[2 * i + 1])
-        if i < n_layers - 1:
-            h = E.relu(h)
+        h = E.dense(h, net.params[2 * i], net.params[2 * i + 1], relu=i < n_layers - 1)
     return h
 
 
@@ -206,7 +206,7 @@ def _cnn_forward(net: Network, x: Tensor) -> Tensor:
     for i in range(spec.depth):
         h = E.relu(E.conv2d(h, net.params[2 * i], net.params[2 * i + 1], padding=1))
     pooled = E.global_avg_pool(h)
-    return E.bias_add(E.matmul(pooled, net.params[-2]), net.params[-1])
+    return E.dense(pooled, net.params[-2], net.params[-1])
 
 
 def _grow(win: tuple, sides: tuple) -> tuple:
@@ -290,10 +290,9 @@ def _linear_forward(net: Network, x: Tensor) -> Tensor:
     flat = x if x.data.ndim == 2 else E.reshape(x, (x.data.shape[0], -1))
     if flat.data.shape[1] != spec.in_dim:
         raise DimensionError(f"linear expects {spec.in_dim} features, got {flat.data.shape}")
-    out = E.matmul(flat, net.params[0])
     if spec.bias:
-        out = E.bias_add(out, net.params[1])
-    return out
+        return E.dense(flat, net.params[0], net.params[1])
+    return E.matmul(flat, net.params[0])
 
 
 _FORWARD = {

@@ -110,6 +110,19 @@ class TestBackward:
         tape.backward(loss)
         npt.assert_allclose(w.grad, x.data + 1.0)
 
+    def test_first_gradient_is_a_new_array_with_positive_zero(self):
+        # add hands one array to both leaves; a -0.0 gradient is stored as +0.0
+        a = E.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        b = E.Tensor(np.array([3.0, 4.0]), requires_grad=True)
+        w = E.Tensor(np.array([5.0]), requires_grad=True)
+        with E.Tape() as tape:
+            loss = E.add(E.tsum(E.add(a, b)), E.tsum(E.mul(w, E.Tensor([-0.0]))))
+        tape.backward(loss)
+        assert a.grad is not b.grad
+        a.grad += 1.0
+        npt.assert_array_equal(b.grad, 1.0)
+        assert w.grad[0] == 0.0 and not np.signbit(w.grad[0])
+
     def test_grad_accumulates_across_backward_calls(self):
         w = E.Tensor(np.array([2.0]), requires_grad=True)
         for _ in range(2):
@@ -262,6 +275,93 @@ class TestConv2d:
         assert report.passed, report
 
 
+# (n, k, m, relu): the line MLP's layers, its head, the raster confounder's
+# first layer, and one-row batches
+DENSE_SHAPES = [(500, 3, 256, True), (500, 256, 256, True), (500, 256, 1, False),
+                (60, 4, 128, True), (1, 4, 8, True), (1, 8, 1, False)]
+
+
+def _dense_and_chain(x, w, b, relu, g):
+    """Output and vjp results of ``dense`` and of matmul -> bias_add [-> relu]."""
+    with E.Tape() as tape:
+        out = E.dense(x, w, b, relu=relu)
+    (node,) = tape.nodes
+    g_before = g.copy()
+    fused = (out.data, *node.vjp(g))
+    npt.assert_array_equal(g, g_before)  # the upstream gradient is never written
+    with E.Tape() as tape:
+        h = E.bias_add(E.matmul(x, w), b)
+        if relu:
+            h = E.relu(h)
+    nodes = tape.nodes[::-1]
+    gh = nodes.pop(0).vjp(g)[0] if relu else g
+    gm, gb = nodes[0].vjp(gh)
+    gx, gw = nodes[1].vjp(gm)
+    return fused, (h.data, gx, gw, gb)
+
+
+def _assert_same_bytes(fused, chain):
+    for a, c in zip(fused, chain, strict=True):
+        assert (a is None) == (c is None)
+        if a is not None:
+            assert a.shape == c.shape and a.tobytes() == c.tobytes()
+
+
+class TestDense:
+    @pytest.mark.parametrize("shape", DENSE_SHAPES,
+                             ids=["n{}_k{}_m{}_relu{}".format(*s) for s in DENSE_SHAPES])
+    def test_bytes_match_three_op_chain(self, shape):
+        n, k, m, relu = shape
+        rng = np.random.default_rng(n + k + m)
+        x = E.Tensor(rng.normal(size=(n, k)), requires_grad=True)
+        w = E.Tensor(rng.normal(size=(k, m)) / np.sqrt(k), requires_grad=True)
+        b = E.Tensor(rng.normal(size=m), requires_grad=True)
+        _assert_same_bytes(*_dense_and_chain(x, w, b, relu, rng.normal(size=(n, m))))
+
+    @pytest.mark.parametrize("relu", [True, False])
+    def test_nan_and_negative_zero_match_chain(self, relu):
+        rng = np.random.default_rng(21)
+        xd = rng.normal(size=(6, 3))
+        xd[1] = -0.0
+        xd[4, 2] = np.nan
+        wd = rng.normal(size=(3, 4))
+        x, w = E.Tensor.__new__(E.Tensor), E.Tensor(wd, requires_grad=True)
+        x.data, x.requires_grad, x.grad = xd, True, None  # bypasses the finite scan
+        b = E.Tensor(np.array([-0.0, 0.0, 1.0, -1.0]), requires_grad=True)
+        g = rng.normal(size=(6, 4))
+        g[0, 0] = -0.0
+        fused, chain = _dense_and_chain(x, w, b, relu, g)
+        assert np.isnan(fused[0][4]).all()
+        _assert_same_bytes(fused, chain)
+
+    def test_constant_input_gets_no_gradient(self):
+        rng = np.random.default_rng(22)
+        x = E.Tensor(rng.normal(size=(5, 3)))
+        w = E.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        b = E.Tensor(rng.normal(size=4), requires_grad=True)
+        fused, chain = _dense_and_chain(x, w, b, True, rng.normal(size=(5, 4)))
+        assert fused[1] is None
+        _assert_same_bytes(fused, chain)
+        with E.Tape() as tape:
+            loss = E.tsum(E.dense(x, w, b, relu=True))
+        tape.backward(loss)
+        assert x.grad is None and w.grad is not None and b.grad is not None
+
+    @pytest.mark.parametrize("shapes", [((4, 3), (2, 5), (5,)), ((4, 3), (3, 5), (4,)),
+                                        ((4, 3), (3, 5), (1, 5)), ((3,), (3, 5), (5,))],
+                             ids=["inner", "bias_len", "bias_2d", "x_1d"])
+    def test_mismatched_shapes_raise(self, shapes):
+        with pytest.raises(DimensionError):
+            E.dense(*(np.ones(s) for s in shapes))
+
+    def test_clamped_negative_overflow_raises_outside_tape(self):
+        x = np.full((1, 2), 1e200)
+        w = np.full((2, 1), -1e200)
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericError, match="non-finite values in output of dense"):
+            E.dense(x, w, np.zeros(1), relu=True)
+
+
 def _deep_mlp():
     return N.build_mlp(N.MlpSpec(in_dim=3, width=8, depth=4, out_dim=1), seed=0)
 
@@ -276,11 +376,11 @@ class TestFiniteness:
                          E.Tensor(rng.normal(size=(6, 1))))
         return tape, loss
 
-    def test_nan_weight_named_as_matmul_output(self):
+    def test_nan_weight_named_as_dense_output(self):
         net = _deep_mlp()
         net.params[4].data[0, 0] = np.nan
         tape, loss = self._forward(net)
-        with pytest.raises(NumericError, match="non-finite values in output of matmul"):
+        with pytest.raises(NumericError, match="non-finite values in output of dense"):
             tape.backward(loss)
         assert all(p.grad is None for p in net.params)
 
@@ -298,7 +398,7 @@ class TestFiniteness:
     def test_op_outside_tape_raises_at_the_op(self):
         net = _deep_mlp()
         net.params[4].data[0, 0] = np.nan
-        with pytest.raises(NumericError, match="non-finite values in output of matmul"):
+        with pytest.raises(NumericError, match="non-finite values in output of dense"):
             net.forward(E.Tensor(np.ones((6, 3))))
 
     def test_clean_step_scans_loss_and_each_leaf(self, monkeypatch):

@@ -81,6 +81,15 @@ class TestMlp:
         with pytest.raises(DimensionError):
             net.forward(np.ones((4, 5)))
 
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_taped_forward_keeps_one_array_per_layer(self, depth):
+        n, width = 50, 16
+        net = N.build_mlp(N.MlpSpec(in_dim=3, width=width, depth=depth), 0)
+        with E.Tape() as tape:
+            net.forward(np.random.default_rng(2).normal(size=(n, 3)))
+        assert [nd.kind for nd in tape.nodes] == ["dense"] * (depth + 1)
+        assert sum(nd.output.data.nbytes for nd in tape.nodes) == n * (depth * width + 1) * 8
+
     def test_gradient_check(self):
         net = N.build_mlp(N.MlpSpec(2, 6, 2), 3)
         x = E.Tensor(np.random.default_rng(1).normal(size=(7, 2)))
