@@ -299,61 +299,57 @@ def train_config_from(config: ExperimentConfig, seed: int) -> TrainConfig:
                          patience=tt["patience"] or None, seed=seed)
 
 
-def _variants(config: ExperimentConfig):
-    flag = config.resolved["effects"]["weighted"]
-    if flag == "on":
-        return (("weighted", True),)
-    if flag == "off":
-        return (("unweighted", False),)
-    return (("unweighted", False), ("weighted", True))
+# [effects] weighted -> the weighting variants it runs, in output order
+_VARIANTS = {"off": ("unweighted",), "on": ("weighted",), "both": ("unweighted", "weighted")}
+_ERROR_KEYS = ("de_err", "ie_err", "te_err")
 
 
-def _fit_weights(dataset: SpatialDataset, m: int):
-    gps = fit_gps(dataset, m)
-    marg = marginal_density(dataset, m)
-    return balancing_weights(dataset, m, gps, marg)
+def _estimate(model, dataset, config: ExperimentConfig, labels, truth):
+    """The effects stage: (reports, errors), each keyed by the variant ``labels``.
 
-
-def _estimate(model, dataset, config: ExperimentConfig, variants, truth):
-    """(reports, errors) per weighting variant, given as weighted flags.
-
-    Per treatment, each estimator and the oracle run once, under the first
-    variant's weights; the other variants re-average the weight-free samples
-    of those reports.  The oracle shares the estimator's t-grid and
-    neighborhood draws so that their difference reflects model error, not
+    Per treatment the balancing weights are fit once, for the ``weighted``
+    label, and each estimator (and, for treatment 0 in dose mode, the oracle)
+    runs once with no weights.  Every variant re-averages that estimate's
+    weight-free samples with ``reweighted``, which gives the bits of an
+    estimate made under its weights.  The oracle shares the estimator's t-grid
+    and neighborhood draws so that their difference reflects model error, not
     resampling noise.
     """
     eff = config.resolved["effects"]
     modes = ("dose", "observed") if eff["mode"] == "both" else (eff["mode"],)
-    reports = [[] for _ in variants]
-    errors = [None] * len(variants)
+    reports = {label: [] for label in labels}
+    errors = dict.fromkeys(labels)
     for m in range(dataset.n_treatments):
-        weights = [_fit_weights(dataset, m) if on else None for on in variants]
+        weights = {"unweighted": None}
+        if "weighted" in labels:
+            weights["weighted"] = balancing_weights(dataset, m, fit_gps(dataset, m),
+                                                    marginal_density(dataset, m))
         for mode in modes:
             oracle = None
             if mode == "observed":
-                first = estimate_effects_observed(model, dataset, m, weights=weights[0])
+                base = estimate_effects_observed(model, dataset, m)
             else:
                 t_grid = default_t_grid(dataset, m, eff["grid_size"])
                 draws = dose_draw_indices(dataset.n_units, eff["b_draws"], 0)
-                first = estimate_effects_dose(model, dataset, m, weights=weights[0],
-                                              t_grid=t_grid, draw_indices=draws)
+                base = estimate_effects_dose(model, dataset, m, t_grid=t_grid,
+                                             draw_indices=draws)
                 if truth is not None and m == 0:
                     oracle = oracle_effects(truth, dataset, 0, t_grid=t_grid,
                                             draw_indices=draws)
-            for k, w in enumerate(weights):
-                rep = reweighted(first, dataset, w) if k else first
-                reports[k].append(rep)
+            for label in labels:
+                rep = reweighted(base, dataset, weights[label])
+                reports[label].append(rep)
                 if oracle is not None:
-                    errors[k] = effect_error(rep, oracle)
+                    errors[label] = effect_error(rep, oracle)
     return reports, errors
 
 
 def compute_effect_reports(model, dataset, config: ExperimentConfig,
                            weighted: bool, truth=None):
     """Per-treatment effect reports plus dose errors vs truth for treatment 0."""
-    reports, errors = _estimate(model, dataset, config, (weighted,), truth)
-    return reports[0], errors[0]
+    label = "weighted" if weighted else "unweighted"
+    reports, errors = _estimate(model, dataset, config, (label,), truth)
+    return reports[label], errors[label]
 
 
 def fit_model(config: ExperimentConfig, dataset: SpatialDataset, seed: int):
@@ -371,9 +367,8 @@ def fit_model(config: ExperimentConfig, dataset: SpatialDataset, seed: int):
 
 def estimate_variants(model, dataset, config: ExperimentConfig, truth=None):
     """Effects stage: (reports, errors), each keyed by weighting variant."""
-    labels, flags = zip(*_variants(config))
-    reports, errors = _estimate(model, dataset, config, flags, truth)
-    return dict(zip(labels, reports)), dict(zip(labels, errors))
+    return _estimate(model, dataset, config,
+                     _VARIANTS[config.resolved["effects"]["weighted"]], truth)
 
 
 def run_single_seed(config: ExperimentConfig, seed: int) -> dict:
@@ -389,20 +384,31 @@ def run_protocol(config: ExperimentConfig) -> dict:
     """All seeds in [run].seeds, with per-variant mean/std error summaries."""
     start = time.perf_counter()
     per_seed = [run_single_seed(config, s) for s in config.resolved["run"]["seeds"]]
-    summary = {}
-    for label, _ in _variants(config):
-        errs = [r["errors"][label] for r in per_seed if r["errors"][label]]
-        if not errs:
-            continue
-        stats = {}
-        for key in ("de_err", "ie_err", "te_err"):
-            vals = np.array([e[key] for e in errs])
-            stats[key + "_mean"] = float(vals.mean())
-            stats[key + "_std"] = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
-        summary[label] = stats
+    summary = {label: error_summary(rows) for label, rows
+               in _errors_by_variant([(r["seed"], r["errors"]) for r in per_seed]).items()}
     return {"config_hash": config.hash(), "per_seed": per_seed,
             "summary": summary,
             "wall_clock_s": time.perf_counter() - start}
+
+
+def _errors_by_variant(records) -> dict:
+    """{variant: [(seed, errors)]} from (seed, errors by variant) records.
+
+    Seeds without truth are left out, and so are variants left with no seed.
+    """
+    rows = {label: [(seed, errs[label]) for seed, errs in records if errs[label]]
+            for label in records[0][1]}
+    return {label: got for label, got in rows.items() if got}
+
+
+def error_summary(rows) -> dict:
+    """Across-seed means and sample standard deviations (0 for one seed) of the
+    (de, ie, te) errors in (seed, errors) ``rows``: report.json's ``summary``
+    and each errors CSV's mean row."""
+    arr = np.array([[errs[k] for k in _ERROR_KEYS] for _, errs in rows])
+    stds = arr.std(axis=0, ddof=1) if arr.shape[0] > 1 else np.zeros(3)
+    return {f"{k}_{stat}": float(v) for stat, vals in (("mean", arr.mean(axis=0)), ("std", stds))
+            for k, v in zip(_ERROR_KEYS, vals)}
 
 
 def write_trace_csv(trace, path: str) -> None:
@@ -414,22 +420,6 @@ def write_trace_csv(trace, path: str) -> None:
                         "" if np.isnan(val_mse) else csv_float(val_mse)])
 
 
-def write_errors_csv(rows, path: str) -> None:
-    """Per-seed rows then one mean row with across-seed standard deviations."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["seed", "de_err", "ie_err", "te_err",
-                    "de_std", "ie_std", "te_std"])
-        for seed, err in rows:
-            w.writerow([seed, csv_float(err["de_err"]), csv_float(err["ie_err"]),
-                        csv_float(err["te_err"]), "", "", ""])
-        arr = np.array([[e["de_err"], e["ie_err"], e["te_err"]]
-                        for _, e in rows])
-        means = arr.mean(axis=0)
-        stds = arr.std(axis=0, ddof=1) if arr.shape[0] > 1 else np.zeros(3)
-        w.writerow(["mean"] + [csv_float(v) for v in means] + [csv_float(v) for v in stds])
-
-
 def write_effect_tables(out_dir: str, reports: dict, prefix: str = "") -> None:
     """One effects_<prefix><variant>.csv per weighting variant."""
     for label, reps in reports.items():
@@ -437,11 +427,16 @@ def write_effect_tables(out_dir: str, reports: dict, prefix: str = "") -> None:
 
 
 def write_error_tables(out_dir: str, records) -> None:
-    """errors_<variant>.csv over the (seed, errors by variant) records with truth."""
-    for label in records[0][1]:
-        rows = [(seed, errs[label]) for seed, errs in records if errs[label]]
-        if rows:
-            write_errors_csv(rows, os.path.join(out_dir, f"errors_{label}.csv"))
+    """errors_<variant>.csv: per-seed rows, then the ``error_summary`` mean row."""
+    for label, rows in _errors_by_variant(records).items():
+        stats = error_summary(rows)
+        with open(os.path.join(out_dir, f"errors_{label}.csv"), "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["seed", "de_err", "ie_err", "te_err", "de_std", "ie_std", "te_std"])
+            for seed, errs in rows:
+                w.writerow([seed] + [csv_float(errs[k]) for k in _ERROR_KEYS] + [""] * 3)
+            w.writerow(["mean"] + [csv_float(stats[f"{k}_{stat}"])
+                                   for stat in ("mean", "std") for k in _ERROR_KEYS])
 
 
 def _flatten_metrics(metrics: dict) -> dict:
@@ -541,7 +536,7 @@ def cmd_effects(config: ExperimentConfig, ckpt: str | None, data_arg: str | None
         reports, errors = estimate_variants(model, dataset, config, truth)
         write_effect_tables(out_dir, reports)
         write_error_tables(out_dir, [(seed, errors)])
-        print(f"effects\t{len(_variants(config))} variant files -> {out_dir}")
+        print(f"effects\t{len(reports)} variant files -> {out_dir}")
         return 0
 
     result = run_protocol(config)

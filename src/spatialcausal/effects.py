@@ -35,6 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractError, DataError, DimensionError
+from .gp import as_coords
 from .model import SpatialDataset, SpatialModel
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -87,8 +88,7 @@ class BalancingWeights:
 
 def _gps_design(confounders: np.ndarray, coords: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(confounders, dtype=np.float64))
-    s = np.atleast_2d(np.asarray(coords, dtype=np.float64))
-    return np.column_stack([x, s, np.ones(x.shape[0])])
+    return np.column_stack([x, as_coords(coords), np.ones(x.shape[0])])
 
 
 def fit_gps(dataset: SpatialDataset, m: int) -> GpsModel:

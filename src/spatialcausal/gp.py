@@ -42,7 +42,8 @@ class KernelSpec:
         check_fields(self, ContractError)
 
 
-def _as_coords(arr) -> np.ndarray:
+def as_coords(arr) -> np.ndarray:
+    """(n, d) float coordinates; an (n,) array is n one-dimensional points."""
     out = np.asarray(arr, dtype=np.float64)
     if out.ndim == 1:
         out = out[:, None]
@@ -55,7 +56,11 @@ def kernel_matrix_from_dist(kernel: KernelSpec, dist: np.ndarray) -> np.ndarray:
     ls = kernel.lengthscale
     s2 = kernel.sigma ** 2
     if kernel.family == "rbf":
-        return s2 * np.exp(-(dist * dist) / (2.0 * ls * ls))
+        two_l2 = 2.0 * ls * ls
+        if two_l2 == 0.0:       # the diagonal would be 0/0
+            raise NumericError(f"kernel lengthscale {ls}: 2*l*l underflows to 0, so the "
+                               "rbf covariance is not finite")
+        return s2 * np.exp(-(dist * dist) / two_l2)
     return s2 * np.exp(-dist / ls)
 
 
@@ -78,12 +83,12 @@ def _dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def gram_matrix(kernel: KernelSpec, coords_a, coords_b=None) -> np.ndarray:
     """Cross-covariance matrix; symmetric Gram when coords_b is omitted."""
-    a = _as_coords(coords_a)
+    a = as_coords(coords_a)
     if coords_b is None:
         d = _dist(a, a)
         k = kernel_matrix_from_dist(kernel, d)
         return 0.5 * (k + k.T)
-    b = _as_coords(coords_b)
+    b = as_coords(coords_b)
     if a.shape[1] != b.shape[1]:
         raise DimensionError(f"coordinate dims differ: {a.shape[1]} vs {b.shape[1]}")
     return kernel_matrix_from_dist(kernel, _dist(a, b))
@@ -109,7 +114,7 @@ class InducingSet:
     points: np.ndarray        # (q, d), pairwise distinct
 
     def __post_init__(self):
-        pts = _as_coords(self.points)
+        pts = as_coords(self.points)
         object.__setattr__(self, "points", pts)
         if pts.shape[0] < 1:
             raise ContractError("inducing set needs at least one point")
@@ -129,7 +134,7 @@ def select_inducing(coords, q: int, strategy: str = "grid", seed: int = 0) -> In
     square).  ``subsample`` draws q distinct data coordinates uniformly.
     """
     check("q", q, ContractError)
-    pts = _as_coords(coords)
+    pts = as_coords(coords)
     if strategy == "grid":
         lo, hi = pts.min(axis=0), pts.max(axis=0)
         if pts.shape[1] == 1:
@@ -255,7 +260,7 @@ def _features_with_lengthscale_grad(term: GpTerm, coords) -> Tensor:
 
         factor = nmap.chol_factor
         dkq = _dkernel_dl_from_dist(nmap.kernel, _dist(pts, pts))
-        dknq = _dkernel_dl_from_dist(nmap.kernel, _dist(_as_coords(coords), pts))
+        dknq = _dkernel_dl_from_dist(nmap.kernel, _dist(as_coords(coords), pts))
         inner = solve_triangular(factor, dkq, lower=True)
         inner = solve_triangular(factor, inner.T, lower=True)      # L^{-1} dKq L^{-T}
         phi = np.tril(inner)
@@ -272,7 +277,7 @@ def sample_gp(coords, kernel: KernelSpec, seed: int, n_draws: int | None = None)
 
     Returns shape (N,) by default, or (n_draws, N) when n_draws is given.
     """
-    pts = _as_coords(coords)
+    pts = as_coords(coords)
     n = pts.shape[0]
     if n > 10_000:
         raise ContractError(f"dense sampling limited to 10000 points, got {n}")

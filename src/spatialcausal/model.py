@@ -46,7 +46,7 @@ class SpatialDataset:
     d_s: int
 
     def __post_init__(self):
-        self.coords = np.atleast_2d(np.asarray(self.coords, dtype=np.float64))
+        self.coords = G.as_coords(self.coords)
         self.treatments = np.asarray(self.treatments, dtype=np.float64)
         self.patches = np.asarray(self.patches, dtype=np.float64)
         self.confounders = np.asarray(self.confounders, dtype=np.float64)

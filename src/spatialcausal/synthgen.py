@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .effects import EffectReport, dose_inputs, dose_report
-from .errors import ConfigError, ContractError, DataError, check, check_fields
+from .errors import ConfigError, ContractError, DataError, NumericError, check, check_fields
 from .gp import KernelSpec, chol_with_jitter, sample_gp, sample_gp_grid
 from .model import SpatialDataset
 from .raster import unit_windows
@@ -189,7 +189,11 @@ def grid_weight_matrix(d_s: int, sigma_l: float) -> np.ndarray:
     dist = np.hypot(offsets[:, None], offsets[None, :])
     w = np.exp(-dist / sigma_l)
     w[half, half] = 0.0
-    return w / w.sum()
+    total = w.sum()
+    if total == 0.0:
+        raise NumericError(f"d_s {d_s}, sigma_l {sigma_l}: every neighbour weight is 0, "
+                           "so the weights cannot be normalized")
+    return w / total
 
 
 def synth_fields(config: GridConfig):

@@ -12,6 +12,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -746,6 +747,23 @@ class TestProtocol:
         assert rep["per_seed"][0]["errors"] == {"unweighted": None, "weighted": None}
         assert rep["summary"] == {}
 
+    def test_summary_holds_the_errors_csv_mean_row_bits(self, tmp_path):
+        # from 8 seeds on, a 1-d and a column-wise reduction can round apart
+        ini = write_ini(tmp_path, TINY_INI.replace("seeds = 0,1", "seeds = " + ",".join(
+            str(seed) for seed in range(9))))
+        out = str(tmp_path / "proto")
+        assert cli.main(["effects", "--config", ini, "--out", out]) == 0
+        rep = json.load(open(os.path.join(out, "report.json")))
+        assert set(rep["summary"]) == {"unweighted", "weighted"}
+        for label, stats in rep["summary"].items():
+            with open(os.path.join(out, f"errors_{label}.csv")) as fh:
+                rows = list(csv.reader(fh))
+            assert rows[-1][0] == "mean" and len(rows) == 1 + 9 + 1
+            cells = dict(zip(rows[0][1:], rows[-1][1:]))
+            for key in ("de", "ie", "te"):
+                assert stats[f"{key}_err_mean"] == float(cells[f"{key}_err"]), (label, key)
+                assert stats[f"{key}_err_std"] == float(cells[f"{key}_std"]), (label, key)
+
     def test_report_command(self, proto_dir, capsys):
         assert cli.main(["report", "--out", proto_dir]) == 0
         text = open(os.path.join(proto_dir, "report.txt")).read()
@@ -952,6 +970,30 @@ class TestMainErrors:
             assert f"effects.{key}: must be >= 1" in err, err
         elif key == "kernel_lengthscale":
             assert "model.kernel_lengthscale: must be in (0, 1e100]" in err, err
+
+    @pytest.mark.parametrize("old,new,command,named", [
+        ("confounder = linear", "confounder = linear\ngp = true\nkernel_lengthscale = 1e-200",
+         "train", "lengthscale 1e-200"),
+        ("generator = line", "generator = grid\nrows = 24\ncols = 24\nn_units = 20\nd_s = 1",
+         "gen", "d_s 1"),
+        ("generator = line", "generator = grid\nrows = 24\ncols = 24\nn_units = 20\nd_s = 3\n"
+         "sigma_l = 1e-5", "gen", "sigma_l 1e-05"),
+        ("generator = line", "generator = grid\nrows = 24\ncols = 24\nn_units = 20\nd_s = 3\n"
+         "field_lengthscale = 1e-200", "gen", "lengthscale 1e-200"),
+    ], ids=["kernel_lengthscale", "d_s_one", "sigma_l", "field_lengthscale"])
+    def test_underflowing_setting_is_one_numeric_error_line(
+            self, workspace, tmp_path, capsys, old, new, command, named):
+        """A setting inside its domain whose arithmetic underflows to a 0/0."""
+        ini = write_ini(tmp_path, TINY_INI.replace(old, new))
+        argv = [command, "--config", ini, "--out", str(tmp_path / "x")]
+        if command == "train":
+            argv += ["--data", workspace["data"]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)     # raised before any 0/0
+            assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric_error\t") and err.count("\n") == 1, err
+        assert named in err and "Traceback" not in err, err
 
     @pytest.mark.parametrize("command,section,key,value", [
         ("gen", "model", "mlp_width", "0"),

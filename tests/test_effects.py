@@ -94,6 +94,15 @@ class TestGps:
         one_sigma = gps.density(np.array([2.0]), x, s)[0]
         assert one_sigma / at_mean == pytest.approx(math.exp(-0.5))
 
+    def test_one_d_coords_are_points(self):
+        ds = make_dataset(n=20, seed=4)
+        gps = fit_gps(ds, 0)
+        t = ds.treatments[:, 0]
+        assert_array_equal(gps.density(t, ds.confounders, ds.coords[:, 0]),
+                           gps.density(t, ds.confounders, ds.coords))
+        with pytest.raises(DimensionError):
+            gps.density(t, ds.confounders, ds.coords[:, :, None])
+
     def test_rank_deficient_design_warns(self):
         ds = make_dataset(n=30, seed=3)
         x = np.column_stack([ds.confounders[:, 0], ds.confounders[:, 0]])

@@ -51,6 +51,18 @@ class TestDataset:
             M.SpatialDataset(np.zeros((4, 1)), np.zeros((4, 1)), np.zeros((4, 1, 4)),
                              np.zeros((4, 2)), np.zeros(4), d_s=4)
 
+    def test_one_d_coords_are_points(self):
+        rng = np.random.default_rng(0)
+        fields = (rng.normal(size=(5, 1)), np.zeros((5, 1, 3)), rng.normal(size=(5, 2)),
+                  rng.normal(size=5))
+        flat = M.SpatialDataset(np.linspace(0.0, 1.0, 5), *fields, d_s=3)
+        column = M.SpatialDataset(np.linspace(0.0, 1.0, 5)[:, None], *fields, d_s=3)
+        for name in ("coords", "treatments", "patches", "confounders", "outcomes"):
+            npt.assert_array_equal(getattr(flat, name), getattr(column, name))
+        assert flat.coords.shape == (5, 1)
+        with pytest.raises(DimensionError, match="coordinates must be"):
+            M.SpatialDataset(np.zeros((5, 1, 1)), *fields, d_s=3)
+
 
 class TestBuildAndPredict:
     def test_zeroed_model_predicts_zero(self):
