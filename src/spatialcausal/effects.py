@@ -87,8 +87,12 @@ class BalancingWeights:
 
 
 def _gps_design(confounders: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(confounders, dtype=np.float64))
-    return np.column_stack([x, as_coords(coords), np.ones(x.shape[0])])
+    x = np.asarray(confounders, dtype=np.float64)
+    s = as_coords(coords)
+    if x.ndim != 2 or x.shape[0] != s.shape[0]:
+        raise DimensionError(f"confounders must be (N, dx) for N = {s.shape[0]} coordinates, "
+                             f"got {x.shape} and coordinates {s.shape}")
+    return np.column_stack([x, s, np.ones(x.shape[0])])
 
 
 def fit_gps(dataset: SpatialDataset, m: int) -> GpsModel:

@@ -442,39 +442,104 @@ def conv2d(x, w, bias=None, padding: int = 0) -> Tensor:
     return _record("conv2d", inputs, out, vjp)
 
 
+def _lead_order(a: np.ndarray) -> tuple:
+    """The axis order that puts a 4-d array's two leading axes in memory order.
+
+    conv2d's outputs, and the ops applied to them, are laid out (c, n, h, w).
+    """
+    return (1, 0, 2, 3) if a.strides[1] > a.strides[0] else (0, 1, 2, 3)
+
+
+def _later_wins(first: np.ndarray, later: np.ndarray, nan: bool) -> np.ndarray:
+    """Where ``later`` takes a window's max from ``first`` as ``argmax`` would:
+    it is greater, or it is NaN and ``first`` is not."""
+    wins = later > first
+    if nan:
+        wins |= np.isnan(later) & ~np.isnan(first)
+    return wins
+
+
 def maxpool2(x) -> Tensor:
-    """2x2 max pooling with stride 2; ties resolve to the first position scanned."""
+    """2x2 max pooling with stride 2.
+
+    Each window's output is the value ``argmax`` picks in the scan order
+    (0,0), (0,1), (1,0), (1,1): the first maximum, so ties of equal values,
+    -0.0 and +0.0 among them, go to the first position scanned, and the first
+    NaN beats every number.  The input is read in memory order, (n, c) or
+    (c, n) then (h, w) (another layout is copied first), as one flat array
+    whose stride-2 views of even and odd elements are the left and right
+    columns of every window.  One comparison of those views picks each
+    window row's winner.  The two rows are then compared by ``np.maximum`` of
+    their pairs; its sign of a zero may be either operand's, which no
+    comparison sees, and it keeps NaN.  The output bytes are taken from each
+    window's winning position, and the vjp writes ``g`` to those positions of
+    a zeroed gradient, +0.0 everywhere else.
+    """
     x = as_tensor(x)
     xd = x.data
     if xd.ndim != 4:
         raise DimensionError(f"maxpool2 expects 4-d input, got {xd.shape}")
-    n, c, h, w = xd.shape
+    h, w = xd.shape[2:]
     if h % 2 or w % 2:
         raise DimensionError(f"maxpool2 requires even spatial sides, got {h}x{w}")
     h2, w2 = h // 2, w // 2
-    windows = xd.reshape(n, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h2, w2, 4)
-    idx = windows.argmax(axis=-1)
-    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    order = _lead_order(xd)
+    xm = np.ascontiguousarray(xd.transpose(order))  # a view, not a copy, for both layouts
+    flat = xm.reshape(-1)
+    rows = xm.shape[0] * xm.shape[1] * h2
+    left, right = flat[0::2], flat[1::2]
+    row_max = np.maximum(left, right).reshape(rows, 2, w2)
+    nan = bool(np.isnan(row_max).any())
+    right_wins = _later_wins(left, right, nan)
+    bottom_wins = _later_wins(row_max[:, 0], row_max[:, 1], nan)
+    # index into left/right of each window's winning row, then into flat
+    pair = np.arange(left.size).reshape(rows, 2, w2)[:, 0] + w2 * bottom_wins
+    pos = pair + pair
+    pos += right_wins.take(pair)
+    out = flat.take(pos).reshape(xm.shape[:2] + (h2, w2)).transpose(order)
 
     def vjp(g):
-        gw = np.zeros((n, c, h2, w2, 4), dtype=np.float64)
-        np.put_along_axis(gw, idx[..., None], g[..., None], axis=-1)
-        return (gw.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w),)
+        gx = np.zeros(xm.shape, dtype=np.float64)
+        gx.reshape(-1)[pos] = g.transpose(order).reshape(pos.shape)
+        return (gx.transpose(order),)
 
     return _record("maxpool2", (x,), out, vjp)
 
 
 def upsample2(x) -> Tensor:
-    """Nearest-neighbor upsampling by a factor of 2 in both spatial dimensions."""
+    """Nearest-neighbor upsampling by a factor of 2 in both spatial dimensions.
+
+    The vjp sums each 2x2 window of ``g`` with the bytes of
+    ``g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))``.  With gij the stride-2
+    view ``g[:, :, i::2, j::2]``, that sum adds (g00 + g01) + (g10 + g11),
+    and ((g00 + g01) + g10) + g11 for a one-column input (the U-Net's lowest
+    level at d_s = 3).  It starts from
+    +0.0, so a window of four -0.0 sums to +0.0; here 0.0 is added last.
+    The column pairs g00 + g01 and g10 + g11 are the even plus the odd
+    elements of ``g`` read flat in memory order.  Of two NaNs in a window,
+    the one kept may differ: numpy's choice varies with the layout of ``g``.
+    """
     x = as_tensor(x)
     xd = x.data
     if xd.ndim != 4:
         raise DimensionError(f"upsample2 expects 4-d input, got {xd.shape}")
-    n, c, h, w = xd.shape
+    h, w = xd.shape[2:]
     out = np.repeat(np.repeat(xd, 2, axis=2), 2, axis=3)
 
     def vjp(g):
-        return (g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)),)
+        if w == 1:
+            g00, g01, g10, g11 = (g[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1))
+            gx = g00 + g01
+            gx += g10
+            gx += g11
+        else:
+            order = _lead_order(g)
+            gm = np.ascontiguousarray(g.transpose(order))
+            flat = gm.reshape(-1)
+            cols = (flat[0::2] + flat[1::2]).reshape(gm.shape[0] * gm.shape[1] * h, 2, w)
+            gx = (cols[:, 0] + cols[:, 1]).reshape(gm.shape[:2] + (h, w)).transpose(order)
+        gx += 0.0
+        return (gx,)
 
     return _record("upsample2", (x,), out, vjp)
 

@@ -340,6 +340,8 @@ def train(model: SpatialModel, dataset: SpatialDataset, cfg: TrainConfig,
         if vmask.any():
             val_obs = val_dataset.subset(np.nonzero(vmask)[0])
 
+    if model.gp_term is not None:
+        model.gp_term.map  # a kernel that cannot be factored fails here, not as divergence
     trace = []
     best_val = np.inf
     best_snap = None

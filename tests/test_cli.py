@@ -995,6 +995,18 @@ class TestMainErrors:
         assert err.startswith("numeric_error\t") and err.count("\n") == 1, err
         assert named in err and "Traceback" not in err, err
 
+    def test_unfactorable_kernel_is_not_divergence(self, workspace, tmp_path, capsys):
+        """The GP map is factored before the first step, so it fails as itself."""
+        ini = write_ini(tmp_path, TINY_INI.replace(
+            "confounder = linear", "confounder = linear\ngp = true\nkernel_lengthscale = 1e-200"))
+        argv = ["train", "--config", ini, "--data", workspace["data"],
+                "--out", str(tmp_path / "x")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == ("numeric_error\tkernel lengthscale 1e-200: 2*l*l underflows to 0, "
+                       "so the rbf covariance is not finite\n"), err
+        assert "diverged" not in err
+
     @pytest.mark.parametrize("command,section,key,value", [
         ("gen", "model", "mlp_width", "0"),
         ("train", "train", "patience", "-1"),

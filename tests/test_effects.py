@@ -103,6 +103,14 @@ class TestGps:
         with pytest.raises(DimensionError):
             gps.density(t, ds.confounders, ds.coords[:, :, None])
 
+    @pytest.mark.parametrize("shape", [(5,), (4, 1), (5, 1, 1), ()],
+                             ids=["one_d", "too_few_rows", "three_d", "scalar"])
+    def test_confounders_not_n_by_dx_are_dimension_error(self, shape):
+        gps = GpsModel(m=0, coef=np.zeros(3), sigma_resid=1.0)
+        with pytest.raises(DimensionError) as info:
+            gps.density(np.zeros(5), np.zeros(shape), np.zeros((5, 1)))
+        assert f"got {shape} and coordinates (5, 1)" in str(info.value)
+
     def test_rank_deficient_design_warns(self):
         ds = make_dataset(n=30, seed=3)
         x = np.column_stack([ds.confounders[:, 0], ds.confounders[:, 0]])

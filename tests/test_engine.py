@@ -362,6 +362,142 @@ class TestDense:
             E.dense(x, w, np.zeros(1), relu=True)
 
 
+def _maxpool_reference(xd):
+    """The argmax formula: each window copied out to a length-4 axis, its argmax
+    gathered, and the gradient scattered back with put_along_axis."""
+    n, c, h, w = xd.shape
+    windows = (xd.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+               .reshape(n, c, h // 2, w // 2, 4))
+    idx = windows.argmax(axis=-1)
+    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+
+    def vjp(g):
+        gw = np.zeros(windows.shape)
+        np.put_along_axis(gw, idx[..., None], g[..., None], axis=-1)
+        return (gw.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+                .reshape(n, c, h, w))
+
+    return out, vjp
+
+
+def _upsample_reference_vjp(g):
+    """The reshape-and-sum formula for upsample2's vjp."""
+    n, c, h, w = g.shape
+    return g.reshape(n, c, h // 2, 2, w // 2, 2).sum(axis=(3, 5))
+
+
+def _leaf(data):
+    """A leaf holding ``data`` in its own layout, non-finite values kept."""
+    t = E.Tensor.__new__(E.Tensor)
+    t.data, t.requires_grad, t.grad = data, True, None
+    return t
+
+
+def _pool_values(rng, shape, kind):
+    if kind == "normal":
+        return rng.normal(size=shape)
+    if kind == "equal":  # every 2x2 window holds one value four times
+        n, c, h, w = shape
+        return np.repeat(np.repeat(rng.normal(size=(n, c, h // 2, w // 2)), 2, 2), 2, 3)
+    if kind == "signed_zeros":
+        return rng.choice([-0.0, 0.0], size=shape)
+    return rng.choice([-1.0, -0.0, 0.0, 1.0, np.inf, -np.inf, np.nan, -np.nan], size=shape)
+
+
+def _laid_out(a, layout):
+    """``a`` with the strides the U-Net hands over: C order, channel-major as
+    conv2d's and relu's outputs are, or concat's vjp output for a second input
+    cut from a channel-major gradient."""
+    if layout == "contiguous":
+        return a.copy()
+    if layout == "channel_major":
+        return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+    n, _, h, w = a.shape
+    first = _leaf(np.zeros((n, 2, h, w)))
+    with E.Tape() as tape:
+        E.concat_channels([first, _leaf(a)])
+    whole = _laid_out(np.concatenate([np.ones((n, 2, h, w)), a], axis=1), "channel_major")
+    return tape.nodes[0].vjp(whole)[1]
+
+
+def _assert_same_bits(new, ref):
+    assert new.shape == ref.shape and new.tobytes() == ref.tobytes()
+
+
+# the encoder's inputs at d_s = 15 with base 4 (a third level at depth 3),
+# then odd batch and channel counts, a one-row window and an empty batch
+MAXPOOL_SHAPES = [(60, 4, 16, 16), (60, 8, 8, 8), (60, 16, 4, 4), (7, 3, 6, 10),
+                  (1, 5, 2, 2), (3, 1, 2, 8), (0, 2, 4, 4)]
+# the decoder's inputs at d_s = 15, odd counts, and one-column inputs as the
+# lowest level gets at d_s = 3 (depth 2 or 3)
+UPSAMPLE_SHAPES = [(60, 16, 4, 4), (60, 8, 3, 3), (60, 16, 8, 8), (7, 3, 5, 6),
+                   (60, 8, 1, 1), (5, 3, 2, 1), (1, 1, 1, 1)]
+POOL_KINDS = ["normal", "equal", "signed_zeros", "nan"]
+
+
+class TestPoolingBytes:
+    """maxpool2 and upsample2 against the formulas they replaced, byte for byte."""
+
+    @pytest.mark.parametrize("kind", POOL_KINDS)
+    @pytest.mark.parametrize("layout", ["contiguous", "channel_major"])
+    @pytest.mark.parametrize("shape", MAXPOOL_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_maxpool_matches_argmax(self, shape, layout, kind):
+        rng = np.random.default_rng(sum(shape) + len(kind))
+        x = _leaf(_laid_out(_pool_values(rng, shape, kind), layout))
+        ref_out, ref_vjp = _maxpool_reference(x.data)
+        with E.Tape() as tape:
+            out = E.maxpool2(x)
+        _assert_same_bits(out.data, ref_out)
+        shape_g = ref_out.shape
+        g = np.where(rng.random(shape_g) < 0.5, rng.normal(size=shape_g),
+                     _pool_values(rng, shape_g, "signed_zeros"))
+        for g_layout in ("contiguous", "channel_major", "concat_split"):
+            laid = _laid_out(g, g_layout)
+            _assert_same_bits(tape.nodes[0].vjp(laid)[0], ref_vjp(laid))
+
+    def test_maxpool_tie_rules(self):
+        windows = [[3.0, 3.0, 3.0, 3.0], [-0.0, 0.0, 0.0, -0.0], [0.0, -0.0, -0.0, 0.0],
+                   [1.0, np.nan, -np.nan, 2.0], [np.inf, np.nan, 1.0, 1.0],
+                   [-np.inf, -np.inf, -np.inf, 5.0]]
+        x = np.array(windows).reshape(1, len(windows), 2, 2)
+        t = _leaf(x)
+        with E.Tape() as tape:
+            out = E.maxpool2(t)
+        first = [0, 0, 0, 1, 1, 3]
+        picked = out.data.reshape(-1).view(np.uint64)
+        npt.assert_array_equal(picked, x.reshape(-1, 4)[range(6), first].view(np.uint64))
+        grad = tape.nodes[0].vjp(np.full((1, 6, 1, 1), 2.0))[0].reshape(-1, 4)
+        npt.assert_array_equal(grad.argmax(axis=1), first)
+        assert not np.signbit(grad).any() and np.count_nonzero(grad) == 6
+
+    @pytest.mark.parametrize("kind", POOL_KINDS)
+    @pytest.mark.parametrize("layout", ["contiguous", "channel_major", "concat_split"])
+    @pytest.mark.parametrize("shape", UPSAMPLE_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_upsample_vjp_matches_reshape_sum(self, shape, layout, kind):
+        rng = np.random.default_rng(sum(shape) + len(kind))
+        x = _leaf(rng.normal(size=shape))
+        with E.Tape() as tape:
+            out = E.upsample2(x)
+        npt.assert_array_equal(out.data, np.repeat(np.repeat(x.data, 2, 2), 2, 3))
+        g = _laid_out(_pool_values(rng, out.data.shape, kind), layout)
+        with np.errstate(invalid="ignore"):
+            new, ref = tape.nodes[0].vjp(g)[0], _upsample_reference_vjp(g)
+        if kind == "nan":
+            # of two NaNs, which one numpy's sum keeps varies with the layout
+            # and the width; a NaN gradient fails the step, so it is never seen
+            npt.assert_array_equal(np.isnan(new), np.isnan(ref))
+            new, ref = np.nan_to_num(new), np.nan_to_num(ref)
+        _assert_same_bits(new, ref)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.nan, np.inf])
+    def test_nonfinite_output_outside_tape_raises_at_the_op(self, bad):
+        x = np.zeros((2, 3, 4, 4))
+        x[1, 2, 3, 0] = bad
+        for op in (E.maxpool2, E.upsample2):
+            with pytest.raises(NumericError, match=f"^non-finite values in output of {op.__name__}$"):
+                op(_leaf(x))
+
+
 def _deep_mlp():
     return N.build_mlp(N.MlpSpec(in_dim=3, width=8, depth=4, out_dim=1), seed=0)
 
