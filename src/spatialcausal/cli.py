@@ -46,7 +46,7 @@ from .effects import (
     reweighted,
     write_effects_csv,
 )
-from .errors import ConfigError, DataError, SpatialCausalError, DOMAINS, UNSET, check
+from .errors import ConfigError, DataError, SpatialCausalError, DOMAINS, UNSET, check, check_sizes
 from .gp import KERNEL_FAMILIES, KernelSpec, GpTerm, select_inducing
 from .model import (
     CONFOUNDER_KINDS,
@@ -213,6 +213,9 @@ def load_config(path: str) -> ExperimentConfig:
                           ConfigError, f"{section}.{key}")
         resolved[section] = values
     data = resolved["data"]
+    # like every key, the sizes of the generator the run ignores are checked too
+    for generator_config in (LineGraphConfig, GridConfig):
+        check_sizes(generator_config.array_sizes(data), ConfigError, "data.")
     if data["generator"] == "manifest" and not data["manifest"]:
         raise ConfigError("data.manifest: required when generator = manifest")
     if data["generator"] == "line" and cp.has_option("data", "sigma_l"):
@@ -497,8 +500,8 @@ def cmd_gen(config: ExperimentConfig, out_dir: str) -> int:
         raise ConfigError("data.generator: gen needs a synthetic generator, "
                           "not 'manifest'")
     seed = config.resolved["run"]["seeds"][0]
-    os.makedirs(out_dir, exist_ok=True)
     ds, _, grids = _synthesize(data["generator"], data, seed)
+    os.makedirs(out_dir, exist_ok=True)
     for grid, name in zip(grids, ("treatment_1.grd", "confounder.grd", "outcome.grd")):
         save_grid(grid, os.path.join(out_dir, name))
     save_manifest(Manifest(treatments=("treatment_1.grd",),

@@ -1,5 +1,6 @@
-"""Exception hierarchy shared by all spatialcausal modules, and the domain of
-every numeric setting, keyed by field name, with the one check against it."""
+"""Exception hierarchy shared by all spatialcausal modules, the domain of
+every numeric setting, keyed by field name, with the one check against it,
+and the one cap on the arrays that generator settings size."""
 
 import math
 from numbers import Integral
@@ -76,6 +77,9 @@ DOMAINS = {
 }
 # fields that None leaves unset (0 in a config file)
 UNSET = ("batch_size", "patience")
+# the most elements one array that a generator config sizes may hold (2 GiB of
+# float64); fixed, so a config is accepted or rejected alike on every machine
+MAX_ELEMENTS = 2 ** 28
 
 
 def _finite(value) -> bool:
@@ -98,6 +102,16 @@ def check(name: str, value, error, label: str | None = None):
     elif test(value):
         return value
     raise error(f"{label or name}: must be {bound}, got {value}")
+
+
+def check_sizes(arrays, error, prefix: str = "") -> None:
+    """Raises ``error`` for the first (key, array, element count) of ``arrays``
+    whose count is over ``MAX_ELEMENTS``, with a message that starts with
+    ``prefix + key``."""
+    for key, array, count in arrays:
+        if count > MAX_ELEMENTS:
+            raise error(f"{prefix}{key}: {array} would hold {count} elements, "
+                        f"over the cap of {MAX_ELEMENTS}")
 
 
 def check_fields(obj, error) -> None:

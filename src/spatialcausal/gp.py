@@ -289,14 +289,14 @@ def sample_gp(coords, kernel: KernelSpec, seed: int, n_draws: int | None = None)
     return (factor @ rng.standard_normal((n, int(n_draws)))).T
 
 
-def sample_gp_grid(rows: int, cols: int, kernel: KernelSpec, resolution: float,
-                   seed: int, n_draws: int | None = None) -> np.ndarray:
-    """Zero-mean stationary field on a regular grid via circulant embedding.
+def circulant_root(rows: int, cols: int, kernel: KernelSpec,
+                   resolution: float) -> np.ndarray:
+    """Spectral root of a stationary kernel's circulant embedding.
 
-    The kernel is wrapped onto a torus twice the grid size, diagonalized by
-    FFT, and sampled spectrally.  Slightly negative embedding eigenvalues are
-    clipped to zero; for the kernels used here the clipped mass is negligible.
-    Returns (rows, cols) or (n_draws, rows, cols).
+    The kernel is wrapped onto a torus twice the grid size and diagonalized
+    by FFT; the root is ``sqrt(max(eigenvalues, 0) / (2 rows * 2 cols))``.
+    Slightly negative embedding eigenvalues are clipped to zero; for the
+    kernels used here the clipped mass is negligible.
     """
     for name, value in (("rows", rows), ("cols", cols), ("resolution", resolution)):
         check(name, value, ContractError)
@@ -304,17 +304,37 @@ def sample_gp_grid(rows: int, cols: int, kernel: KernelSpec, resolution: float,
     di = np.minimum(np.arange(p), p - np.arange(p)) * resolution
     dj = np.minimum(np.arange(q), q - np.arange(q)) * resolution
     dist = np.sqrt(di[:, None] ** 2 + dj[None, :] ** 2)
-    cov = kernel_matrix_from_dist(kernel, dist)
-    lam = np.fft.fft2(cov).real
-    lam = np.maximum(lam, 0.0)
+    lam = np.maximum(np.fft.fft2(kernel_matrix_from_dist(kernel, dist)).real, 0.0)
+    return np.sqrt(lam / (p * q))
+
+
+def grid_draw(root: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One (rows, cols) field from ``circulant_root``'s (2 rows, 2 cols) root.
+
+    Only the torus field's first quarter is kept, so the axis-0 FFT runs on
+    the first ``cols`` columns alone.  Each 1-d transform is one that
+    ``fft2`` runs, so the field has ``fft2(...).real[:rows, :cols]``'s bits.
+    """
+    p, q = root.shape
+    noise = rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q))
+    half = np.fft.fft(root * noise, axis=1)[:, :q // 2]
+    return np.fft.fft(half, axis=0)[:p // 2].real
+
+
+def sample_gp_grid(rows: int, cols: int, kernel: KernelSpec, resolution: float,
+                   seed: int, n_draws: int | None = None) -> np.ndarray:
+    """Zero-mean stationary field on a regular grid via circulant embedding.
+
+    ``circulant_root`` factors the embedding once; each draw is one
+    ``grid_draw`` from a single ``default_rng(seed)``.
+    Returns (rows, cols) or (n_draws, rows, cols).
+    """
+    root = circulant_root(rows, cols, kernel, resolution)
     rng = np.random.default_rng(seed)
     count = 1 if n_draws is None else int(n_draws)
     out = np.empty((count, rows, cols))
-    root = np.sqrt(lam / (p * q))
     for k in range(count):
-        noise = rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q))
-        field = np.fft.fft2(root * noise)
-        out[k] = field.real[:rows, :cols]
+        out[k] = grid_draw(root, rng)
     if n_draws is None:
         return out[0]
     return out

@@ -20,26 +20,25 @@ neighborhood overrides; oracle_effects evaluates the dose-mode effects of
 that truth with uniform weights.  Each generator config takes one ``seed``
 and splits it into four random streams seeded ``10 * seed + k``, k = 0..3.
 
-``scipy.interpolate`` is imported inside ``spline_fn``, so only the grid
-generator and its truth regeneration load it.
+The outcome spline is a numpy natural cubic spline with the bits of
+``scipy.interpolate.CubicSpline``; only its banded solve loads scipy
+(``scipy.linalg``).  ``synth_fields`` factors the circulant embedding of its
+field kernel once and draws every field from that one spectral root.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .effects import EffectReport, dose_inputs, dose_report
-from .errors import ConfigError, ContractError, DataError, NumericError, check, check_fields
-from .gp import KernelSpec, chol_with_jitter, sample_gp, sample_gp_grid
+from .errors import (ConfigError, ContractError, DataError, NumericError, check, check_fields,
+                     check_sizes)
+from .gp import KernelSpec, chol_with_jitter, circulant_root, grid_draw, sample_gp
 from .model import SpatialDataset
 from .raster import unit_windows
-
-if TYPE_CHECKING:
-    from scipy.interpolate import CubicSpline
 
 
 def random_fn(seed: int, in_dim: int):
@@ -64,15 +63,67 @@ def _stream_seeds(seed: int) -> tuple[int, int, int, int]:
     return tuple(10 * seed + k for k in range(4))
 
 
-def spline_fn(seed: int, domain) -> CubicSpline:
+class NaturalSpline:
+    """Natural cubic spline through knots ``x`` (strictly increasing) and ``y``.
+
+    It repeats ``scipy.interpolate.CubicSpline(x, y, bc_type="natural")``'s
+    arithmetic in the same order, so ``c`` and every value have its bits.
+    ``c`` is (4, pieces), the local powers (t - x_j)^3..0 of each piece.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        from scipy.linalg import solve_banded
+
+        n = x.size
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        # knot derivatives from CubicSpline's banded system; each natural end
+        # enters with its zero second derivative written out as CubicSpline does
+        ab = np.zeros((3, n))
+        ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+        ab[0, 2:] = dx[:-1]
+        ab[-1, :-2] = dx[1:]
+        ab[1, 0], ab[0, 1] = 2 * dx[0], dx[0]
+        ab[1, -1], ab[-1, -2] = 2 * dx[-1], dx[-1]
+        b = np.empty(n)
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        b[0] = -0.5 * 0.0 * dx[0] ** 2 + 3 * (y[1] - y[0])
+        b[-1] = 0.5 * 0.0 * dx[-1] ** 2 + 3 * (y[-1] - y[-2])
+        s = solve_banded((1, 1), ab, b.reshape(n, 1), overwrite_ab=True,
+                         overwrite_b=True, check_finite=False).reshape(n)
+        # CubicHermiteSpline's coefficient rows
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self.x = x
+        self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+    def __call__(self, v) -> np.ndarray:
+        """Values at ``v`` in PPoly's order: the end pieces extrapolate, NaN maps to NaN."""
+        v = np.asarray(v, dtype=np.float64)
+        flat = v.ravel()
+        x, c = self.x, self.c
+        i = np.clip(np.searchsorted(x, flat, side="right") - 1, 0, x.size - 2)
+        s = flat - x[i]
+        # PPoly sums from 0.0, constant term first, with z = s, s*s, (s*s)*s
+        out = 0.0 + c[3, i]
+        out += c[2, i] * s
+        z = s * s
+        out += c[1, i] * z
+        z *= s
+        out += c[0, i] * z
+        out[np.isnan(flat)] = np.nan
+        return out.reshape(v.shape)
+
+
+def spline_fn(seed: int, domain) -> NaturalSpline:
     """Natural cubic spline through 8 seeded random knots spanning ``domain``."""
     lo, hi = float(domain[0]), float(domain[1])
-    if not lo < hi:
-        raise ContractError(f"domain must be an increasing interval, got ({lo}, {hi})")
-    from scipy.interpolate import CubicSpline
-
-    knots_y = np.random.default_rng(seed).normal(0.0, 1.0, 8)
-    return CubicSpline(np.linspace(lo, hi, 8), knots_y, bc_type="natural")
+    with np.errstate(all="ignore"):     # an infinite span makes NaN knots
+        knots_x = np.linspace(lo, hi, 8)
+        increasing = np.all(np.diff(knots_x) > 0)
+    if not increasing:
+        raise ContractError(f"domain must be an increasing interval with 8 distinct, "
+                            f"finite knots, got ({lo}, {hi})")
+    return NaturalSpline(knots_x, np.random.default_rng(seed).normal(0.0, 1.0, 8))
 
 
 @dataclass
@@ -106,6 +157,15 @@ class LineGraphConfig:
 
     def __post_init__(self) -> None:
         check_fields(self, ConfigError)
+        check_sizes(self.array_sizes(vars(self)), ConfigError)
+
+    @staticmethod
+    def array_sizes(data) -> tuple:
+        """(key, array, element count) of the largest arrays the generator
+        allocates for the settings in mapping ``data``."""
+        n = data["n"]
+        return (("n", "the n x n covariance", n * n),
+                ("x_dim", "the n x x_dim confounders", n * data["x_dim"]))
 
 
 def line_graph_covariance(coords: np.ndarray, sigma_d: float,
@@ -178,6 +238,19 @@ class GridConfig:
 
     def __post_init__(self) -> None:
         check_fields(self, ConfigError)
+        check_sizes(self.array_sizes(vars(self)), ConfigError)
+
+    @staticmethod
+    def array_sizes(data) -> tuple:
+        """(key, array, element count) of the largest arrays the generator
+        allocates for the settings in mapping ``data``."""
+        rows, cols = data["rows"], data["cols"]
+        return (("rows" if rows >= cols else "cols",
+                 "the 2 rows x 2 cols circulant torus", 4 * rows * cols),
+                ("x_channels", "the rows x cols x x_channels class scores",
+                 rows * cols * data["x_channels"]),
+                ("n_units", "the n_units x d_s x d_s unit windows",
+                 data["n_units"] * data["d_s"] ** 2))
 
 
 def grid_weight_matrix(d_s: int, sigma_l: float) -> np.ndarray:
@@ -201,14 +274,15 @@ def synth_fields(config: GridConfig):
     field_seed = _stream_seeds(config.seed)[0]
     kern = KernelSpec(family="rbf", sigma=1.0,
                       lengthscale=config.field_lengthscale)
-    shared = sample_gp_grid(config.rows, config.cols, kern, 1.0, field_seed)
-    own = sample_gp_grid(config.rows, config.cols, kern, 1.0, field_seed + 1)
-    t_field = np.tanh(0.8 * shared + 0.6 * own)
-    scores = np.stack([
-        shared + sample_gp_grid(config.rows, config.cols, kern, 1.0,
-                                field_seed + 2 + c)
-        for c in range(config.x_channels)
-    ], axis=-1)
+    root = circulant_root(config.rows, config.cols, kern, 1.0)
+
+    def field(k):
+        """``sample_gp_grid(rows, cols, kern, 1.0, field_seed + k)``, from the shared root."""
+        return grid_draw(root, np.random.default_rng(field_seed + k))
+
+    shared = field(0)
+    t_field = np.tanh(0.8 * shared + 0.6 * field(1))
+    scores = np.stack([shared + field(2 + c) for c in range(config.x_channels)], axis=-1)
     classes = np.argmax(scores, axis=-1)
     x_field = np.zeros((config.rows, config.cols, config.x_channels))
     rr, cc = np.meshgrid(np.arange(config.rows), np.arange(config.cols),

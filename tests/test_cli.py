@@ -28,7 +28,7 @@ from spatialcausal.cli import (
     run_protocol,
     run_single_seed,
 )
-from spatialcausal.errors import ConfigError
+from spatialcausal.errors import MAX_ELEMENTS, ConfigError
 from spatialcausal.model import (
     ModelConfig,
     SpatialDataset,
@@ -1027,6 +1027,38 @@ class TestMainErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"config_error\t{section}.{key}: "), err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("generator,key,value", [
+        ("grid", "rows", "100000000000"), ("grid", "x_channels", "1000000000000"),
+        ("line", "n", str(10 ** 20))])
+    def test_oversized_setting_ends_gen_before_it_allocates(
+            self, tmp_path, capsys, monkeypatch, generator, key, value):
+        """Array sizes are checked against one fixed cap as the config loads."""
+        def generator_ran(*args, **kwargs):
+            raise AssertionError("the generator ran")
+
+        monkeypatch.setattr(cli, "synth_fields", generator_ran)
+        monkeypatch.setattr(cli, "gen_line_graph", generator_ran)
+        ini = write_ini(tmp_path, f"[data]\ngenerator = {generator}\n{key} = {value}\n")
+        out_dir = tmp_path / "out"
+        assert cli.main(["gen", "--config", ini, "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config_error\tdata.{key}: ") and err.count("\n") == 1, err
+        assert f"over the cap of {MAX_ELEMENTS}" in err and "Traceback" not in err, err
+        assert not out_dir.exists()
+
+    def test_gen_makes_no_out_dir_when_generation_fails(self, tmp_path, capsys):
+        ini = write_ini(tmp_path, "[data]\ngenerator = grid\nrows = 8\ncols = 8\nd_s = 9\n")
+        out_dir = tmp_path / "out"
+        assert cli.main(["gen", "--config", ini, "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err.startswith("data_error\t")
+        assert not out_dir.exists()
+
+    def test_checked_in_configs_within_size_cap(self):
+        configs = sorted((Path(__file__).parents[1] / "perfbench" / "configs").glob("*.ini"))
+        assert configs
+        for ini in configs:
+            load_config(str(ini))
 
 
 def _drop_key(key, section=None):

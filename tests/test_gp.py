@@ -329,6 +329,33 @@ class TestSampling:
         assert np.max(err) < 4.5 / np.sqrt(n_draws)
         assert np.all(np.abs(flat.mean(axis=0)) < 3.5 / np.sqrt(n_draws))
 
+    @staticmethod
+    def _full_fft2_draws(rows, cols, kernel, res, seed, count):
+        """The sampler as a full 2 rows x 2 cols ``fft2`` per draw, cut to one quarter."""
+        p, q = 2 * rows, 2 * cols
+        di = np.minimum(np.arange(p), p - np.arange(p)) * res
+        dj = np.minimum(np.arange(q), q - np.arange(q)) * res
+        cov = G.kernel_matrix_from_dist(kernel, np.sqrt(di[:, None] ** 2 + dj[None, :] ** 2))
+        root = np.sqrt(np.maximum(np.fft.fft2(cov).real, 0.0) / (p * q))
+        rng = np.random.default_rng(seed)
+        out = []
+        for _ in range(count):
+            noise = rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q))
+            out.append(np.fft.fft2(root * noise).real[:rows, :cols])
+        return np.array(out)
+
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (1, 9), (9, 1), (16, 12), (40, 40),
+                                           (128, 128)])
+    def test_grid_sampler_bits_of_full_fft2(self, rows, cols):
+        kernel = G.KernelSpec("rbf", sigma=1.3, lengthscale=4.0)
+        want = self._full_fft2_draws(rows, cols, kernel, 0.7, 11, 3)
+        one = G.sample_gp_grid(rows, cols, kernel, 0.7, seed=11)
+        assert one.shape == (rows, cols)
+        npt.assert_array_equal(one.view(np.uint64), want[0].view(np.uint64))
+        many = G.sample_gp_grid(rows, cols, kernel, 0.7, seed=11, n_draws=3)
+        assert many.shape == (3, rows, cols)
+        npt.assert_array_equal(many.view(np.uint64), want.view(np.uint64))
+
     def test_grid_sampler_determinism(self):
         kernel = G.KernelSpec("rbf", sigma=1.0, lengthscale=3.0)
         a = G.sample_gp_grid(16, 12, kernel, 1.0, seed=9)

@@ -56,9 +56,42 @@ def test_line_model_path_loads_only_linalg():
     assert not _loaded(mods, "scipy.interpolate")
 
 
-def test_grid_generator_loads_interpolate():
+GRID_INI = """\
+[data]
+generator = grid
+rows = 32
+cols = 32
+d_s = 3
+n_units = 20
+
+[train]
+epochs = 2
+
+[effects]
+grid_size = 5
+b_draws = 8
+weighted = off
+"""
+
+
+def test_grid_gen_and_truth_regeneration_load_only_linalg(tmp_path):
+    """Grid ``gen`` and ``effects --ckpt`` (which regenerates the truth) build
+    the outcome spline and the fields without ``scipy.interpolate``."""
+    from spatialcausal import cli
+
+    ini, data, fit = tmp_path / "grid.ini", tmp_path / "data", tmp_path / "fit"
+    ini.write_text(GRID_INI)
+    assert cli.main(["gen", "--config", str(ini), "--out", str(data)]) == 0
+    assert cli.main(["train", "--config", str(ini), "--data", str(data),
+                     "--out", str(fit)]) == 0
     mods = _scipy_modules_after(
-        "from spatialcausal import synthgen\n"
-        "synthgen.gen_grid(synthgen.GridConfig(rows=40, cols=40, d_s=11, n_units=20,\n"
-        "                                      x_channels=3, field_lengthscale=6.0))")
-    assert _loaded(mods, "scipy.interpolate")
+        "from spatialcausal import cli\n"
+        f"assert cli.main(['gen', '--config', {str(ini)!r}, "
+        f"'--out', {str(tmp_path / 'data2')!r}]) == 0\n"
+        f"assert cli.main(['effects', '--config', {str(ini)!r}, "
+        f"'--ckpt', {str(fit / 'model.ckpt')!r}, '--data', {str(data)!r}, "
+        f"'--out', {str(tmp_path / 'eff')!r}]) == 0")
+    assert (tmp_path / "eff" / "errors_unweighted.csv").exists()   # the truth was rebuilt
+    assert _loaded(mods, "scipy.linalg")
+    for name in ("scipy.interpolate", "scipy.spatial", "scipy.sparse", "scipy.optimize"):
+        assert not _loaded(mods, name), name

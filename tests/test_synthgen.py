@@ -6,7 +6,8 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from spatialcausal.effects import dose_draw_indices, effect_error, estimate_effects_dose
-from spatialcausal.errors import ConfigError, ContractError, DataError
+from spatialcausal.errors import MAX_ELEMENTS, ConfigError, ContractError, DataError
+from spatialcausal.gp import KernelSpec, sample_gp_grid
 from spatialcausal.model import ModelConfig, build_model
 from spatialcausal.synthgen import (
     GridConfig,
@@ -19,6 +20,7 @@ from spatialcausal.synthgen import (
     oracle_effects,
     random_fn,
     spline_fn,
+    synth_fields,
 )
 
 
@@ -59,9 +61,11 @@ class TestSplineFn:
         assert_allclose(sp(sp.x), knots_y, atol=1e-12)
 
     def test_natural_boundary(self):
+        # second derivative 2 c1 at the first knot, 6 c0 dx + 2 c1 at the last
         sp = spline_fn(12, (0.0, 1.0))
-        assert abs(sp(0.0, 2)) < 1e-9
-        assert abs(sp(1.0, 2)) < 1e-9
+        c, x = sp.c, sp.x
+        assert abs(2 * c[1, 0]) < 1e-9
+        assert abs(6 * c[0, -1] * (x[-1] - x[-2]) + 2 * c[1, -1]) < 1e-9
 
     def test_c1_c2_at_interior_knots(self):
         sp = spline_fn(13, (-1.0, 1.0))
@@ -79,8 +83,41 @@ class TestSplineFn:
                            spline_fn(4, (0.0, 2.0)).c)
 
     def test_bad_domain(self):
-        with pytest.raises(ContractError):
-            spline_fn(0, (1.0, 1.0))
+        # empty, reversed, infinite, NaN, too narrow for 8 knots, too wide for a float step
+        for domain in [(1.0, 1.0), (2.0, 1.0), (0.0, np.inf), (np.nan, 1.0), (0.0, 5e-324),
+                       (-1e308, 1e308)]:
+            with pytest.raises(ContractError, match="domain must be an increasing interval"):
+                spline_fn(0, domain)
+
+    def test_bits_of_scipy_cubic_spline(self):
+        """Coefficients and values equal ``CubicSpline(..., bc_type="natural")``
+        bit for bit: seeded domains from 1e-3 to 1e3 wide, the knots, both
+        ends, 20% extrapolation on either side, NaN and infinities."""
+        from scipy.interpolate import CubicSpline
+
+        rng = np.random.default_rng(0)
+        for seed in range(60):
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            lo = rng.normal() * scale
+            hi = lo + rng.uniform(0.01, 5.0) * scale
+            sp = spline_fn(seed, (lo, hi))
+            ref = CubicSpline(np.linspace(lo, hi, 8),
+                              np.random.default_rng(seed).normal(0.0, 1.0, 8),
+                              bc_type="natural")
+            assert_array_equal(sp.x.view(np.uint64), ref.x.view(np.uint64))
+            assert sp.c.shape == ref.c.shape == (4, 7)
+            assert_array_equal(sp.c.view(np.uint64), ref.c.view(np.uint64))
+            width = hi - lo
+            probe = np.concatenate([
+                rng.uniform(lo - 0.2 * width, hi + 0.2 * width, 500), sp.x,
+                [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), np.nan,
+                 -np.nan, np.inf, -np.inf]])
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = sp(probe)
+            assert_array_equal(got.view(np.uint64), ref(probe).view(np.uint64))
+        grid = np.linspace(lo, hi, 12).reshape(3, 4)
+        assert_array_equal(sp(grid).view(np.uint64), ref(grid).view(np.uint64))
+        assert sp(0.5 * (lo + hi)).shape == ()
 
 
 class TestLineGraphCovariance:
@@ -177,6 +214,20 @@ class TestLineGraph:
         with pytest.raises(ConfigError, match="seed: must be >= 0"):
             cls(seed=-1)
 
+    @pytest.mark.parametrize("cls,settings,key", [
+        (GridConfig, dict(rows=10 ** 11), "rows"), (GridConfig, dict(cols=8193, rows=8192), "cols"),
+        (GridConfig, dict(x_channels=10 ** 12), "x_channels"),
+        (GridConfig, dict(n_units=10 ** 7), "n_units"),
+        (LineGraphConfig, dict(n=10 ** 20), "n"), (LineGraphConfig, dict(x_dim=10 ** 9), "x_dim"),
+    ], ids=["grid_rows", "grid_cols", "grid_x_channels", "grid_n_units", "line_n", "line_x_dim"])
+    def test_oversized_config_rejected(self, cls, settings, key):
+        with pytest.raises(ConfigError, match=f"^{key}: .* over the cap of {MAX_ELEMENTS}$"):
+            cls(**settings)
+
+    def test_size_cap_is_inclusive(self):
+        assert 4 * 8192 * 8192 == MAX_ELEMENTS
+        GridConfig(rows=8192, cols=8192)          # a config allocates nothing
+
 
 class TestGridWeights:
     def test_normalized_center_zero(self):
@@ -261,6 +312,18 @@ class TestGridGen:
             window = t_field[r - 25:r + 26, c - 25:c + 26].copy()
             window[25, 25] = 0.0
             assert_array_equal(ds.patches[i, 0], window)
+
+    def test_fields_are_six_sample_gp_grid_draws(self):
+        """One shared spectral root gives each field ``sample_gp_grid``'s bits."""
+        cfg = small_grid_config(rows=24, cols=30, x_channels=4, seed=3)
+        kern = KernelSpec("rbf", sigma=1.0, lengthscale=cfg.field_lengthscale)
+        draws = [sample_gp_grid(24, 30, kern, 1.0, 30 + k) for k in range(6)]
+        t_field, x_field = synth_fields(cfg)
+        want = np.tanh(0.8 * draws[0] + 0.6 * draws[1])
+        assert_array_equal(t_field.view(np.uint64), want.view(np.uint64))
+        classes = np.argmax(np.stack([draws[0] + d for d in draws[2:]], axis=-1), axis=-1)
+        assert_array_equal(x_field, (classes[..., None] == np.arange(4)).astype(float))
+        assert len(np.unique(classes)) == 4
 
     def test_region_too_small(self):
         with pytest.raises(DataError):
