@@ -62,6 +62,7 @@ from .model import (
     train,
 )
 from .raster import (
+    SPLIT_RATIOS,
     Grid,
     Manifest,
     check_split_ratios,
@@ -98,7 +99,7 @@ _SCHEMA = {
         "sigma_l": ("float", 10.0),
         "field_lengthscale": ("float", 10.0),
         "beta": ("float", -4.0),
-        "split_ratios": ("floatlist", (0.6, 0.2, 0.2)),
+        "split_ratios": ("floatlist", SPLIT_RATIOS),
     },
     "model": {
         "interference": ("str", "linear", INTERFERENCE_KINDS),

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractError, DataError, DimensionError
+from .errors import ContractError, DataError, DimensionError, check
 from .gp import as_coords
 from .model import SpatialDataset, SpatialModel
 
@@ -196,9 +196,12 @@ def default_t_grid(dataset: SpatialDataset, m: int, size: int = 21) -> np.ndarra
 
 
 def dose_draw_indices(n_units: int, n_draws: int, seed: int) -> np.ndarray:
-    """Uniform-with-replacement unit indices supplying neighborhood draws."""
-    if n_draws < 1:
-        raise ContractError(f"need at least 1 neighborhood draw, got {n_draws}")
+    """``n_draws`` indices in ``0..n_units-1``, drawn uniformly with
+    replacement from ``default_rng(seed)``; they supply the neighborhood
+    draws.  ``n_units`` and ``n_draws`` are whole numbers >= 1, ``seed`` one
+    >= 0."""
+    for name, value in (("n_units", n_units), ("n_draws", n_draws), ("seed", seed)):
+        check(name, value, ContractError)
     rng = np.random.default_rng(seed)
     return rng.integers(0, n_units, size=n_draws)
 

@@ -401,7 +401,7 @@ def conv2d(x, w, bias=None, padding: int = 0) -> Tensor:
         inputs, bd = (x, w, b), b.data
         if bd.shape != (cout,):
             raise DimensionError(f"conv2d bias must have shape ({cout},), got {bd.shape}")
-    p = int(padding)
+    p = int(check("padding", padding, ContractError))
     ho, wo = h + 2 * p - kh + 1, wdt + 2 * p - kw + 1
     if ho <= 0 or wo <= 0:
         raise DimensionError(f"kernel {kh}x{kw} too large for input {h}x{wdt} pad {p}")
@@ -559,6 +559,9 @@ def concat_channels(xs: Sequence) -> Tensor:
 
 
 def pad2d(x, top: int, bottom: int, left: int, right: int) -> Tensor:
+    """Zero-pad the last two axes by the given widths."""
+    for name, width in (("top", top), ("bottom", bottom), ("left", left), ("right", right)):
+        check("padding", width, ContractError, name)
     x = as_tensor(x)
     xd = x.data
     if xd.ndim != 4:
@@ -574,6 +577,8 @@ def pad2d(x, top: int, bottom: int, left: int, right: int) -> Tensor:
 
 def crop2d(x, r0: int, r1: int, c0: int, c1: int) -> Tensor:
     """Keep rows [r0, r1) and columns [c0, c1)."""
+    for name, bound in (("r0", r0), ("r1", r1), ("c0", c0), ("c1", c1)):
+        check("crop_bound", bound, ContractError, name)
     x = as_tensor(x)
     xd = x.data
     if xd.ndim != 4:

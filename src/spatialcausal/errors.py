@@ -63,10 +63,14 @@ DOMAINS = {
         "cnn_channels", "cnn_depth", "unet_base", "unet_depth", "q", "epochs",
         "batch_size", "patience", "grid_size", "b_draws", "in_dim", "out_dim",
         "width", "depth", "channels", "in_channels", "base_channels",
-        "input_side"), _whole(1)),
+        "input_side", "n_draws"), _whole(1)),
     "x_channels": _whole(2),
     "n": _whole(3),
     "d_s": _whole(1, odd=True),
+    # engine geometry: conv2d's and pad2d's padding widths, and crop2d's
+    # bounds, whose range crop2d checks against the map
+    "padding": _whole(0),
+    "crop_bound": (True, "a whole number", lambda v: True),
     **dict.fromkeys(("lr", "sigma_l", "resolution"), (False, "> 0", lambda v: v > 0)),
     # kernel reals are squared or cubed as Python floats, which raise on overflow
     **dict.fromkeys(("sigma", "lengthscale", "field_lengthscale"),

@@ -275,8 +275,12 @@ def _features_with_lengthscale_grad(term: GpTerm, coords) -> Tensor:
 def sample_gp(coords, kernel: KernelSpec, seed: int, n_draws: int | None = None) -> np.ndarray:
     """Exact zero-mean draws via dense Cholesky of the jittered Gram matrix.
 
-    Returns shape (N,) by default, or (n_draws, N) when n_draws is given.
+    Returns shape (N,) by default, or (n_draws, N) when n_draws, a whole
+    number >= 1, is given.  ``seed`` is a whole number >= 0.
     """
+    check("seed", seed, ContractError)
+    if n_draws is not None:
+        check("n_draws", n_draws, ContractError)
     pts = as_coords(coords)
     n = pts.shape[0]
     if n > 10_000:
@@ -286,7 +290,7 @@ def sample_gp(coords, kernel: KernelSpec, seed: int, n_draws: int | None = None)
     rng = np.random.default_rng(seed)
     if n_draws is None:
         return factor @ rng.standard_normal(n)
-    return (factor @ rng.standard_normal((n, int(n_draws)))).T
+    return (factor @ rng.standard_normal((n, n_draws))).T
 
 
 def circulant_root(rows: int, cols: int, kernel: KernelSpec,
@@ -326,12 +330,14 @@ def sample_gp_grid(rows: int, cols: int, kernel: KernelSpec, resolution: float,
     """Zero-mean stationary field on a regular grid via circulant embedding.
 
     ``circulant_root`` factors the embedding once; each draw is one
-    ``grid_draw`` from a single ``default_rng(seed)``.
-    Returns (rows, cols) or (n_draws, rows, cols).
+    ``grid_draw`` from a single ``default_rng(seed)``, ``seed`` a whole
+    number >= 0.  Returns (rows, cols), or (n_draws, rows, cols) when
+    n_draws, a whole number >= 1, is given.
     """
+    check("seed", seed, ContractError)
+    count = 1 if n_draws is None else check("n_draws", n_draws, ContractError)
     root = circulant_root(rows, cols, kernel, resolution)
     rng = np.random.default_rng(seed)
-    count = 1 if n_draws is None else int(n_draws)
     out = np.empty((count, rows, cols))
     for k in range(count):
         out[k] = grid_draw(root, rng)

@@ -197,6 +197,10 @@ def onehot_landcover(class_grid: Grid) -> Grid:
                 origin_y=class_grid.origin_y, resolution=class_grid.resolution)
 
 
+# the train/val/test ratios wherever none are given
+SPLIT_RATIOS = (0.6, 0.2, 0.2)
+
+
 def check_split_ratios(ratios, error=ContractError, label="split_ratios") -> tuple:
     """The train/val/test ratios as 3 floats; raises ``error``, naming ``label``,
     unless they are positive and sum to 1."""
@@ -214,7 +218,7 @@ class Manifest:
     outcome: str
     d_s: int
     split_seed: int = 0
-    split_ratios: tuple = (0.6, 0.2, 0.2)
+    split_ratios: tuple = SPLIT_RATIOS
 
     def __post_init__(self):
         if not self.treatments:
@@ -273,8 +277,8 @@ def load_manifest(path: str) -> Manifest:
             raise ConfigError(f"manifest missing required key '{req}'")
     if not t_keys:
         raise ConfigError("manifest missing treatment.<i> keys")
-    ratios = tuple(number(float, "split.ratios", r)
-                   for r in keys.get("split.ratios", "0.6,0.2,0.2").split(","))
+    ratios = SPLIT_RATIOS if "split.ratios" not in keys else tuple(
+        number(float, "split.ratios", r) for r in keys["split.ratios"].split(","))
     return Manifest(treatments=tuple(resolve(keys[k]) for k in t_keys),
                     confounder=resolve(keys["confounder"]),
                     outcome=resolve(keys["outcome"]),
@@ -352,7 +356,7 @@ def units_from_grids(t_grids, conf: Grid, out: Grid, d_s: int) -> SpatialDataset
                           outcomes=out.data[0, r, c], d_s=d_s)
 
 
-def split_dataset(dataset: SpatialDataset, ratios=(0.6, 0.2, 0.2), seed: int = 0):
+def split_dataset(dataset: SpatialDataset, ratios=SPLIT_RATIOS, seed: int = 0):
     """Seeded partition into train/val/test; rounding remainder goes to train."""
     ratios = check_split_ratios(ratios)
     n = dataset.n_units

@@ -764,6 +764,31 @@ class TestProtocol:
                 assert stats[f"{key}_err_mean"] == float(cells[f"{key}_err"]), (label, key)
                 assert stats[f"{key}_err_std"] == float(cells[f"{key}_std"]), (label, key)
 
+    def test_line_benchmark_config_reruns_to_the_same_bytes(self, tmp_path):
+        """Two protocol runs of the line benchmark config at 3 epochs over
+        seeds 0-8 write the same files; report.json differs only in
+        ``wall_clock_s``."""
+        config = Path(__file__).parents[1] / "perfbench" / "configs" / "line_mlp_gp.ini"
+        text, cut = re.subn(r"(?m)^epochs = .*$", "epochs = 3", config.read_text())
+        assert cut == 1
+        ini = write_ini(tmp_path, text + "\n[run]\nseeds = 0,1,2,3,4,5,6,7,8\n")
+
+        def contents(out, name):
+            if name != "report.json":
+                return (out / name).read_bytes()
+            report = json.loads((out / name).read_text())
+            del report["wall_clock_s"]
+            return json.dumps(report, sort_keys=True, indent=1)
+
+        outs = [tmp_path / run for run in "ab"]
+        for out in outs:
+            assert cli.main(["effects", "--config", ini, "--out", str(out)]) == 0
+        names = sorted(os.listdir(outs[0]))
+        assert names == sorted(os.listdir(outs[1]))
+        assert len(names) == 9 * 3 + 2 + 1 and "loss_trace_s8.csv" in names
+        for name in names:
+            assert contents(outs[0], name) == contents(outs[1], name), name
+
     def test_report_command(self, proto_dir, capsys):
         assert cli.main(["report", "--out", proto_dir]) == 0
         text = open(os.path.join(proto_dir, "report.txt")).read()

@@ -14,8 +14,10 @@ import pytest
 
 from spatialcausal import cli
 from spatialcausal import engine as E
+from spatialcausal import gp as G
 from spatialcausal import nets as N
-from spatialcausal.errors import ConfigError, ContractError, SpatialCausalError
+from spatialcausal.effects import dose_draw_indices
+from spatialcausal.errors import ConfigError, ContractError, DimensionError, SpatialCausalError
 from spatialcausal.gp import KernelSpec
 from spatialcausal.model import ModelConfig, TrainConfig, build_model, train
 from spatialcausal.synthgen import GridConfig, LineGraphConfig, gen_grid, gen_line_graph
@@ -192,3 +194,92 @@ class TestApiSweep:
         with pytest.raises(ContractError) as err:
             KernelSpec("rbf", **{field: value})
         assert str(err.value) == error
+
+
+# (draw count, seed) -> the draws, from each function that takes both
+DRAWS = {
+    "sample_gp": lambda n_draws, seed=0: G.sample_gp(np.arange(6.0).reshape(3, 2),
+                                                     KernelSpec(**KERNEL), seed, n_draws),
+    "sample_gp_grid": lambda n_draws, seed=0: G.sample_gp_grid(4, 5, KernelSpec(**KERNEL),
+                                                               1.0, seed, n_draws),
+    "dose_draw_indices": lambda n_draws, seed=0: dose_draw_indices(10, n_draws, seed),
+}
+MAP = np.arange(32.0).reshape(1, 2, 4, 4)
+
+
+class TestArgumentDomains:
+    """Draw counts and the engine's geometry arguments are checked against
+    ``DOMAINS`` like settings: a bad value raises ``ContractError`` naming the
+    argument, not a raw numpy error and not a silent truncation."""
+
+    @pytest.mark.parametrize("value,error", [
+        (2.7, "n_draws: must be a whole number, got 2.7"),
+        (3.0, "n_draws: must be a whole number, got 3.0"),
+        (math.nan, "n_draws: must be a whole number, got nan"),
+        (0, "n_draws: must be >= 1, got 0"),
+        (-1, "n_draws: must be >= 1, got -1"),
+    ])
+    @pytest.mark.parametrize("name", DRAWS)
+    def test_bad_draw_count(self, name, value, error):
+        with pytest.raises(ContractError) as err:
+            DRAWS[name](value)
+        assert str(err.value) == error
+
+    @pytest.mark.parametrize("name", DRAWS)
+    def test_numpy_draw_count_keeps_the_bytes(self, name):
+        want = DRAWS[name](3)
+        assert len(want) == 3
+        assert want.tobytes() == DRAWS[name](np.int64(3)).tobytes()
+
+    @pytest.mark.parametrize("seed,error", [
+        (-1, "seed: must be >= 0, got -1"), (2.5, "seed: must be a whole number, got 2.5")])
+    @pytest.mark.parametrize("name", DRAWS)
+    def test_bad_draw_seed(self, name, seed, error):
+        with pytest.raises(ContractError) as err:
+            DRAWS[name](2, seed)
+        assert str(err.value) == error
+
+    @pytest.mark.parametrize("n_units,error", [
+        (0, "n_units: must be >= 1, got 0"), (2.5, "n_units: must be a whole number, got 2.5")])
+    def test_bad_draw_unit_count(self, n_units, error):
+        with pytest.raises(ContractError) as err:
+            dose_draw_indices(n_units, 2, 0)
+        assert str(err.value) == error
+
+    @pytest.mark.parametrize("value,error", [
+        (1.5, "padding: must be a whole number, got 1.5"),
+        (-1, "padding: must be >= 0, got -1")])
+    def test_bad_conv_padding(self, value, error):
+        with pytest.raises(ContractError) as err:
+            E.conv2d(MAP, np.ones((1, 2, 3, 3)), padding=value)
+        assert str(err.value) == error
+
+    @pytest.mark.parametrize("value,bound", [(-1, ">= 0"), (0.5, "a whole number")])
+    @pytest.mark.parametrize("side", range(4))
+    def test_bad_pad_width(self, side, value, bound):
+        widths = [0, 0, 0, 0]
+        widths[side] = value
+        with pytest.raises(ContractError) as err:
+            E.pad2d(MAP, *widths)
+        name = ("top", "bottom", "left", "right")[side]
+        assert str(err.value) == f"{name}: must be {bound}, got {value}"
+
+    @pytest.mark.parametrize("side", range(4))
+    def test_bad_crop_bound(self, side):
+        bounds = [0, 3, 0, 3]
+        bounds[side] += 0.5
+        with pytest.raises(ContractError) as err:
+            E.crop2d(MAP, *bounds)
+        name = ("r0", "r1", "c0", "c1")[side]
+        assert str(err.value) == f"{name}: must be a whole number, got {bounds[side]}"
+
+    @pytest.mark.parametrize("bounds", [(-1, 2, 0, 2), (0, 5, 0, 2), (2, 2, 0, 2)])
+    def test_crop_out_of_range_stays_dimension_error(self, bounds):
+        with pytest.raises(DimensionError, match="outside 4x4"):
+            E.crop2d(MAP, *bounds)
+
+    def test_numpy_geometry_accepted(self):
+        two = np.int64(2)
+        assert E.conv2d(MAP, np.ones((1, 2, 3, 3)), padding=np.int64(1)).data.shape == (1, 1, 4, 4)
+        assert E.pad2d(MAP, two, 0, 0, two).data.shape == (1, 2, 6, 6)
+        assert E.crop2d(MAP, 0, two, 0, two).data.shape == (1, 2, 2, 2)

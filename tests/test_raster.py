@@ -1,3 +1,4 @@
+import inspect
 import os
 import struct
 
@@ -15,6 +16,7 @@ from spatialcausal.errors import (
 from spatialcausal.model import SpatialDataset
 from spatialcausal.raster import (
     NLCD_CODES,
+    SPLIT_RATIOS,
     Grid,
     GridGeometry,
     Manifest,
@@ -224,6 +226,21 @@ class TestManifest:
         assert back.split_seed == 7
         assert back.split_ratios == (0.5, 0.25, 0.25)
         assert [p.split("/")[-1] for p in back.treatments] == ["t1.grd", "t2.grd"]
+
+    def test_default_split_is_the_one_constant(self, tmp_path):
+        """The manifest, a manifest file without split.ratios, split_dataset
+        and the INI schema all default to ``SPLIT_RATIOS``."""
+        from spatialcausal import cli
+
+        assert SPLIT_RATIOS == (0.6, 0.2, 0.2)
+        path = tmp_path / "run.manifest"
+        path.write_text("[manifest]\ntreatment.1 = t.grd\nconfounder = x.grd\n"
+                        "outcome = y.grd\nd_s = 3\n")
+        assert load_manifest(str(path)).split_ratios == SPLIT_RATIOS
+        assert Manifest(treatments=("t.grd",), confounder="x.grd", outcome="y.grd",
+                        d_s=3).split_ratios == SPLIT_RATIOS
+        assert inspect.signature(split_dataset).parameters["ratios"].default is SPLIT_RATIOS
+        assert cli._SCHEMA["data"]["split_ratios"][1] is SPLIT_RATIOS
 
     def test_percent_in_path_kept_literally(self, tmp_path):
         man = Manifest(treatments=("t%1.grd",), confounder="x%%.grd", outcome="y.grd",
