@@ -99,7 +99,7 @@ from .raster import (
     save_manifest,
     split_dataset,
 )
-from .cli import ExperimentConfig, load_config, run_protocol, run_single_seed
+from .cli import ExperimentConfig, load_config
 
 __version__ = "0.1.0"
 
@@ -121,7 +121,7 @@ __all__ = [
     "load_config", "load_grid", "load_manifest", "load_model",
     "marginal_density", "ndvi", "onehot_landcover", "op_kinds",
     "oracle_effects", "predict", "random_fn", "rasterize_points",
-    "run_protocol", "run_single_seed", "sample_gp", "sample_gp_grid",
+    "sample_gp", "sample_gp_grid",
     "save_grid", "save_manifest", "save_model", "select_inducing",
     "split_dataset", "spline_fn", "synth_fields", "train",
     "weight_diagnostics", "write_effects_csv",

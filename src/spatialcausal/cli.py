@@ -284,7 +284,7 @@ def generate_dataset(config: ExperimentConfig, seed: int):
 
 def regenerate_truth(sidecar: dict):
     """Rebuild (dataset, truth) from a truth.json sidecar."""
-    return _synthetic_units(sidecar["generator"], sidecar["data"], int(sidecar["seed"]))
+    return _synthetic_units(sidecar["generator"], sidecar["data"], sidecar["seed"])
 
 
 def model_config_from(config: ExperimentConfig, dataset: SpatialDataset,
@@ -375,36 +375,6 @@ def estimate_variants(model, dataset, config: ExperimentConfig, truth=None):
                      _VARIANTS[config.resolved["effects"]["weighted"]], truth)
 
 
-def run_single_seed(config: ExperimentConfig, seed: int) -> dict:
-    """One gen -> train -> effects pass; the core of the repeat protocol."""
-    dataset, truth = generate_dataset(config, seed)
-    model, trace = fit_model(config, dataset, seed)
-    reports, errors = estimate_variants(model, dataset, config, truth)
-    return {"seed": seed, "dataset": dataset, "truth": truth, "model": model,
-            "trace": trace, "reports": reports, "errors": errors}
-
-
-def run_protocol(config: ExperimentConfig) -> dict:
-    """All seeds in [run].seeds, with per-variant mean/std error summaries."""
-    start = time.perf_counter()
-    per_seed = [run_single_seed(config, s) for s in config.resolved["run"]["seeds"]]
-    summary = {label: error_summary(rows) for label, rows
-               in _errors_by_variant([(r["seed"], r["errors"]) for r in per_seed]).items()}
-    return {"config_hash": config.hash(), "per_seed": per_seed,
-            "summary": summary,
-            "wall_clock_s": time.perf_counter() - start}
-
-
-def _errors_by_variant(records) -> dict:
-    """{variant: [(seed, errors)]} from (seed, errors by variant) records.
-
-    Seeds without truth are left out, and so are variants left with no seed.
-    """
-    rows = {label: [(seed, errs[label]) for seed, errs in records if errs[label]]
-            for label in records[0][1]}
-    return {label: got for label, got in rows.items() if got}
-
-
 def error_summary(rows) -> dict:
     """Across-seed means and sample standard deviations (0 for one seed) of the
     (de, ie, te) errors in (seed, errors) ``rows``: report.json's ``summary``
@@ -430,10 +400,17 @@ def write_effect_tables(out_dir: str, reports: dict, prefix: str = "") -> None:
         write_effects_csv(reps, os.path.join(out_dir, f"effects_{prefix}{label}.csv"))
 
 
-def write_error_tables(out_dir: str, records) -> None:
-    """errors_<variant>.csv: per-seed rows, then the ``error_summary`` mean row."""
-    for label, rows in _errors_by_variant(records).items():
-        stats = error_summary(rows)
+def write_error_tables(out_dir: str, records) -> dict:
+    """errors_<variant>.csv from (seed, errors by variant) ``records``: per-seed
+    rows, then the ``error_summary`` mean row.  Seeds without truth are left
+    out, and so are variants left with no seed.  Returns each written
+    variant's ``error_summary``: report.json's ``summary``."""
+    summary = {}
+    for label in records[0][1]:
+        rows = [(seed, errs[label]) for seed, errs in records if errs[label]]
+        if not rows:
+            continue
+        stats = summary[label] = error_summary(rows)
         with open(os.path.join(out_dir, f"errors_{label}.csv"), "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["seed", "de_err", "ie_err", "te_err", "de_std", "ie_std", "te_std"])
@@ -441,6 +418,7 @@ def write_error_tables(out_dir: str, records) -> None:
                 w.writerow([seed] + [csv_float(errs[k]) for k in _ERROR_KEYS] + [""] * 3)
             w.writerow(["mean"] + [csv_float(stats[f"{k}_{stat}"])
                                    for stat in ("mean", "std") for k in _ERROR_KEYS])
+    return summary
 
 
 def _flatten_metrics(metrics: dict) -> dict:
@@ -483,6 +461,7 @@ def _load_truth(data_arg: str, dataset: SpatialDataset):
     try:
         with open(sidecar) as fh:
             record = json.load(fh)
+        seed = check("seed", record["seed"], DataError)
         regenerated, truth = regenerate_truth(record)
     except (ValueError, KeyError, TypeError, SpatialCausalError) as exc:
         raise DataError(f"{sidecar}: cannot regenerate truth: {exc!r}") from None
@@ -492,7 +471,7 @@ def _load_truth(data_arg: str, dataset: SpatialDataset):
         if want.shape != have.shape or not np.allclose(want, have, rtol=1e-9, atol=1e-9):
             raise DataError(f"{sidecar}: regenerated {field} differ from the "
                             f"dataset beside it")
-    return truth, int(record["seed"])
+    return truth, seed
 
 
 def cmd_gen(config: ExperimentConfig, out_dir: str) -> int:
@@ -543,25 +522,24 @@ def cmd_effects(config: ExperimentConfig, ckpt: str | None, data_arg: str | None
         print(f"effects\t{len(reports)} variant files -> {out_dir}")
         return 0
 
-    result = run_protocol(config)
-    report = {"config_hash": result["config_hash"],
-              "seeds": list(config.resolved["run"]["seeds"]),
-              "wall_clock_s": result["wall_clock_s"], "per_seed": []}
-    for rec in result["per_seed"]:
-        write_effect_tables(out_dir, rec["reports"], prefix=f"s{rec['seed']}_")
-        write_trace_csv(rec["trace"],
-                        os.path.join(out_dir, f"loss_trace_s{rec['seed']}.csv"))
-        report["per_seed"].append({
-            "seed": rec["seed"],
-            "final_train_mse": rec["trace"][-1][1],
-            "errors": rec["errors"],
-        })
-    write_error_tables(out_dir, [(rec["seed"], rec["errors"])
-                                 for rec in result["per_seed"]])
-    report["summary"] = result["summary"]
+    # one seed at a time through the commands' stages; its files are written
+    # as it ends, and only its report.json row is kept
+    start = time.perf_counter()
+    per_seed = []
+    for seed in config.resolved["run"]["seeds"]:
+        dataset, truth = generate_dataset(config, seed)
+        model, trace = fit_model(config, dataset, seed)
+        reports, errors = estimate_variants(model, dataset, config, truth)
+        write_effect_tables(out_dir, reports, prefix=f"s{seed}_")
+        write_trace_csv(trace, os.path.join(out_dir, f"loss_trace_s{seed}.csv"))
+        per_seed.append({"seed": seed, "final_train_mse": trace[-1][1], "errors": errors})
+    report = {"config_hash": config.hash(), "seeds": list(config.resolved["run"]["seeds"]),
+              "wall_clock_s": time.perf_counter() - start, "per_seed": per_seed,
+              "summary": write_error_tables(out_dir, [(r["seed"], r["errors"])
+                                                      for r in per_seed])}
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         json.dump(report, fh, sort_keys=True, indent=1)
-    print(f"effects\t{len(result['per_seed'])} seeds -> {out_dir}")
+    print(f"effects\t{len(per_seed)} seeds -> {out_dir}")
     return 0
 
 

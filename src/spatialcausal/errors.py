@@ -77,7 +77,7 @@ DOMAINS = {
                     (False, "in (0, 1e100]", lambda v: 0 < v <= 1e100)),
     **dict.fromkeys(("noise", "noise_sigma"), (False, ">= 0", lambda v: v >= 0)),
     "momentum": (False, "in [0, 1)", lambda v: 0 <= v < 1),
-    "beta": (False, "finite", lambda v: True),
+    **dict.fromkeys(("beta", "origin_x", "origin_y"), (False, "finite", lambda v: True)),
 }
 # fields that None leaves unset (0 in a config file)
 UNSET = ("batch_size", "patience")

@@ -51,6 +51,8 @@ class SpatialDataset:
         self.patches = np.asarray(self.patches, dtype=np.float64)
         self.confounders = np.asarray(self.confounders, dtype=np.float64)
         self.outcomes = np.asarray(self.outcomes, dtype=np.float64)
+        if not np.all(np.isfinite(self.coords)):
+            raise DataError("unit coordinates must be finite")
         n = self.coords.shape[0]
         if self.treatments.ndim != 2 or self.treatments.shape[0] != n:
             raise DimensionError(f"treatments must be (N, M), got {self.treatments.shape}")

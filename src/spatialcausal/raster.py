@@ -25,13 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (ConfigError, ContractError, DataError, DimensionError, FormatError,
-                     check, check_fields)
+from .errors import (MAX_ELEMENTS, ConfigError, ContractError, DataError, DimensionError,
+                     FormatError, check_fields)
 from .model import SpatialDataset
 
 _MAGIC = b"GRD1"
 _HEADER = struct.Struct("<4sIIIddd")
-_MAX_CELLS = 4096 * 4096 * 16
 
 NLCD_CODES = (11, 21, 22, 23, 24, 31, 41, 42, 43, 52, 71, 81, 82, 90, 95)
 
@@ -47,7 +46,7 @@ class GridGeometry:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise DimensionError(f"grid must be nonempty, got {self.rows}x{self.cols}")
-        check("resolution", self.resolution, ContractError)
+        check_fields(self, ContractError)
 
 
 @dataclass
@@ -64,7 +63,7 @@ class Grid:
         if self.data.ndim != 3:
             raise DimensionError(f"grid data must be (channels, rows, cols), "
                                  f"got shape {self.data.shape}")
-        check("resolution", self.resolution, ContractError)
+        check_fields(self, ContractError)
 
     @property
     def channels(self) -> int:
@@ -119,7 +118,7 @@ def load_grid(path: str) -> Grid:
     if magic != _MAGIC:
         raise FormatError(f"bad magic {magic!r} at offset 0, expected {_MAGIC!r}")
     cells = rows * cols * channels
-    if cells == 0 or cells > _MAX_CELLS:
+    if cells == 0 or cells > MAX_ELEMENTS:
         raise FormatError(f"dimension overflow at offset 4: "
                           f"{rows}x{cols}x{channels} cells")
     expected = cells * 8
@@ -344,11 +343,13 @@ def units_from_grids(t_grids, conf: Grid, out: Grid, d_s: int) -> SpatialDataset
                         "boundary-adjacent, or has NaN in its patch")
     r, c, patches = r[clean], c[clean], patches[clean]
     patches[:, :, window[0] // 2, half] = 0.0
-    x = out.origin_x + (c + 0.5) * out.resolution
     # single-row grids get 1-d coords: a constant y column would be collinear
-    # with the propensity-design intercept
-    coords = x[:, None] if line_mode else np.column_stack(
-        [x, out.origin_y + (r + 0.5) * out.resolution])
+    # with the propensity-design intercept; coordinates that overflow to inf
+    # end in SpatialDataset's finiteness check, not in a warning
+    with np.errstate(over="ignore"):
+        x = out.origin_x + (c + 0.5) * out.resolution
+        coords = x[:, None] if line_mode else np.column_stack(
+            [x, out.origin_y + (r + 0.5) * out.resolution])
     return SpatialDataset(coords=coords,
                           treatments=np.moveaxis(stack, 0, -1)[r, c + shift],
                           patches=patches.reshape(patches.shape[:2] + patch_shape),

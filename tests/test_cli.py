@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import math
 import os
 import random
 import re
@@ -14,6 +15,7 @@ import sys
 import textwrap
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,13 +24,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from spatialcausal import cli
 from spatialcausal import engine as E
 from spatialcausal import gp as G
-from spatialcausal.cli import (
-    ExperimentConfig,
-    load_config,
-    run_protocol,
-    run_single_seed,
-)
-from spatialcausal.errors import MAX_ELEMENTS, ConfigError
+from spatialcausal.cli import ExperimentConfig, load_config
+from spatialcausal.errors import MAX_ELEMENTS, ConfigError, NumericError
 from spatialcausal.model import (
     ModelConfig,
     SpatialDataset,
@@ -669,6 +666,22 @@ class TestSharedEffectWork:
             "interference": 2 * 2 * 2, "oracle": 1}
 
 
+def _benchmark_ini(tmp_path, name, extra=""):
+    """A perfbench config cut to 3 epochs, plus ``extra`` lines."""
+    config = Path(__file__).parents[1] / "perfbench" / "configs" / f"{name}.ini"
+    text, cut = re.subn(r"(?m)^epochs = .*$", "epochs = 3", config.read_text())
+    assert cut == 1
+    return write_ini(tmp_path, text + extra)
+
+
+def _module_env(**extra):
+    """The environment for ``python -m spatialcausal`` from this checkout."""
+    env = dict(os.environ, **extra)
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestProtocol:
     def test_per_seed_artifacts(self, proto_dir):
         names = set(os.listdir(proto_dir))
@@ -732,6 +745,11 @@ class TestProtocol:
             for route, protocol in pairs:
                 assert open(route, "rb").read() == open(protocol, "rb").read(), \
                     (seed_from, route)
+            # one seed has a standard deviation of 0
+            for variant in ("unweighted", "weighted"):
+                with open(os.path.join(proto, f"errors_{variant}.csv")) as fh:
+                    rows = list(csv.reader(fh))
+                assert rows[-1][0] == "mean" and rows[-1][4:] == ["0", "0", "0"], rows
 
     def test_manifest_generator_has_no_errors(self, workspace, tmp_path):
         manifest = os.path.join(workspace["data"], "run.manifest")
@@ -768,10 +786,7 @@ class TestProtocol:
         """Two protocol runs of the line benchmark config at 3 epochs over
         seeds 0-8 write the same files; report.json differs only in
         ``wall_clock_s``."""
-        config = Path(__file__).parents[1] / "perfbench" / "configs" / "line_mlp_gp.ini"
-        text, cut = re.subn(r"(?m)^epochs = .*$", "epochs = 3", config.read_text())
-        assert cut == 1
-        ini = write_ini(tmp_path, text + "\n[run]\nseeds = 0,1,2,3,4,5,6,7,8\n")
+        ini = _benchmark_ini(tmp_path, "line_mlp_gp", "\n[run]\nseeds = 0,1,2,3,4,5,6,7,8\n")
 
         def contents(out, name):
             if name != "report.json":
@@ -788,6 +803,44 @@ class TestProtocol:
         assert len(names) == 9 * 3 + 2 + 1 and "loss_trace_s8.csv" in names
         for name in names:
             assert contents(outs[0], name) == contents(outs[1], name), name
+
+    def test_failure_at_second_seed_keeps_the_first_seeds_files(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        """Each seed's files are written as the seed ends; errors_*.csv and
+        report.json only after the last seed."""
+        fit_model, calls = cli.fit_model, []
+
+        def fail_second(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise NumericError("second seed diverged")
+            return fit_model(*args)
+
+        monkeypatch.setattr(cli, "fit_model", fail_second)
+        ini = write_ini(tmp_path, TINY_INI.replace("epochs = 12", "epochs = 2"))
+        out = tmp_path / "proto"
+        assert cli.main(["effects", "--config", ini, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "numeric_error\tsecond seed diverged\n", err
+        assert sorted(os.listdir(out)) == ["effects_s0_unweighted.csv",
+                                           "effects_s0_weighted.csv", "loss_trace_s0.csv"]
+
+    def test_wall_clock_spans_the_per_seed_writes(self, tmp_path, monkeypatch):
+        """A clock that moves only while a loss trace is written reads one
+        unit per seed in ``wall_clock_s``."""
+        clock = [0.0]
+        write_trace_csv = cli.write_trace_csv
+
+        def slow_write(*args):
+            clock[0] += 1.0
+            write_trace_csv(*args)
+
+        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+        monkeypatch.setattr(cli, "write_trace_csv", slow_write)
+        ini = write_ini(tmp_path, TINY_INI.replace("epochs = 12", "epochs = 2"))
+        out = tmp_path / "proto"
+        assert cli.main(["effects", "--config", ini, "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["wall_clock_s"] == 2.0
 
     def test_report_command(self, proto_dir, capsys):
         assert cli.main(["report", "--out", proto_dir]) == 0
@@ -806,31 +859,45 @@ class TestProtocol:
 
 
 class TestLibraryEntryPoints:
-    def test_run_single_seed_returns_reports(self, workspace):
-        config = load_config(workspace["ini"])
-        rec = run_single_seed(config, 0)
-        assert set(rec["reports"]) == {"unweighted", "weighted"}
-        assert rec["errors"]["weighted"] is not None
-        assert len(rec["trace"]) == 12
-
-    def test_run_protocol_summary(self, tmp_path):
-        ini = write_ini(tmp_path, TINY_INI.replace("seeds = 0,1", "seeds = 0")
-                        .replace("epochs = 12", "epochs = 4"))
-        result = run_protocol(load_config(ini))
-        assert set(result["summary"]) == {"unweighted", "weighted"}
-        assert result["summary"]["weighted"]["de_err_std"] == 0.0
-
     def test_python_dash_m_runs_the_cli(self, tmp_path):
-        env = dict(os.environ)
-        package_root = str(Path(cli.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root,
-                                                          env.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "spatialcausal", "report",
                                "--out", str(tmp_path)],
-                              env=env, capture_output=True, text=True, timeout=120)
+                              env=_module_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2
         assert proc.stderr.startswith("data_error\t")
         assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("name", ["line_mlp_gp", "raster_cli"])
+    def test_benchmark_config_commands_rerun_and_load_across_thread_counts(
+            self, tmp_path, name):
+        """gen, train and effects --ckpt on a benchmark config at seed 1 write
+        the same files twice.  Data that gen writes at one BLAS thread load in
+        effects --ckpt at two, whose regenerated truth rounds differently."""
+        ini = _benchmark_ini(tmp_path, name)
+        for run in "ab":
+            data, fit, eff = (str(tmp_path / run / d) for d in ("data", "fit", "eff"))
+            for argv in (["gen", "--out", data], ["train", "--data", data, "--out", fit],
+                         ["effects", "--ckpt", os.path.join(fit, "model.ckpt"),
+                          "--data", data, "--out", eff]):
+                assert cli.main([argv[0], "--config", ini, "--seed", "1"] + argv[1:]) == 0
+        files = [sorted(p.relative_to(tmp_path / run) for p in (tmp_path / run).rglob("*")
+                        if p.is_file()) for run in "ab"]
+        assert files[0] == files[1] and len(files[0]) == 5 + 2 + 4, files
+        for path in files[0]:
+            assert (tmp_path / "a" / path).read_bytes() == (tmp_path / "b" / path).read_bytes(), \
+                path
+
+        for threads, argv in (("1", ["gen", "--out", str(tmp_path / "data1")]),
+                              ("2", ["effects", "--ckpt", str(tmp_path / "a" / "fit" / "model.ckpt"),
+                                     "--data", str(tmp_path / "data1"),
+                                     "--out", str(tmp_path / "eff2")])):
+            proc = subprocess.run([sys.executable, "-m", "spatialcausal", argv[0], "--config",
+                                   ini, "--seed", "1"] + argv[1:],
+                                  env=_module_env(OPENBLAS_NUM_THREADS=threads),
+                                  capture_output=True, text=True, timeout=600)
+            assert proc.returncode == 0, proc.stderr
+        assert sorted(p.name for p in (tmp_path / "eff2").glob("errors_*.csv")) == [
+            "errors_unweighted.csv", "errors_weighted.csv"]
 
 
 class TestGradcheckCmd:
@@ -1178,11 +1245,19 @@ MALFORMED_FILES = [
     ("truth_wrong_generator", "truth.json", _set_key("generator", "grid"), "data_error"),
     ("truth_rejected_data_value", "truth.json", _set_key("x_dim", 0, "data"), "data_error"),
     ("truth_other_seed", "truth.json", _set_key("seed", 1), "data_error"),
+    # the dataset's seed is 0, which truncation or parsing would give
+    ("truth_fractional_seed", "truth.json", _set_key("seed", 0.7), "data_error"),
+    ("truth_string_seed", "truth.json", _set_key("seed", "0"), "data_error"),
+    ("truth_negative_seed", "truth.json", _set_key("seed", -1), "data_error"),
     ("report_truncated_json", "report.json", b'{"config_hash": "x", "seeds": [0]',
      "data_error"),
     ("report_missing_seeds", "report.json", b'{"config_hash": "x"}', "data_error"),
     ("metrics_truncated_json", "metrics.json", b'{"r2_all": 0.5', "data_error"),
 ]
+
+
+# byte offsets of a grid header's float64 fields, after the magic and 3 u32 sizes
+_GRID_HEADER_OFFSETS = {"origin_x": 16, "origin_y": 24, "resolution": 32}
 
 
 class TestMalformedFiles:
@@ -1222,6 +1297,37 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert err.partition("\t")[0] == code, err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train", "train_gp", "eval", "effects"])
+    @pytest.mark.parametrize("header,expected", [
+        ({"origin_x": math.inf}, "contract_error\torigin_x: must be finite, got inf"),
+        # both finite, but the unit coordinates overflow to inf
+        ({"origin_x": 1e308, "resolution": 1e308},
+         "data_error\tunit coordinates must be finite"),
+    ], ids=["origin_x_inf", "coordinates_overflow"])
+    def test_nonfinite_unit_coordinates(self, workspace, tmp_path, capsys, header,
+                                        expected, command):
+        """The same header in all three grids of the dataset."""
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        for name in ("treatment_1.grd", "confounder.grd", "outcome.grd"):
+            blob = bytearray((data / name).read_bytes())
+            for field, value in header.items():
+                struct.pack_into("<d", blob, _GRID_HEADER_OFFSETS[field], value)
+            (data / name).write_bytes(bytes(blob))
+        ini = workspace["ini"]
+        if command == "train_gp":
+            ini = write_ini(tmp_path, TINY_INI.replace("confounder = linear",
+                                                       "confounder = linear\ngp = true"))
+        argv = [command.partition("_")[0], "--config", ini, "--data", str(data),
+                "--out", str(tmp_path / "out")]
+        if command in ("eval", "effects"):
+            argv += ["--ckpt", workspace["ckpt"]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == expected + "\n", err
 
 
 def _corruptions(count=60):
