@@ -24,10 +24,7 @@ from .errors import (
 )
 from .engine import GradCheckReport, Tape, Tensor, finite_diff_check, op_kinds
 from .nets import (
-    CnnSpec,
-    MlpSpec,
     Network,
-    UnetSpec,
     build_cnn,
     build_linear_interference,
     build_mlp,
@@ -104,14 +101,14 @@ from .cli import ExperimentConfig, load_config
 __version__ = "0.1.0"
 
 __all__ = [
-    "BalancingWeights", "CnnSpec", "ConfigError", "ContractError",
+    "BalancingWeights", "ConfigError", "ContractError",
     "DataError", "DimensionError", "EffectReport", "ExperimentConfig",
     "FormatError", "GpTerm", "GpsModel", "GradCheckReport", "Grid",
     "GridConfig", "GridGeometry", "GroundTruth", "KernelSpec",
-    "LineGraphConfig", "Manifest", "MarginalDensity", "MlpSpec",
+    "LineGraphConfig", "Manifest", "MarginalDensity",
     "ModelConfig", "NLCD_CODES", "Network", "NumericError", "PointSet",
     "SpatialCausalError", "SpatialDataset", "SpatialModel", "Tape",
-    "Tensor", "TrainConfig", "UnetSpec", "balancing_weights",
+    "Tensor", "TrainConfig", "balancing_weights",
     "build_cnn", "build_linear_interference", "build_mlp", "build_model",
     "build_nystrom", "build_unet", "chol_with_jitter", "default_t_grid",
     "dose_draw_indices", "effect_error", "estimate_effects_dose",

@@ -217,6 +217,7 @@ def load_config(path: str) -> ExperimentConfig:
     # like every key, the sizes of the generator the run ignores are checked too
     for generator_config in (LineGraphConfig, GridConfig):
         check_sizes(generator_config.array_sizes(data), ConfigError, "data.")
+    check_sizes(ModelConfig.array_sizes(resolved["model"]), ConfigError, "model.")
     if data["generator"] == "manifest" and not data["manifest"]:
         raise ConfigError("data.manifest: required when generator = manifest")
     if data["generator"] == "line" and cp.has_option("data", "sigma_l"):
@@ -610,7 +611,7 @@ def _gradcheck_cases():
     ms, mt = param(6, 1), param(6, 1)
     cases.append(("mse", lambda: E.mse(ms, mt), [ms, mt]))
 
-    mlp = N.build_mlp(N.MlpSpec(in_dim=2, width=4, depth=2, out_dim=1), seed=1)
+    mlp = N.build_mlp(in_dim=2, width=4, depth=2, seed=1)
     mlp_in = rng.normal(size=(3, 2))
     cases.append(("mlp_composite",
                   lambda: E.tsum(mlp.forward(E.Tensor(mlp_in))), mlp.params))
@@ -619,8 +620,7 @@ def _gradcheck_cases():
     lin_in = rng.normal(size=(2, 3))
     cases.append(("linear_interference",
                   lambda: E.tsum(lin.forward(E.Tensor(lin_in))), lin.params))
-    unet = N.build_unet(N.UnetSpec(in_channels=1, base_channels=2,
-                                   input_side=7, depth=2), seed=3)
+    unet = N.build_unet(base_channels=2, depth=2, seed=3)
     # 7x7 of an 8x8 draw, so later cases keep their draws; in this corner no
     # ReLU at the center pixel is dead, so every parameter gets a gradient
     unet_in = rng.normal(size=(1, 1, 8, 8))[:, :, 1:, :7]

@@ -1,9 +1,9 @@
 """Exception hierarchy shared by all spatialcausal modules, the domain of
 every numeric setting, keyed by field name, with the one check against it,
-and the one cap on the arrays that generator settings size."""
+and the one cap on the arrays that generator and model settings size."""
 
 import math
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class SpatialCausalError(Exception):
@@ -61,9 +61,8 @@ DOMAINS = {
     **dict.fromkeys((
         "m", "x_dim", "rows", "cols", "n_units", "mlp_width", "mlp_depth",
         "cnn_channels", "cnn_depth", "unet_base", "unet_depth", "q", "epochs",
-        "batch_size", "patience", "grid_size", "b_draws", "in_dim", "out_dim",
-        "width", "depth", "channels", "in_channels", "base_channels",
-        "input_side", "n_draws"), _whole(1)),
+        "batch_size", "patience", "grid_size", "b_draws", "in_dim", "n_draws"),
+        _whole(1)),
     "x_channels": _whole(2),
     "n": _whole(3),
     "d_s": _whole(1, odd=True),
@@ -81,8 +80,9 @@ DOMAINS = {
 }
 # fields that None leaves unset (0 in a config file)
 UNSET = ("batch_size", "patience")
-# the most elements one array that a generator config sizes may hold (2 GiB of
-# float64); fixed, so a config is accepted or rejected alike on every machine
+# the most elements one array that a generator or model config sizes may hold
+# (2 GiB of float64); fixed, so a config is accepted or rejected alike on every
+# machine
 MAX_ELEMENTS = 2 ** 28
 
 
@@ -95,12 +95,14 @@ def _finite(value) -> bool:
 
 def check(name: str, value, error, label: str | None = None):
     """``value`` if it lies in field ``name``'s domain; else raises ``error``
-    with a message that starts with ``label`` (default: ``name``)."""
+    with a message that starts with ``label`` (default: ``name``).  No domain
+    holds a bool or a value that is not a real number."""
     whole, bound, test = DOMAINS[name]
     if value is None and name in UNSET:
         return value
-    if whole and not isinstance(value, Integral):
-        bound = "a whole number"
+    if isinstance(value, bool) or not isinstance(value, Integral if whole else Real):
+        bound = "a whole number" if whole else "a real number"
+        value = value if isinstance(value, Real) else repr(value)
     elif not whole and not _finite(value):
         bound = "finite"
     elif test(value):

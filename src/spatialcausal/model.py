@@ -27,7 +27,7 @@ from . import gp as G
 from . import nets as N
 from .engine import Tensor
 from .errors import (ConfigError, ContractError, DataError, DimensionError, FormatError,
-                     NumericError, SpatialCausalError, check, check_fields)
+                     NumericError, SpatialCausalError, check, check_fields, check_sizes)
 
 
 @dataclass
@@ -129,8 +129,25 @@ class ModelConfig:
         if self.interference in ("cnn", "unet") and len(self.patch_shape) != 2:
             raise ConfigError(f"{self.interference} interference needs 2-d patches, "
                               f"got shape {self.patch_shape}")
+        if self.interference == "cnn" and self.patch_shape[0] < 3:
+            raise DimensionError(f"input side {self.patch_shape[0]} smaller than kernel 3")
         if self.gp and self.kernel is None:
             raise ConfigError("gp enabled but no kernel given")
+        check_sizes(self.array_sizes(vars(self)), ConfigError)
+
+    @staticmethod
+    def array_sizes(model) -> tuple:
+        """(key, array, element count) of the largest arrays that the settings
+        in mapping ``model`` size, whatever the data."""
+        width, channels, base = model["mlp_width"], model["cnn_channels"], model["unet_base"]
+        depth = min(model["unet_depth"], 14)    # deeper is over the cap at every base
+        return (("q", "the q x q Gram", model["q"] ** 2),
+                ("mlp_width", "the mlp_width x mlp_width hidden weight", width * width),
+                ("cnn_channels", "the cnn_channels x cnn_channels x 9 kernel",
+                 channels * channels * 9),
+                ("unet_depth" if 2 ** depth > base else "unet_base",
+                 f"the (unet_base * 2**{depth})**2 x 9 U-Net bottleneck kernel",
+                 (base * 2 ** depth) ** 2 * 9))
 
 
 class SpatialModel:
@@ -225,21 +242,16 @@ def _assemble(config: ModelConfig, inducing: G.InducingSet | None) -> SpatialMod
             if config.interference == "linear":
                 nets.append(N.build_linear_interference(config.patch_shape))
             elif config.interference == "mlp":
-                nets.append(N.build_mlp(
-                    N.MlpSpec(patch_size, config.mlp_width, config.mlp_depth), seed))
+                nets.append(N.build_mlp(patch_size, config.mlp_width, config.mlp_depth, seed))
             elif config.interference == "cnn":
-                nets.append(N.build_cnn(
-                    N.CnnSpec(1, config.cnn_channels, config.cnn_depth,
-                              config.patch_shape[0]), seed))
+                nets.append(N.build_cnn(config.cnn_channels, config.cnn_depth, seed))
             else:
-                nets.append(N.build_unet(
-                    N.UnetSpec(1, config.unet_base, config.patch_shape[0],
-                               depth=config.unet_depth), seed))
+                nets.append(N.build_unet(config.unet_base, config.unet_depth, seed))
     if config.confounder == "linear":
         conf_net = N.build_affine(config.x_dim)
     else:
-        conf_net = N.build_mlp(
-            N.MlpSpec(config.x_dim, config.mlp_width, config.mlp_depth), config.seed + 7)
+        conf_net = N.build_mlp(config.x_dim, config.mlp_width, config.mlp_depth,
+                               config.seed + 7)
     gp_term = None
     if config.gp:
         gp_term = G.GpTerm(inducing, config.kernel, config.train_lengthscale)

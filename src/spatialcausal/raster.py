@@ -44,8 +44,6 @@ class GridGeometry:
     resolution: float = 1.0
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise DimensionError(f"grid must be nonempty, got {self.rows}x{self.cols}")
         check_fields(self, ContractError)
 
 
@@ -132,8 +130,7 @@ def load_grid(path: str) -> Grid:
 
 
 def _check_same_geometry(a: Grid, b: Grid, what: str) -> None:
-    if (a.rows, a.cols) != (b.rows, b.cols) or a.origin_x != b.origin_x \
-            or a.origin_y != b.origin_y or a.resolution != b.resolution:
+    if a.geometry != b.geometry:
         raise DimensionError(f"{what}: geometries differ "
                              f"({a.geometry} vs {b.geometry})")
 

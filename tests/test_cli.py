@@ -1122,7 +1122,9 @@ class TestMainErrors:
 
     @pytest.mark.parametrize("generator,key,value", [
         ("grid", "rows", "100000000000"), ("grid", "x_channels", "1000000000000"),
-        ("line", "n", str(10 ** 20))])
+        ("line", "n", str(10 ** 20)),
+        *(("line", key, "100000000000")
+          for key in ("q", "mlp_width", "cnn_channels", "unet_base", "unet_depth"))])
     def test_oversized_setting_ends_gen_before_it_allocates(
             self, tmp_path, capsys, monkeypatch, generator, key, value):
         """Array sizes are checked against one fixed cap as the config loads."""
@@ -1131,11 +1133,13 @@ class TestMainErrors:
 
         monkeypatch.setattr(cli, "synth_fields", generator_ran)
         monkeypatch.setattr(cli, "gen_line_graph", generator_ran)
-        ini = write_ini(tmp_path, f"[data]\ngenerator = {generator}\n{key} = {value}\n")
+        section = "model" if key in cli._SCHEMA["model"] else "data"
+        header = "" if section == "data" else f"[{section}]\n"
+        ini = write_ini(tmp_path, f"[data]\ngenerator = {generator}\n{header}{key} = {value}\n")
         out_dir = tmp_path / "out"
         assert cli.main(["gen", "--config", ini, "--out", str(out_dir)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"config_error\tdata.{key}: ") and err.count("\n") == 1, err
+        assert err.startswith(f"config_error\t{section}.{key}: ") and err.count("\n") == 1, err
         assert f"over the cap of {MAX_ELEMENTS}" in err and "Traceback" not in err, err
         assert not out_dir.exists()
 
@@ -1249,6 +1253,7 @@ MALFORMED_FILES = [
     ("truth_fractional_seed", "truth.json", _set_key("seed", 0.7), "data_error"),
     ("truth_string_seed", "truth.json", _set_key("seed", "0"), "data_error"),
     ("truth_negative_seed", "truth.json", _set_key("seed", -1), "data_error"),
+    ("truth_bool_seed", "truth.json", _set_key("seed", False), "data_error"),
     ("report_truncated_json", "report.json", b'{"config_hash": "x", "seeds": [0]',
      "data_error"),
     ("report_missing_seeds", "report.json", b'{"config_hash": "x"}', "data_error"),

@@ -1,12 +1,14 @@
 """Setting domains: every numeric INI key through ``load_config``, and every
-numeric field of the configs, net specs and optimizers through the Python API.
+numeric field of the configs, net builders and optimizers through the Python API.
 
-Each probe puts one of 0, -1, nan, inf and 2.5 into one setting.  It must
-either run or end as a typed error whose message starts with the setting's
-name; a raw ``TypeError``, ``ValueError`` or ``OverflowError`` fails it.
+Each INI probe puts one of 0, -1, nan, inf and 2.5 into one setting, and each
+API probe one of those, True or "1".  It must either run or end as a typed
+error whose message starts with the setting's name; a raw ``TypeError``,
+``ValueError`` or ``OverflowError`` fails it.
 """
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -20,10 +22,11 @@ from spatialcausal.effects import dose_draw_indices
 from spatialcausal.errors import ConfigError, ContractError, DimensionError, SpatialCausalError
 from spatialcausal.gp import KernelSpec
 from spatialcausal.model import ModelConfig, TrainConfig, build_model, train
+from spatialcausal.raster import GridGeometry
 from spatialcausal.synthgen import GridConfig, LineGraphConfig, gen_grid, gen_line_graph
 
 RAW_VALUES = ("0", "-1", "nan", "inf", "2.5")
-VALUES = (0, -1, math.nan, math.inf, 2.5)
+VALUES = (0, -1, math.nan, math.inf, 2.5, True, "1")
 
 # (section, key) -> the values of RAW_VALUES it accepts; each other value of a
 # numeric key must end as a config_error naming the key.  The line generator
@@ -93,8 +96,8 @@ def _fit(model_fields=(), train_fields=()):
     train(model, DATA, TrainConfig(**{"epochs": 1, **dict(train_fields)}))
 
 
-def _net(build, spec, shape):
-    build(spec, 0).forward(np.ones(shape))
+def _net(build, args, shape):
+    build(**args).forward(np.ones(shape))
 
 
 def _optimizer(cls, base, field, value):
@@ -120,19 +123,18 @@ PROBES = {
                     lambda f, v: _fit(train_fields={f: v})),
     "KernelSpec": (("sigma", "lengthscale", "noise"),
                    lambda f, v: _fit(model_fields={"kernel": KernelSpec(**{**KERNEL, f: v})})),
-    "MlpSpec": (("in_dim", "width", "depth", "out_dim"),
-                lambda f, v: _net(N.build_mlp, N.MlpSpec(**{"in_dim": 3, "width": 4,
-                                                            "depth": 1, f: v}), (2, 3))),
-    "CnnSpec": (("in_channels", "channels", "depth", "input_side"),
-                lambda f, v: _net(N.build_cnn, N.CnnSpec(**{"in_channels": 1, "channels": 2,
-                                                            "depth": 1, "input_side": 5,
-                                                            f: v}), (2, 1, 5, 5))),
-    "UnetSpec": (("in_channels", "base_channels", "input_side", "depth"),
-                 lambda f, v: _net(N.build_unet, N.UnetSpec(**{"in_channels": 1,
-                                                               "base_channels": 2,
-                                                               "input_side": 5, "depth": 1,
-                                                               f: v}), (2, 1, 5, 5))),
-    "LinearSpec": (("in_dim",), lambda f, v: N.LinearSpec(**{f: v})),
+    "GridGeometry": (("rows", "cols", "origin_x", "origin_y", "resolution"),
+                     lambda f, v: GridGeometry(**{"rows": 2, "cols": 2, f: v})),
+    "build_mlp": (("in_dim", "width", "depth", "seed"),
+                  lambda f, v: _net(N.build_mlp, {"in_dim": 3, "width": 4, "depth": 1,
+                                                  "seed": 0, f: v}, (2, 3))),
+    "build_cnn": (("channels", "depth", "seed"),
+                  lambda f, v: _net(N.build_cnn, {"channels": 2, "depth": 1, "seed": 0,
+                                                  f: v}, (2, 1, 5, 5))),
+    "build_unet": (("base_channels", "depth", "seed"),
+                   lambda f, v: _net(N.build_unet, {"base_channels": 2, "depth": 1,
+                                                    "seed": 0, f: v}, (2, 1, 5, 5))),
+    "build_affine": (("in_dim",), lambda f, v: _net(N.build_affine, {f: v}, (2, 3))),
     "SGD": (("lr", "momentum"), lambda f, v: _optimizer(E.SGD, {"lr": 0.1}, f, v)),
     "Adam": (("lr",), lambda f, v: _optimizer(E.Adam, {"lr": 0.1}, f, v)),
 }
@@ -150,11 +152,14 @@ class TestApiSweep:
             assert str(exc).startswith(f"{field}: "), exc
 
     @pytest.mark.parametrize("cls", [LineGraphConfig, GridConfig, ModelConfig, TrainConfig,
-                                     KernelSpec, N.MlpSpec, N.CnnSpec, N.UnetSpec,
-                                     N.LinearSpec], ids=lambda c: c.__name__)
+                                     KernelSpec, GridGeometry, N.build_mlp, N.build_cnn,
+                                     N.build_unet, N.build_affine], ids=lambda c: c.__name__)
     def test_every_numeric_field_probed(self, cls):
-        numeric = {f.name for f in dataclasses.fields(cls)
-                   if f.type in ("int", "float", "int | None")}
+        if dataclasses.is_dataclass(cls):
+            types = {f.name: f.type for f in dataclasses.fields(cls)}
+        else:   # a builder's arguments
+            types = {name: p.annotation for name, p in inspect.signature(cls).parameters.items()}
+        numeric = {name for name, t in types.items() if t in ("int", "float", "int | None")}
         assert set(PROBES[cls.__name__][0]) == numeric
 
     @pytest.mark.parametrize("holder,field,value,error", [
@@ -165,6 +170,10 @@ class TestApiSweep:
         ("SGD", "momentum", 2.5, "momentum: must be in [0, 1), got 2.5"),
         ("GridConfig", "d_s", 0, "d_s: must be odd and >= 1, got 0"),
         ("LineGraphConfig", "n", 2.5, "n: must be a whole number, got 2.5"),
+        ("TrainConfig", "lr", True, "lr: must be a real number, got True"),
+        ("ModelConfig", "q", "1", "q: must be a whole number, got '1'"),
+        ("build_mlp", "width", 0, "width: must be >= 1, got 0"),
+        ("build_unet", "base_channels", 2.5, "base_channels: must be a whole number, got 2.5"),
     ])
     def test_message(self, holder, field, value, error):
         with pytest.raises(SpatialCausalError) as err:

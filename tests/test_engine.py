@@ -499,7 +499,7 @@ class TestPoolingBytes:
 
 
 def _deep_mlp():
-    return N.build_mlp(N.MlpSpec(in_dim=3, width=8, depth=4, out_dim=1), seed=0)
+    return N.build_mlp(in_dim=3, width=8, depth=4, seed=0)
 
 
 class TestFiniteness:

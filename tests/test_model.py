@@ -141,6 +141,10 @@ class TestBuildAndPredict:
             M.build_model(M.ModelConfig(m=1, patch_shape=(3,), x_dim=2,
                                         interference="cnn"))
 
+    def test_cnn_on_patches_smaller_than_its_kernel_rejected(self):
+        with pytest.raises(DimensionError, match=r"^input side 1 smaller than kernel 3$"):
+            M.ModelConfig(m=1, patch_shape=(1, 1), x_dim=2, interference="cnn")
+
 
 class TestTrain:
     def test_linear_recovery_matches_ols(self):
