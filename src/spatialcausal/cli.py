@@ -218,6 +218,10 @@ def load_config(path: str) -> ExperimentConfig:
     for generator_config in (LineGraphConfig, GridConfig):
         check_sizes(generator_config.array_sizes(data), ConfigError, "data.")
     check_sizes(ModelConfig.array_sizes(resolved["model"]), ConfigError, "model.")
+    eff = resolved["effects"]
+    check_sizes((("grid_size", "the grid_size-point treatment grid", eff["grid_size"]),
+                 ("b_draws", "the b_draws neighborhood draws", eff["b_draws"])),
+                ConfigError, "effects.")
     if data["generator"] == "manifest" and not data["manifest"]:
         raise ConfigError("data.manifest: required when generator = manifest")
     if data["generator"] == "line" and cp.has_option("data", "sigma_l"):

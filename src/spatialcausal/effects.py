@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractError, DataError, DimensionError, check
+from .errors import ContractError, DataError, DimensionError, check, check_sizes
 from .gp import as_coords
 from .model import SpatialDataset, SpatialModel
 
@@ -221,6 +221,9 @@ def dose_inputs(dataset: SpatialDataset, m: int, t_grid: np.ndarray | None = Non
     draw_indices = np.asarray(draw_indices)
     if draw_indices.size < 1:
         raise ContractError("need at least 1 neighborhood draw")
+    # the oracle's contrasts hold one value per draw and unit
+    check_sizes((("draw_indices", f"the {draw_indices.size} draws x {dataset.n_units} units "
+                  "contrasts", draw_indices.size * dataset.n_units),), ContractError)
     if draw_indices.dtype.kind not in "iu":
         draw_indices = draw_indices.astype(np.float64)
         frac = draw_indices[~np.isfinite(draw_indices)

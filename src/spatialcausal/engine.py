@@ -13,18 +13,38 @@ before it writes any ``grad``, then names the op at fault with the same
 message a scan of every op would give, "non-finite values in output of
 <kind>" for the first recorded output that is not finite, otherwise
 "non-finite values in gradient of <kind>" for the first such vjp result.
+
+``branches`` runs terms that do not depend on each other, such as the outcome
+model's nets, concurrently, one per CPU the process may use.  Each branch is
+recorded on a tape of its own, and ``Tape.backward`` walks the branches'
+records concurrently too, with every output and gradient byte unchanged.
+numpy's OpenBLAS, and scipy's once ``scipy_linalg`` loads it, are held at
+one thread, so concurrent branches do not share cores and the bytes do not
+depend on the CPU count; a thread count the user sets is left alone.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import ContractError, DimensionError, NumericError, check
 
-_TAPE_STACK: list["Tape"] = []
+
+class _ThreadState(threading.local):
+    """Each thread's stack of active tapes, and whether it is running a branch."""
+
+    def __init__(self):
+        self.tapes: list["Tape"] = []
+        self.in_branch = False
+
+
+_STATE = _ThreadState()
 
 
 def _keep_freed_arrays_in_heap() -> None:
@@ -54,6 +74,60 @@ def _keep_freed_arrays_in_heap() -> None:
 
 
 _keep_freed_arrays_in_heap()
+
+# OpenBLAS libraries whose thread count _pin_blas_threads has set
+_PINNED: set = set()
+_SCIPY_LINALG = None
+
+
+def _pin_blas_threads() -> None:
+    """Hold every OpenBLAS this process has loaded at one thread.
+
+    With two threads, OpenBLAS runs the line MLP's 500 x 256 x 256 GEMMs at
+    half speed and rounds some sums differently, so bytes would depend on
+    the CPU count; one thread per call also leaves the other CPUs to
+    ``branches``.  numpy and scipy each load their own copy of the
+    scipy-openblas build, found here in this process's ``/proc/self/maps``.
+    When the user sets ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``, or
+    on another BLAS or platform, this does nothing.
+    """
+    if os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS"):
+        return
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {fields[5].strip() for fields in (line.split(None, 5) for line in fh)
+                     if len(fields) == 6 and "openblas" in os.path.basename(fields[5])}
+    except OSError:
+        return
+    for path in sorted(paths - _PINNED):
+        _PINNED.add(path)
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads"):
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes = (ctypes.c_int,)
+                setter.restype = None
+                setter(1)
+                break
+
+
+_pin_blas_threads()
+
+
+def scipy_linalg():
+    """``scipy.linalg``, imported on first use, with its OpenBLAS pinned as numpy's is."""
+    global _SCIPY_LINALG
+    if _SCIPY_LINALG is None:
+        import scipy.linalg
+
+        _pin_blas_threads()
+        _SCIPY_LINALG = scipy.linalg
+    return _SCIPY_LINALG
 
 
 def _check_finite(arr: np.ndarray, where: str) -> None:
@@ -111,19 +185,22 @@ class _Node:
 class Tape:
     """Ordered record of operations, used as a context manager.
 
-    Only the innermost active tape records.  ``backward`` seeds the scalar loss
-    with gradient 1 and walks the records last to first.
+    Only the innermost active tape of a thread records.  ``backward`` seeds the
+    scalar loss with gradient 1 and walks the records last to first.  The
+    records of each ``branches`` call sit in ``nodes`` branch after branch, and
+    ``groups`` keeps each call's (start, stop) node range per branch.
     """
 
     def __init__(self):
         self.nodes: list[_Node] = []
+        self.groups: list[list[tuple[int, int]]] = []
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.append(self)
+        _STATE.tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _TAPE_STACK.pop()
+        popped = _STATE.tapes.pop()
         if popped is not self:
             raise ContractError("tape stack corrupted by unbalanced enter/exit")
 
@@ -133,7 +210,7 @@ class Tape:
             raise ContractError("backward requires a scalar loss")
         try:
             _check_finite(loss.data, "loss")
-            grads = self._propagate(loss, scan=False)
+            grads = self._propagate(loss)
             for g in grads.values():
                 _check_finite(g, "leaf gradient")
         except NumericError:
@@ -145,35 +222,50 @@ class Tape:
                 self._flush(tensor, grads)
         self._flush(loss, grads)
 
-    def _propagate(self, loss: Tensor, scan: bool) -> dict:
-        """Run every vjp last to first; return the leaf gradients by tensor id."""
+    def _propagate(self, loss: Tensor) -> dict:
+        """Run every vjp last to first, each group's branches concurrently;
+        return the leaf gradients by tensor id."""
         grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
-        for node in reversed(self.nodes):
-            out_grad = grads.pop(id(node.output), None)
-            if out_grad is None:
-                continue
-            in_grads = node.vjp(out_grad)
-            for tensor, g in zip(node.inputs, in_grads):
-                if g is None or not tensor.requires_grad:
-                    continue
-                if scan:
-                    _check_finite(g, f"gradient of {node.kind}")
-                key = id(tensor)
-                if key in grads:
-                    grads[key] = grads[key] + g
-                else:
-                    grads[key] = g
+        stop = len(self.nodes)
+        for ranges in reversed(self.groups):
+            _walk(self.nodes[ranges[-1][1]:stop], grads)
+            self._walk_group(ranges, grads)
+            stop = ranges[0][0]
+        _walk(self.nodes[:stop], grads)
         return grads
+
+    def _walk_group(self, ranges: list, grads: dict) -> None:
+        """Walk each branch's nodes on its own gradient dict, all concurrently.
+
+        A branch starts from the gradients its nodes' outputs have received.
+        What is left in its dict afterwards, the gradients of tensors from
+        outside the branch, is added into ``grads`` last branch first, the
+        order in which a walk of the flat node list would add them.
+        """
+        parts = []
+        for start, stop in ranges:
+            part = {}
+            for node in self.nodes[start:stop]:
+                g = grads.pop(id(node.output), None)
+                if g is not None:
+                    part[id(node.output)] = g
+            parts.append(part)
+        _concurrently([functools.partial(_walk, self.nodes[start:stop], part)
+                       for (start, stop), part in zip(ranges, parts)])
+        for part in reversed(parts):
+            for key, g in part.items():
+                grads[key] = grads[key] + g if key in grads else g
 
     def _raise_culprit(self, loss: Tensor) -> None:
         """Raise what a scan after every op would have raised.
 
         That is the first non-finite recorded output, else the first non-finite
         vjp result; vjps are pure, so running them again gives the same values.
+        The scan is one walk of the flat node list, groups and all.
         """
         for node in self.nodes:
             _check_finite(node.output.data, f"output of {node.kind}")
-        self._propagate(loss, scan=True)
+        _walk(self.nodes, {id(loss): np.ones((), dtype=np.float64)}, scan=True)
 
     @staticmethod
     def _flush(tensor: Tensor, grads: dict) -> None:
@@ -188,6 +280,29 @@ class Tape:
             tensor.grad += g
 
 
+def _walk(nodes: list, grads: dict, scan: bool = False) -> None:
+    """Run the vjps of ``nodes`` last to first, accumulating into ``grads``.
+
+    A node whose output has no gradient is skipped.  With ``scan``, each vjp
+    result is checked to be finite.
+    """
+    for node in reversed(nodes):
+        out_grad = grads.pop(id(node.output), None)
+        if out_grad is None:
+            continue
+        in_grads = node.vjp(out_grad)
+        for tensor, g in zip(node.inputs, in_grads):
+            if g is None or not tensor.requires_grad:
+                continue
+            if scan:
+                _check_finite(g, f"gradient of {node.kind}")
+            key = id(tensor)
+            if key in grads:
+                grads[key] = grads[key] + g
+            else:
+                grads[key] = g
+
+
 def _record(kind: str, inputs: tuple, out_data: np.ndarray, vjp: Callable) -> Tensor:
     """Wrap an op output: taped when a tape is active and an input needs a gradient,
     scanned otherwise."""
@@ -196,11 +311,81 @@ def _record(kind: str, inputs: tuple, out_data: np.ndarray, vjp: Callable) -> Te
     out.data = out_data
     out.requires_grad = needs
     out.grad = None
-    if _TAPE_STACK and needs:
-        _TAPE_STACK[-1].nodes.append(_Node(kind, inputs, out, vjp))
+    tapes = _STATE.tapes
+    if tapes and needs:
+        tapes[-1].nodes.append(_Node(kind, inputs, out, vjp))
     else:
         _check_finite(out_data, f"output of {kind}")
     return out
+
+
+# how many branches run at once: one per CPU this process may use
+if hasattr(os, "sched_getaffinity"):
+    _WIDTH = len(os.sched_getaffinity(0))
+else:
+    _WIDTH = os.cpu_count() or 1
+_POOL = None    # the _WIDTH - 1 worker threads, started on first use
+_POOL_LOCK = threading.Lock()
+
+
+def branches(fns: Sequence[Callable[[], Tensor]]) -> list:
+    """The Tensors that the zero-argument callables ``fns`` return, in order.
+
+    The callables must not depend on each other.  The first runs on this
+    thread and the rest on a pool of ``_WIDTH - 1`` threads; at width 1, for
+    one callable, or inside a branch they run here one after another.  Under
+    an active tape each branch records on a tape of its own; once all have
+    finished, their nodes go onto the active tape branch after branch, the
+    order in which the callables run one after another record them, and the
+    tape keeps the group for ``backward``.  Every branch finishes before this
+    returns or raises; an error is the first failing branch's, in order.
+    """
+    fns = list(fns)
+    if _WIDTH < 2 or len(fns) < 2 or _STATE.in_branch:
+        return [fn() for fn in fns]
+    taped = bool(_STATE.tapes)
+    results = _concurrently([functools.partial(_branch, fn, taped) for fn in fns])
+    if taped:
+        outer = _STATE.tapes[-1]
+        ranges = []
+        for _, tape in results:
+            start = len(outer.nodes)
+            outer.nodes.extend(tape.nodes)
+            ranges.append((start, len(outer.nodes)))
+        outer.groups.append(ranges)
+    return [out for out, _ in results]
+
+
+def _branch(fn: Callable[[], Tensor], taped: bool) -> tuple:
+    """(fn(), the tape it recorded on, or None when ``taped`` is false)."""
+    _STATE.in_branch = True
+    try:
+        if not taped:
+            return fn(), None
+        with Tape() as tape:
+            out = fn()
+        return out, tape
+    finally:
+        _STATE.in_branch = False
+
+
+def _concurrently(calls: list) -> list:
+    """Each call's result, in order: the first call runs on this thread, the
+    rest on the pool.  Every call finishes before this returns or raises, and
+    the error raised is the first failing call's."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _POOL = ThreadPoolExecutor(_WIDTH - 1, thread_name_prefix="spatialcausal")
+    futures = [_POOL.submit(call) for call in calls[1:]]
+    try:
+        first = calls[0]()
+    finally:
+        for future in futures:
+            future.exception()      # waits; its error, if any, is raised below
+    return [first] + [future.result() for future in futures]
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +502,7 @@ def dense(x, w, b, relu: bool = False) -> Tensor:
     out = xd @ wd
     out += bd
     if relu:
-        if not (_TAPE_STACK and (x.requires_grad or w.requires_grad or b.requires_grad)):
+        if not (_STATE.tapes and (x.requires_grad or w.requires_grad or b.requires_grad)):
             # outside a tape, a -inf that the ReLU would clamp still raises
             _check_finite(out, "output of dense")
         np.maximum(out, 0.0, out=out)

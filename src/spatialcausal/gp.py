@@ -10,8 +10,9 @@ linear form ``w^T z(s)`` with trainable ``w``.
 Exact sampling uses a dense Cholesky factor and is limited to modest N; large
 regular grids are sampled spectrally through circulant embedding.
 
-``scipy.linalg`` is imported inside the functions that factor or solve, so
-importing this module loads no scipy.  Distances are computed in numpy.
+``scipy.linalg`` is imported (``engine.scipy_linalg``) inside the functions
+that factor or solve, so importing this module loads no scipy.  Distances
+are computed in numpy.
 """
 
 from __future__ import annotations
@@ -96,14 +97,13 @@ def gram_matrix(kernel: KernelSpec, coords_a, coords_b=None) -> np.ndarray:
 
 def chol_with_jitter(mat: np.ndarray, eps: float) -> tuple[np.ndarray, float]:
     """Lower Cholesky of mat + jitter*I, escalating jitter as eps, 10 eps, 100 eps."""
-    from scipy.linalg import LinAlgError, cholesky
-
+    linalg = E.scipy_linalg()
     attempts = [eps, 10.0 * eps, 100.0 * eps]
     eye = np.eye(mat.shape[0])
     for jit in attempts:
         try:
-            return cholesky(mat + jit * eye, lower=True), jit
-        except LinAlgError:
+            return linalg.cholesky(mat + jit * eye, lower=True), jit
+        except linalg.LinAlgError:
             continue
     raise NumericError(
         f"Cholesky failed for {mat.shape[0]}x{mat.shape[0]} matrix after jitters {attempts}")
@@ -169,10 +169,8 @@ class NystromMap:
 
     def features(self, coords) -> np.ndarray:
         """Rows z(s_i)^T of the feature matrix, by forward triangular solve."""
-        from scipy.linalg import solve_triangular
-
         knq = gram_matrix(self.kernel, coords, self.inducing.points)
-        return solve_triangular(self.chol_factor, knq.T, lower=True).T
+        return E.scipy_linalg().solve_triangular(self.chol_factor, knq.T, lower=True).T
 
     def low_rank_gram(self, coords) -> np.ndarray:
         z = self.features(coords)
@@ -256,8 +254,7 @@ def _features_with_lengthscale_grad(term: GpTerm, coords) -> Tensor:
     z = nmap.features(coords)
 
     def vjp(g):
-        from scipy.linalg import solve_triangular
-
+        solve_triangular = E.scipy_linalg().solve_triangular
         factor = nmap.chol_factor
         dkq = _dkernel_dl_from_dist(nmap.kernel, _dist(pts, pts))
         dknq = _dkernel_dl_from_dist(nmap.kernel, _dist(as_coords(coords), pts))

@@ -15,6 +15,7 @@ the unit's own treatment enters only through the direct term.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from dataclasses import asdict, dataclass
@@ -137,14 +138,19 @@ class ModelConfig:
 
     @staticmethod
     def array_sizes(model) -> tuple:
-        """(key, array, element count) of the largest arrays that the settings
-        in mapping ``model`` size, whatever the data."""
+        """(key, array, element count) of the largest arrays, and of each net's
+        hidden weights in all, that the settings in mapping ``model`` size,
+        whatever the data."""
         width, channels, base = model["mlp_width"], model["cnn_channels"], model["unet_base"]
         depth = min(model["unet_depth"], 14)    # deeper is over the cap at every base
         return (("q", "the q x q Gram", model["q"] ** 2),
                 ("mlp_width", "the mlp_width x mlp_width hidden weight", width * width),
+                ("mlp_depth", "the mlp_depth x mlp_width x mlp_width hidden weights",
+                 model["mlp_depth"] * width * width),
                 ("cnn_channels", "the cnn_channels x cnn_channels x 9 kernel",
                  channels * channels * 9),
+                ("cnn_depth", "the cnn_depth x cnn_channels x cnn_channels x 9 kernels",
+                 model["cnn_depth"] * channels * channels * 9),
                 ("unet_depth" if 2 ** depth > base else "unet_base",
                  f"the (unet_base * 2**{depth})**2 x 9 U-Net bottleneck kernel",
                  (base * 2 ** depth) ** 2 * 9))
@@ -186,11 +192,18 @@ class SpatialModel:
 
     def forward_batch(self, treatments: np.ndarray, patches: np.ndarray,
                       confounders: np.ndarray, coords: np.ndarray) -> Tensor:
-        """(n, 1) predictions; differentiable under a tape, plain numpy outside one."""
+        """(n, 1) predictions; differentiable under a tape, plain numpy outside one.
+
+        The interference nets and the confounder net share no input that
+        needs a gradient, so they run as engine ``branches``; their outputs
+        are then added to the direct term in order, interference nets first.
+        """
         pred = E.matmul(Tensor(treatments), self.alphas)
-        for m in range(len(self.interference_nets)):
-            pred = E.add(pred, self._interference(m, patches[:, m]))
-        pred = E.add(pred, self.confounder_net.forward(Tensor(confounders)))
+        terms = [functools.partial(self._interference, m, patches[:, m])
+                 for m in range(len(self.interference_nets))]
+        terms.append(lambda: self.confounder_net.forward(Tensor(confounders)))
+        for term in E.branches(terms):
+            pred = E.add(pred, term)
         if self.gp_term is not None:
             pred = E.add(pred, self.gp_term.values_op(coords))
         return pred

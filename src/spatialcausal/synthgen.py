@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .effects import EffectReport, dose_inputs, dose_report
+from .engine import scipy_linalg
 from .errors import (ConfigError, ContractError, DataError, NumericError, check, check_fields,
                      check_sizes)
 from .gp import KernelSpec, chol_with_jitter, circulant_root, grid_draw, sample_gp
@@ -72,8 +73,6 @@ class NaturalSpline:
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
-        from scipy.linalg import solve_banded
-
         n = x.size
         dx = np.diff(x)
         slope = np.diff(y) / dx
@@ -89,8 +88,8 @@ class NaturalSpline:
         b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
         b[0] = -0.5 * 0.0 * dx[0] ** 2 + 3 * (y[1] - y[0])
         b[-1] = 0.5 * 0.0 * dx[-1] ** 2 + 3 * (y[-1] - y[-2])
-        s = solve_banded((1, 1), ab, b.reshape(n, 1), overwrite_ab=True,
-                         overwrite_b=True, check_finite=False).reshape(n)
+        s = scipy_linalg().solve_banded((1, 1), ab, b.reshape(n, 1), overwrite_ab=True,
+                                        overwrite_b=True, check_finite=False).reshape(n)
         # CubicHermiteSpline's coefficient rows
         t = (s[:-1] + s[1:] - 2 * slope) / dx
         self.x = x

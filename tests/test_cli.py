@@ -867,6 +867,26 @@ class TestLibraryEntryPoints:
         assert proc.stderr.startswith("data_error\t")
         assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
 
+    def test_train_without_a_thread_variable_writes_the_one_thread_bytes(self, tmp_path):
+        """numpy's OpenBLAS is held at one thread unless the user sets a count;
+        at two threads the line MLP's GEMMs round differently."""
+        ini = _benchmark_ini(tmp_path, "line_mlp_gp")
+        data = str(tmp_path / "data")
+        assert cli.main(["gen", "--config", ini, "--out", data]) == 0
+        fits = []
+        for threads in ("1", None):
+            env = {k: v for k, v in _module_env().items()
+                   if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+            if threads:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            fits.append(tmp_path / f"fit-{threads}")
+            proc = subprocess.run([sys.executable, "-m", "spatialcausal", "train", "--config",
+                                   ini, "--data", data, "--out", str(fits[-1])],
+                                  env=env, capture_output=True, text=True, timeout=600)
+            assert proc.returncode == 0, proc.stderr
+        for name in ("model.ckpt", "loss_trace.csv"):
+            assert (fits[0] / name).read_bytes() == (fits[1] / name).read_bytes(), name
+
     @pytest.mark.parametrize("name", ["line_mlp_gp", "raster_cli"])
     def test_benchmark_config_commands_rerun_and_load_across_thread_counts(
             self, tmp_path, name):
@@ -1124,7 +1144,8 @@ class TestMainErrors:
         ("grid", "rows", "100000000000"), ("grid", "x_channels", "1000000000000"),
         ("line", "n", str(10 ** 20)),
         *(("line", key, "100000000000")
-          for key in ("q", "mlp_width", "cnn_channels", "unet_base", "unet_depth"))])
+          for key in ("q", "mlp_width", "cnn_channels", "unet_base", "unet_depth",
+                      "mlp_depth", "cnn_depth", "grid_size", "b_draws"))])
     def test_oversized_setting_ends_gen_before_it_allocates(
             self, tmp_path, capsys, monkeypatch, generator, key, value):
         """Array sizes are checked against one fixed cap as the config loads."""
@@ -1133,7 +1154,8 @@ class TestMainErrors:
 
         monkeypatch.setattr(cli, "synth_fields", generator_ran)
         monkeypatch.setattr(cli, "gen_line_graph", generator_ran)
-        section = "model" if key in cli._SCHEMA["model"] else "data"
+        section = next((name for name in ("model", "effects") if key in cli._SCHEMA[name]),
+                       "data")
         header = "" if section == "data" else f"[{section}]\n"
         ini = write_ini(tmp_path, f"[data]\ngenerator = {generator}\n{header}{key} = {value}\n")
         out_dir = tmp_path / "out"

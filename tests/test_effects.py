@@ -12,6 +12,7 @@ from spatialcausal.effects import (
     balancing_weights,
     default_t_grid,
     dose_draw_indices,
+    dose_inputs,
     effect_error,
     estimate_effects_dose,
     estimate_effects_observed,
@@ -20,7 +21,7 @@ from spatialcausal.effects import (
     weight_diagnostics,
     write_effects_csv,
 )
-from spatialcausal.errors import ContractError, DataError, DimensionError
+from spatialcausal.errors import MAX_ELEMENTS, ContractError, DataError, DimensionError
 from spatialcausal.model import ModelConfig, SpatialDataset, build_model, predict
 
 
@@ -260,6 +261,16 @@ class TestObservedMode:
 
 
 class TestDoseMode:
+    def test_draws_times_units_over_the_cap_rejected(self):
+        """The oracle holds one contrast per draw and unit; the inputs are
+        checked before any estimator allocates for them."""
+        ds = make_dataset(n=1000, seed=8)
+        draws = np.zeros(MAX_ELEMENTS // 1000, dtype=np.int64)
+        assert dose_inputs(ds, 0, draw_indices=draws)[1].size == draws.size
+        with pytest.raises(ContractError, match=r"^draw_indices: the 268436 draws x 1000 "
+                                                r"units contrasts would hold 268436000 "):
+            dose_inputs(ds, 0, draw_indices=np.zeros(draws.size + 1, dtype=np.int64))
+
     def test_default_grid_spans_observed_range(self):
         ds = make_dataset(n=30, seed=8)
         grid = default_t_grid(ds, 0)

@@ -1,7 +1,15 @@
 """Unit tests for the reverse-mode engine: op forwards, gradients, optimizers."""
 
+import json
+import os
 import platform
 import resource
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -682,3 +690,155 @@ class TestAllocatorPolicy:
         public = {k for k in vars(E) if not k.startswith("_")}
         assert not {k for k in public if "malloc" in k or "heap" in k or k == "ctypes"}
         assert not [k for k in spatialcausal.__all__ if "malloc" in k or "heap" in k]
+
+
+@pytest.fixture
+def pool_width(monkeypatch):
+    """``set(n)`` runs branches ``n`` at a time, on a pool of this test's own."""
+    monkeypatch.setattr(E, "_POOL", None)
+    yield lambda n: monkeypatch.setattr(E, "_WIDTH", n)
+    if E._POOL is not None:
+        E._POOL.shutdown(wait=True)
+
+
+def _branch_chain(x, w, h, depth):
+    """A branch that reads the shared leaf ``w`` and tensor ``h`` once each."""
+    out = E.mul(h, E.matmul(x, w))
+    for _ in range(depth):
+        out = E.relu(E.add(out, E.Tensor(np.full(out.shape, 0.1))))
+    return out
+
+
+def _taped_branches(n_branches, depth=0, rows=9):
+    """(node kinds, groups, leaf gradient) of a loss whose branches share a
+    leaf that is read before, inside and after them."""
+    rng = np.random.default_rng(5)
+    w = E.Tensor(rng.normal(size=(6, 6)), requires_grad=True)
+    xs = [E.Tensor(rng.normal(size=(rows, 6))) for _ in range(n_branches)]
+    with E.Tape() as tape:
+        h = E.relu(E.matmul(xs[0], w))
+        outs = E.branches([lambda x=x: _branch_chain(x, w, h, depth) for x in xs])
+        total = outs[0]
+        for out in outs[1:]:
+            total = E.add(total, out)
+        loss = E.tsum(E.matmul(total, w))
+    tape.backward(loss)
+    return [nd.kind for nd in tape.nodes], tape.groups, w.grad
+
+
+class TestBranches:
+    def test_width_one_runs_inline_and_starts_no_pool(self, pool_width):
+        pool_width(1)
+        threads = []
+        outs = E.branches([lambda k=k: threads.append(threading.get_ident()) or E.Tensor(k)
+                           for k in range(3)])
+        assert [o.item() for o in outs] == [0.0, 1.0, 2.0]
+        assert threads == [threading.get_ident()] * 3 and E._POOL is None
+        kinds, groups, _ = _taped_branches(3)
+        assert groups == [] and E._POOL is None
+
+    def test_first_branch_runs_here_and_the_rest_on_the_pool(self, pool_width):
+        pool_width(2)
+        threads = {}
+
+        def branch(k):
+            threads[k] = threading.get_ident()
+            return E.Tensor(k)
+
+        outs = E.branches([lambda k=k: branch(k) for k in range(3)])
+        assert [o.item() for o in outs] == [0.0, 1.0, 2.0]
+        assert threads[0] == threading.get_ident()
+        assert threading.get_ident() not in (threads[1], threads[2])
+
+    def test_taped_branches_give_the_serial_nodes_and_gradient_bits(self, pool_width):
+        """Each branch adds into the shared leaf's gradient, and so does an op
+        before and one after them; the sums must be those of the serial walk."""
+        pool_width(1)
+        serial = _taped_branches(3)
+        pool_width(2)
+        kinds, groups, grad = _taped_branches(3)
+        assert kinds == serial[0]
+        assert groups == [[(2, 4), (4, 6), (6, 8)]]
+        assert grad.tobytes() == serial[2].tobytes()
+
+    def test_contention_loses_no_node(self, pool_width):
+        """More workers than cores and a short switch interval: every node is
+        recorded once, in the serial order, with the serial gradient bits.
+        The arrays are large enough for numpy to release the interpreter
+        lock in each op, so the branches interleave."""
+        pool_width(1)
+        serial = _taped_branches(8, depth=20, rows=2000)
+        pool_width(4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [_taped_branches(8, depth=20, rows=2000) for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        for kinds, groups, grad in runs:
+            assert kinds == serial[0] and len(groups) == 1 and len(groups[0]) == 8
+            assert grad.tobytes() == serial[2].tobytes()
+
+    def test_error_is_the_first_failing_branch_after_all_finish(self, pool_width):
+        pool_width(2)
+        finished = threading.Event()
+
+        def slow():
+            time.sleep(0.2)
+            finished.set()
+            return E.Tensor(1.0)
+
+        def fail(message):
+            raise ContractError(message)
+
+        with E.Tape() as tape:
+            with pytest.raises(ContractError, match="first"):
+                E.branches([lambda: fail("first"), slow, lambda: fail("second")])
+            assert finished.is_set() and E._POOL._work_queue.empty()
+            with pytest.raises(ContractError, match="second"):
+                E.branches([lambda: E.Tensor(0.0), lambda: fail("second"),
+                            lambda: fail("third")])
+        assert tape.nodes == [] and tape.groups == [] and E._STATE.tapes == []
+
+
+def _openblas_threads(snippet: str, **variables) -> list:
+    """The thread count of each OpenBLAS loaded after ``snippet`` in a fresh
+    process with no thread variable set but ``variables``, by library path."""
+    script = snippet + textwrap.dedent("""
+        import ctypes, json
+        paths = {line.split(None, 5)[5].strip() for line in open("/proc/self/maps")
+                 if "openblas" in line and len(line.split(None, 5)) == 6}
+        counts = []
+        for path in sorted(paths):
+            lib = ctypes.CDLL(path)
+            for name in ("scipy_openblas_get_num_threads64_",
+                         "scipy_openblas_get_num_threads"):
+                getter = getattr(lib, name, None)
+                if getter is not None:
+                    getter.argtypes, getter.restype = (), ctypes.c_int
+                    counts.append(getter())
+        print(json.dumps(counts))
+        """)
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(spatialcausal.__file__).resolve().parents[1]),
+                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env={**env, **variables},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="libraries found via /proc")
+class TestBlasThreads:
+    LOAD = "import spatialcausal.engine as E\nE.scipy_linalg()\n"
+
+    def test_numpy_and_scipy_openblas_run_one_thread(self):
+        assert _openblas_threads(self.LOAD) == [1, 1]
+
+    def test_a_thread_variable_the_user_set_is_left_alone(self):
+        plain = "import numpy, scipy.linalg\n"
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            assert (_openblas_threads(self.LOAD, **{name: "2"})
+                    == _openblas_threads(plain, **{name: "2"}))

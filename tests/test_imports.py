@@ -35,6 +35,14 @@ def test_package_import_loads_no_scipy():
     assert _scipy_modules_after("import spatialcausal") == set()
 
 
+def test_package_import_loads_no_thread_pool():
+    mods = _scipy_modules_after("import spatialcausal\n"
+                                "import sys, threading\n"
+                                "assert 'concurrent.futures' not in sys.modules\n"
+                                "assert threading.active_count() == 1")
+    assert mods == set()
+
+
 def test_report_loads_no_scipy(tmp_path):
     (tmp_path / "metrics.json").write_text(json.dumps({"r2_all": 0.5, "mae_all": 0.1}))
     mods = _scipy_modules_after(

@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from spatialcausal import engine as E
 from spatialcausal import gp as G
 from spatialcausal import model as M
 from spatialcausal.errors import (ConfigError, ContractError, DataError,
@@ -406,3 +407,45 @@ class TestCheckpoint:
         open(path, "wb").write(blob[:-8])
         with pytest.raises(FormatError):
             M.load_model(path)
+
+
+def _train_bytes(monkeypatch, width, data, interference, gp):
+    """Loss trace, parameter and noise_sigma bytes of a few epochs at ``width``."""
+    monkeypatch.setattr(E, "_WIDTH", width)
+    model = random_model(data, interference, gp)
+    trace = M.train(model, data, M.TrainConfig(epochs=4, lr=0.01, batch_size=16,
+                                               optimizer="adam"), val_dataset=data)
+    return (np.asarray(trace).tobytes(), [p.data.tobytes() for p in model.parameters()],
+            struct.pack("<d", model.noise_sigma))
+
+
+class TestConcurrentTerms:
+    """The nets run as engine branches; the pool's width changes no byte."""
+
+    @pytest.mark.parametrize("interference,gp,shape", [
+        ("mlp", "fixed", (3,)), ("unet", "trained", (5, 5))])
+    def test_training_bytes_do_not_depend_on_the_width(self, monkeypatch, interference,
+                                                       gp, shape):
+        data = patch_dataset(shape, n=48, m=2, seed=4)
+        serial = _train_bytes(monkeypatch, 1, data, interference, gp)
+        assert _train_bytes(monkeypatch, max(2, E._WIDTH), data, interference, gp) == serial
+
+    @pytest.mark.parametrize("taped", [True, False])
+    def test_nan_in_a_branch_names_the_serial_culprit(self, monkeypatch, taped):
+        """A NaN in the linear interference net's and in the confounder net's
+        output: the first in the serial order is named, at every width."""
+        data = patch_dataset((3,), m=1, seed=4)
+        messages = []
+        for width in (1, max(2, E._WIDTH)):
+            monkeypatch.setattr(E, "_WIDTH", width)
+            model = random_model(data, "linear", "off")
+            model.interference_nets[0].params[0].data[0] = np.nan
+            model.confounder_net.params[-1].data[0] = np.nan
+            with pytest.raises(NumericError) as err:
+                if taped:
+                    M.train(model, data, M.TrainConfig(epochs=1))
+                else:
+                    model.predict_dataset(data)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert messages[0].endswith("non-finite values in output of matmul"), messages
