@@ -328,6 +328,17 @@ _POOL = None    # the _WIDTH - 1 worker threads, started on first use
 _POOL_LOCK = threading.Lock()
 
 
+def _forget_pool() -> None:
+    """A forked child has none of its parent's worker threads, and the lock
+    may have been held by one of them: the child starts a pool of its own."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 def branches(fns: Sequence[Callable[[], Tensor]]) -> list:
     """The Tensors that the zero-argument callables ``fns`` return, in order.
 

@@ -191,12 +191,15 @@ class SpatialModel:
         return net.forward(Tensor(x))
 
     def forward_batch(self, treatments: np.ndarray, patches: np.ndarray,
-                      confounders: np.ndarray, coords: np.ndarray) -> Tensor:
+                      confounders: np.ndarray, coords: np.ndarray,
+                      gp_features: np.ndarray | None = None) -> Tensor:
         """(n, 1) predictions; differentiable under a tape, plain numpy outside one.
 
         The interference nets and the confounder net share no input that
         needs a gradient, so they run as engine ``branches``; their outputs
         are then added to the direct term in order, interference nets first.
+        ``gp_features``, when given, are the GP features of ``coords`` from a
+        ``gp.FeatureTable``; otherwise the GP term solves them.
         """
         pred = E.matmul(Tensor(treatments), self.alphas)
         terms = [functools.partial(self._interference, m, patches[:, m])
@@ -205,13 +208,14 @@ class SpatialModel:
         for term in E.branches(terms):
             pred = E.add(pred, term)
         if self.gp_term is not None:
-            pred = E.add(pred, self.gp_term.values_op(coords))
+            pred = E.add(pred, self.gp_term.values_op(coords, gp_features))
         return pred
 
-    def predict_dataset(self, dataset: SpatialDataset) -> np.ndarray:
+    def predict_dataset(self, dataset: SpatialDataset,
+                        gp_features: np.ndarray | None = None) -> np.ndarray:
         """Predicted outcomes for every unit at observed assignments."""
         return self.forward_batch(dataset.treatments, dataset.patches, dataset.confounders,
-                                  dataset.coords).data.reshape(-1)
+                                  dataset.coords, gp_features).data.reshape(-1)
 
     def interference_component(self, m: int, patches_m: np.ndarray) -> np.ndarray:
         """f_m on a batch of patch m as (n,); zeros when there are no nets."""
@@ -351,6 +355,12 @@ def train(model: SpatialModel, dataset: SpatialDataset, cfg: TrainConfig,
     validation set is given.  With a validation set and ``patience`` set,
     training stops after that many non-improving epochs and the best
     parameters (by validation MSE) are restored.
+
+    A fixed GP lengthscale makes the GP features of the training and
+    validation units constants of the fit: each set's ``gp.FeatureTable`` is
+    solved once, and every step, validation pass and the closing
+    ``noise_sigma`` prediction read their rows from it.  The tables live
+    only for this call.
     """
     mask = dataset.observed_mask()
     if not mask.any():
@@ -367,8 +377,17 @@ def train(model: SpatialModel, dataset: SpatialDataset, cfg: TrainConfig,
         if vmask.any():
             val_obs = val_dataset.subset(np.nonzero(vmask)[0])
 
+    table = val_table = None
     if model.gp_term is not None:
         model.gp_term.map  # a kernel that cannot be factored fails here, not as divergence
+        if not model.gp_term.train_lengthscale:
+            table = G.FeatureTable(model.gp_term, obs.coords)
+            if val_obs is not None:
+                val_table = G.FeatureTable(model.gp_term, val_obs.coords)
+
+    def rows(tab, idx=slice(None)):
+        return None if tab is None else tab.rows(idx)
+
     trace = []
     best_val = np.inf
     best_snap = None
@@ -382,7 +401,8 @@ def train(model: SpatialModel, dataset: SpatialDataset, cfg: TrainConfig,
             try:
                 with E.Tape() as tape:
                     pred = model.forward_batch(obs.treatments[idx], obs.patches[idx],
-                                               obs.confounders[idx], obs.coords[idx])
+                                               obs.confounders[idx], obs.coords[idx],
+                                               rows(table, idx))
                     loss = E.mse(pred, Tensor(y[idx]))
                 lv = loss.item()
                 tape.backward(loss)
@@ -393,7 +413,7 @@ def train(model: SpatialModel, dataset: SpatialDataset, cfg: TrainConfig,
         train_mse = sq_sum / n
         val_mse = np.nan
         if val_obs is not None:
-            resid = model.predict_dataset(val_obs) - val_obs.outcomes
+            resid = model.predict_dataset(val_obs, rows(val_table)) - val_obs.outcomes
             val_mse = float(np.mean(resid * resid))
             if val_mse < best_val - 1e-12:
                 best_val = val_mse
@@ -407,7 +427,7 @@ def train(model: SpatialModel, dataset: SpatialDataset, cfg: TrainConfig,
             break
     if best_snap is not None:
         _restore(model, best_snap)
-    resid = model.predict_dataset(obs) - obs.outcomes
+    resid = model.predict_dataset(obs, rows(table)) - obs.outcomes
     model.noise_sigma = float(np.std(resid))
     return trace
 

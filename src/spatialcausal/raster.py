@@ -26,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (MAX_ELEMENTS, ConfigError, ContractError, DataError, DimensionError,
-                     FormatError, check_fields)
+                     FormatError, check_fields, check_sizes)
 from .model import SpatialDataset
 
 _MAGIC = b"GRD1"
@@ -319,11 +319,8 @@ def units_from_grids(t_grids, conf: Grid, out: Grid, d_s: int) -> SpatialDataset
     rows, cols = out.rows, out.cols
     half = d_s // 2
     line_mode = rows == 1
-    stack = np.concatenate([g.data for g in t_grids])
     keep = np.isfinite(out.data[0]) & np.all(np.isfinite(conf.data), axis=0)
     if line_mode:
-        # pixel c sits at column c + half of the zero-padded row
-        stack = np.pad(stack, ((0, 0), (0, 0), (half, half)))
         window, patch_shape, edge, shift = (1, d_s), (d_s,), 0, half
     else:
         if rows < d_s or cols < d_s:
@@ -331,6 +328,16 @@ def units_from_grids(t_grids, conf: Grid, out: Grid, d_s: int) -> SpatialDataset
         window, patch_shape, edge, shift = (d_s, d_s), (d_s, d_s), half, 0
     r, c = np.nonzero(keep[edge:rows - edge, edge:cols - edge])
     r, c = r + edge, c + edge
+    m, sides = len(t_grids), " x ".join(map(str, patch_shape))
+    sizes = [("d_s", f"the {m} x {cols + 2 * half} zero-padded treatment lines",
+              m * (cols + 2 * half))] if line_mode else []
+    sizes.append(("d_s", f"the {r.size} x {m} x {sides} unit windows",
+                  r.size * m * d_s ** len(patch_shape)))
+    check_sizes(sizes, DataError)
+    stack = np.concatenate([g.data for g in t_grids])
+    if line_mode:
+        # pixel c sits at column c + half of the zero-padded row
+        stack = np.pad(stack, ((0, 0), (0, 0), (half, half)))
     patches = unit_windows(stack, r, c + shift, window)
     # the NaN scan runs before the centre is zeroed: a NaN treatment at the
     # unit's own pixel excludes it too

@@ -1325,6 +1325,34 @@ class TestMalformedFiles:
         assert err.partition("\t")[0] == code, err
         assert "Traceback" not in err
 
+    def test_oversized_d_s_ends_as_a_data_error_under_a_memory_limit(self, workspace,
+                                                                        tmp_path):
+        """The line windows of a huge odd ``d_s`` are stated before numpy
+        allocates them; the child may map only 1.5 GB."""
+        resource = pytest.importorskip("resource")
+        data = str(tmp_path / "data")
+        shutil.copytree(workspace["data"], data)
+        manifest = os.path.join(data, "run.manifest")
+        with open(manifest) as fh:
+            text = fh.read()
+        assert "d_s = 3" in text
+        with open(manifest, "w") as fh:
+            fh.write(text.replace("d_s = 3", "d_s = 1000000001"))
+        limit = 1_500_000 * 1024
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run([sys.executable, "-m", "spatialcausal", "train", "--config",
+                               write_ini(tmp_path, TINY_INI), "--data", data,
+                               "--out", str(tmp_path / "out")],
+                              env=_module_env(), capture_output=True, text=True,
+                              timeout=120, preexec_fn=cap)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("data_error\td_s: the 1 x 1000000060 zero-padded "), \
+            proc.stderr
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("command", ["train", "train_gp", "eval", "effects"])
     @pytest.mark.parametrize("header,expected", [
         ({"origin_x": math.inf}, "contract_error\torigin_x: must be finite, got inf"),

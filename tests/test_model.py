@@ -1,6 +1,10 @@
 """Tests for the additive model: construction, prediction, training, metrics."""
 
+import os
+import pickle
+import signal
 import struct
+import time
 
 import numpy as np
 import numpy.testing as npt
@@ -409,14 +413,19 @@ class TestCheckpoint:
             M.load_model(path)
 
 
-def _train_bytes(monkeypatch, width, data, interference, gp):
-    """Loss trace, parameter and noise_sigma bytes of a few epochs at ``width``."""
-    monkeypatch.setattr(E, "_WIDTH", width)
+def _fit_bytes(data, gp, batch_size, val=None, epochs=3, interference="mlp"):
+    """Loss trace, parameter and noise_sigma bytes of a short fit."""
     model = random_model(data, interference, gp)
-    trace = M.train(model, data, M.TrainConfig(epochs=4, lr=0.01, batch_size=16,
-                                               optimizer="adam"), val_dataset=data)
+    trace = M.train(model, data, M.TrainConfig(epochs=epochs, lr=0.01, batch_size=batch_size,
+                                               optimizer="adam"), val_dataset=val)
     return (np.asarray(trace).tobytes(), [p.data.tobytes() for p in model.parameters()],
             struct.pack("<d", model.noise_sigma))
+
+
+def _train_bytes(monkeypatch, width, data, interference, gp):
+    """``_fit_bytes`` of a few epochs at ``width``."""
+    monkeypatch.setattr(E, "_WIDTH", width)
+    return _fit_bytes(data, gp, 16, data, epochs=4, interference=interference)
 
 
 class TestConcurrentTerms:
@@ -429,6 +438,36 @@ class TestConcurrentTerms:
         data = patch_dataset(shape, n=48, m=2, seed=4)
         serial = _train_bytes(monkeypatch, 1, data, interference, gp)
         assert _train_bytes(monkeypatch, max(2, E._WIDTH), data, interference, gp) == serial
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_child_forked_after_a_fit_trains_like_its_parent(self, monkeypatch, tmp_path):
+        """The child starts a branch pool of its own; the parent's worker
+        threads do not exist in it.  A child that hangs is killed."""
+        data = patch_dataset((3,), n=48, m=2, seed=4)
+        parent = _train_bytes(monkeypatch, 2, data, "mlp", "fixed")
+        assert E._POOL is not None
+        out = tmp_path / "child.pickle"
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                out.write_bytes(pickle.dumps(_train_bytes(monkeypatch, 2, data, "mlp",
+                                                          "fixed")))
+                code = 0
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60.0
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's fit did not end within 60 s")
+            time.sleep(0.02)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert pickle.loads(out.read_bytes()) == parent
 
     @pytest.mark.parametrize("taped", [True, False])
     def test_nan_in_a_branch_names_the_serial_culprit(self, monkeypatch, taped):
@@ -449,3 +488,85 @@ class TestConcurrentTerms:
             messages.append(str(err.value))
         assert messages[0] == messages[1]
         assert messages[0].endswith("non-finite values in output of matmul"), messages
+
+
+def _count_solves(monkeypatch) -> list:
+    """The row count of every ``NystromMap.features`` call from now on."""
+    calls = []
+    features = G.NystromMap.features
+    monkeypatch.setattr(G.NystromMap, "features",
+                        lambda nmap, coords: calls.append(len(coords)) or features(nmap, coords))
+    return calls
+
+
+class TestFeatureTable:
+    """A fixed lengthscale's features are solved once per fit, with the bits of
+    solving them per batch."""
+
+    # 41 = 5 * 8 + 1 and 33 = 4 * 8 + 1 units: batches of 8 end in a one-row batch
+    @pytest.mark.parametrize("batch_size,val", [(None, False), (8, False), (1, False),
+                                                (None, True), (8, True)])
+    def test_training_bytes_match_per_batch_solving(self, monkeypatch, batch_size, val):
+        data = patch_dataset((3,), n=41, m=2, seed=5)
+        train, valid = (data.subset(np.arange(33)), data.subset(np.arange(33, 41))) if val \
+            else (data, None)
+        table = _fit_bytes(train, "fixed", batch_size, valid)
+        monkeypatch.setattr(G.FeatureTable, "rows", lambda tab, idx=None: None)
+        assert _fit_bytes(train, "fixed", batch_size, valid) == table
+
+    def test_gathered_rows_match_a_solve_on_the_rows_alone(self):
+        rng = np.random.default_rng(0)
+        coords = rng.uniform(0.0, 1.0, size=(300, 2))
+        term = G.GpTerm(G.select_inducing(coords, 36), G.KernelSpec("rbf", 1.0, 0.3, 1e-8))
+        table = G.FeatureTable(term, coords)
+        for size in (1, 2, 3, 7, 64, 299, 300):
+            for _ in range(3):
+                idx = rng.choice(300, size=size, replace=False)
+                solved = term.features_op(coords[idx]).data
+                assert table.rows(idx).tobytes() == solved.tobytes(), size
+
+    @pytest.mark.parametrize("val", [False, True])
+    def test_fixed_lengthscale_solves_once_per_set(self, monkeypatch, val):
+        data = patch_dataset((3,), n=40, m=1, seed=5)
+        calls = _count_solves(monkeypatch)
+        _fit_bytes(data, "fixed", None, data.subset(np.arange(7)) if val else None, epochs=4)
+        assert calls == ([40, 7] if val else [40])
+
+    def test_one_row_batches_solve_their_own_row(self, monkeypatch):
+        data = patch_dataset((3,), n=41, m=1, seed=5)
+        calls = _count_solves(monkeypatch)
+        _fit_bytes(data, "fixed", 8, epochs=4)
+        assert calls == [41] + [1] * 4
+
+    @pytest.mark.parametrize("val", [False, True])
+    def test_trained_lengthscale_solves_per_forward(self, monkeypatch, val):
+        data = patch_dataset((3,), n=40, m=1, seed=5)
+        calls = _count_solves(monkeypatch)
+        _fit_bytes(data, "trained", None, data.subset(np.arange(7)) if val else None, epochs=4)
+        # four steps, four validation passes when there is a split, the closing prediction
+        assert calls == ([40, 7] * 4 if val else [40] * 4) + [40]
+
+    def test_table_is_not_kept_after_the_fit(self):
+        data = patch_dataset((3,), n=20, m=1, seed=5)
+        model = random_model(data, "linear", "fixed")
+        M.train(model, data, M.TrainConfig(epochs=2, optimizer="adam"), val_dataset=data)
+        for obj in (model, model.gp_term):
+            assert not any(isinstance(v, G.FeatureTable) for v in vars(obj).values())
+
+    def test_table_is_not_read_after_its_map_changes(self):
+        data = patch_dataset((3,), n=20, m=1, seed=5)
+        term = random_model(data, "linear", "fixed").gp_term
+        table = G.FeatureTable(term, data.coords)
+        assert table.rows(slice(None)).tobytes() == term.features_op(data.coords).data.tobytes()
+        term.lengthscale.data = np.asarray(0.7)
+        with pytest.raises(ContractError, match="map changed"):
+            table.rows(np.arange(5))
+        term.lengthscale.data = np.asarray(0.4)     # the old value, but a new map
+        with pytest.raises(ContractError, match="map changed"):
+            table.rows(np.arange(5))
+
+    def test_trained_lengthscale_has_no_table(self):
+        data = patch_dataset((3,), n=20, m=1, seed=5)
+        term = random_model(data, "linear", "trained").gp_term
+        with pytest.raises(ContractError, match="not constants"):
+            G.FeatureTable(term, data.coords)

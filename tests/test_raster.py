@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from spatialcausal import errors
 from spatialcausal.errors import (
     ConfigError,
     ContractError,
@@ -297,6 +298,25 @@ class TestExtract:
         window[1, 1] = 0.0
         assert_array_equal(ds.patches[i, 0], window)
         assert ds.treatments[i, 0] == t[1, 1]
+
+    def test_oversized_padded_line_is_a_data_error(self, tmp_path, monkeypatch):
+        """The cap is lowered so that a failing check allocates little."""
+        monkeypatch.setattr(errors, "MAX_ELEMENTS", 159)
+        manifest = write_grids(tmp_path, np.ones((1, 60)), np.ones((1, 1, 60)),
+                               np.ones((1, 60)), d_s=101)
+        with pytest.raises(DataError, match=r"^d_s: the 1 x 160 zero-padded treatment "
+                                            r"lines would hold 160 elements"):
+            extract_units(manifest)
+
+    def test_oversized_windows_are_a_data_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(errors, "MAX_ELEMENTS", 440)
+        manifest = write_grids(tmp_path, np.ones((9, 9)), np.ones((1, 9, 9)),
+                               np.ones((9, 9)), d_s=3)
+        with pytest.raises(DataError, match=r"^d_s: the 49 x 1 x 3 x 3 unit windows would "
+                                            r"hold 441 elements"):
+            extract_units(manifest)
+        monkeypatch.setattr(errors, "MAX_ELEMENTS", 441)
+        assert extract_units(manifest).n_units == 49
 
     def test_patch_span_arithmetic(self, tmp_path):
         # d_s = 51 centered at (row 100, col 200) spans rows 75..125
