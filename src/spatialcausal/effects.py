@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ContractError, DataError, DimensionError, check, check_sizes
 from .gp import as_coords
-from .model import SpatialDataset, SpatialModel
+from .model import SpatialDataset, SpatialModel, _check_unit_sizes
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -184,6 +184,7 @@ def estimate_effects_observed(model: SpatialModel, dataset: SpatialDataset, m: i
     """
     if not 0 <= m < model.m:
         raise ContractError(f"treatment index {m} outside 0..{model.m - 1}")
+    _check_unit_sizes(model.config, dataset.n_units, interference_only=True)
     de_units = model.alphas.data[m, 0] * dataset.treatments[:, m]
     ie_units = _interference_contrasts(model, dataset, m, dataset.patches[:, m])
     return reweighted(EffectReport(treatment=m, mode="observed", de_samples=de_units,

@@ -6,8 +6,8 @@ s_1..s_q, Gram matrix K_q and cross-covariances k_q(s), the factor L from
 ``z(s_i)^T z(s_j)`` reproduces the low-rank covariance
 ``K_nq (K_q + eps I)^{-1} K_nq^T``.  A spatial adjustment term is then the
 linear form ``w^T z(s)`` with trainable ``w``.  With a fixed lengthscale the
-features of fixed coordinates are constants; a ``FeatureTable`` solves them
-once, and training reads each batch's rows from it.
+features of fixed coordinates are constants, so ``model.train`` solves them
+once per fit.
 
 Exact sampling uses a dense Cholesky factor and is limited to modest N; large
 regular grids are sampled spectrally through circulant embedding.
@@ -232,8 +232,8 @@ class GpTerm:
     def values_op(self, coords, features: np.ndarray | None = None) -> Tensor:
         """(n, 1) adjustment values; differentiable in w (and l if trainable).
 
-        ``features``, when given, are the rows of ``coords`` already solved
-        under the current map (``FeatureTable.rows``), so none is solved here.
+        ``features``, when given, are ``features_op(coords).data`` solved
+        earlier under the current map, so none is solved here.
         """
         feats = self.features_op(coords) if features is None else Tensor(features)
         return E.matmul(feats, self.weights)
@@ -244,37 +244,6 @@ class GpTerm:
         Kept only because ``perfbench/tracing.py`` wraps it by name.
         """
         return self.features_op(coords).data
-
-
-class FeatureTable:
-    """The features of fixed coordinates under a fixed lengthscale, solved once.
-
-    It belongs to the map it was solved with: reading it once the term's map
-    has changed is a ``ContractError``.  A trained lengthscale has no table,
-    since its features change with every step.
-    """
-
-    def __init__(self, term: GpTerm, coords):
-        if term.train_lengthscale:
-            raise ContractError("a trained lengthscale's features are not constants")
-        self.term = term
-        self.coords = as_coords(coords)
-        self.map = term.map
-        self.features = term.features_op(self.coords).data
-
-    def rows(self, idx) -> np.ndarray:
-        """The features of units ``idx``, with the bits of a solve on them alone.
-
-        Gathered rows have those bits for two rows or more.  OpenBLAS solves a
-        single right-hand side through another kernel, so one row is solved
-        on its own.
-        """
-        if self.term.map is not self.map:
-            raise ContractError("feature table read after its Nystrom map changed")
-        out = self.features[idx]
-        if out.shape[0] == 1:
-            return self.term.features_op(self.coords[idx]).data
-        return out
 
 
 def _features_with_lengthscale_grad(term: GpTerm, coords) -> Tensor:

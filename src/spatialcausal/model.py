@@ -198,8 +198,8 @@ class SpatialModel:
         The interference nets and the confounder net share no input that
         needs a gradient, so they run as engine ``branches``; their outputs
         are then added to the direct term in order, interference nets first.
-        ``gp_features``, when given, are the GP features of ``coords`` from a
-        ``gp.FeatureTable``; otherwise the GP term solves them.
+        ``gp_features``, when given, are the GP features of ``coords`` that
+        ``train`` solved once for the fit; otherwise the GP term solves them.
         """
         pred = E.matmul(Tensor(treatments), self.alphas)
         terms = [functools.partial(self._interference, m, patches[:, m])
@@ -347,6 +347,28 @@ def _restore(model: SpatialModel, snap: list) -> None:
         p.data = d.copy()
 
 
+def _check_unit_sizes(config: ModelConfig, n: int, interference_only: bool = False) -> None:
+    """Raises ``DataError`` when a forward on ``n`` units would allocate an
+    array over ``errors.MAX_ELEMENTS``: the n x q GP features, or an MLP
+    net's n x mlp_width activations.  ``interference_only`` states only the
+    interference nets' arrays."""
+    sizes = []
+    if config.gp and not interference_only:
+        sizes.append(("q", f"the {n} x q GP features", n * config.q))
+    if config.interference == "mlp" or (config.confounder == "mlp" and not interference_only):
+        sizes.append(("mlp_width", f"the {n} x mlp_width MLP activations",
+                      n * config.mlp_width))
+    check_sizes(sizes, DataError)
+
+
+def _feature_rows(features: np.ndarray | None, idx=slice(None)) -> np.ndarray | None:
+    """Rows ``idx`` of GP features solved once, with the bits of a solve on
+    them alone; None for one row, which the GP term then solves, because
+    OpenBLAS solves a single right-hand side through another kernel."""
+    rows = None if features is None else features[idx]
+    return rows if rows is not None and rows.shape[0] > 1 else None
+
+
 def train(model: SpatialModel, dataset: SpatialDataset, cfg: TrainConfig,
           val_dataset: SpatialDataset | None = None) -> list:
     """Minimize MSE on observed-outcome units; returns the per-epoch loss trace.
@@ -357,10 +379,10 @@ def train(model: SpatialModel, dataset: SpatialDataset, cfg: TrainConfig,
     parameters (by validation MSE) are restored.
 
     A fixed GP lengthscale makes the GP features of the training and
-    validation units constants of the fit: each set's ``gp.FeatureTable`` is
-    solved once, and every step, validation pass and the closing
-    ``noise_sigma`` prediction read their rows from it.  The tables live
-    only for this call.
+    validation units constants of the fit: each set's features are solved
+    once, and every step, validation pass and the closing ``noise_sigma``
+    prediction take their rows (``_feature_rows``).  The lengthscale leaf is
+    then no parameter, so nothing here changes the map they were solved with.
     """
     mask = dataset.observed_mask()
     if not mask.any():
@@ -377,16 +399,17 @@ def train(model: SpatialModel, dataset: SpatialDataset, cfg: TrainConfig,
         if vmask.any():
             val_obs = val_dataset.subset(np.nonzero(vmask)[0])
 
-    table = val_table = None
+    for part in (obs, val_obs):
+        if part is not None:
+            _check_unit_sizes(model.config, part.n_units)
+
+    feats = val_feats = None
     if model.gp_term is not None:
         model.gp_term.map  # a kernel that cannot be factored fails here, not as divergence
         if not model.gp_term.train_lengthscale:
-            table = G.FeatureTable(model.gp_term, obs.coords)
+            feats = model.gp_term.features_op(obs.coords).data
             if val_obs is not None:
-                val_table = G.FeatureTable(model.gp_term, val_obs.coords)
-
-    def rows(tab, idx=slice(None)):
-        return None if tab is None else tab.rows(idx)
+                val_feats = model.gp_term.features_op(val_obs.coords).data
 
     trace = []
     best_val = np.inf
@@ -402,7 +425,7 @@ def train(model: SpatialModel, dataset: SpatialDataset, cfg: TrainConfig,
                 with E.Tape() as tape:
                     pred = model.forward_batch(obs.treatments[idx], obs.patches[idx],
                                                obs.confounders[idx], obs.coords[idx],
-                                               rows(table, idx))
+                                               _feature_rows(feats, idx))
                     loss = E.mse(pred, Tensor(y[idx]))
                 lv = loss.item()
                 tape.backward(loss)
@@ -413,7 +436,7 @@ def train(model: SpatialModel, dataset: SpatialDataset, cfg: TrainConfig,
         train_mse = sq_sum / n
         val_mse = np.nan
         if val_obs is not None:
-            resid = model.predict_dataset(val_obs, rows(val_table)) - val_obs.outcomes
+            resid = model.predict_dataset(val_obs, _feature_rows(val_feats)) - val_obs.outcomes
             val_mse = float(np.mean(resid * resid))
             if val_mse < best_val - 1e-12:
                 best_val = val_mse
@@ -427,7 +450,7 @@ def train(model: SpatialModel, dataset: SpatialDataset, cfg: TrainConfig,
             break
     if best_snap is not None:
         _restore(model, best_snap)
-    resid = model.predict_dataset(obs, rows(table)) - obs.outcomes
+    resid = model.predict_dataset(obs, _feature_rows(feats)) - obs.outcomes
     model.noise_sigma = float(np.std(resid))
     return trace
 
@@ -442,6 +465,7 @@ def evaluate(model: SpatialModel, dataset: SpatialDataset) -> dict:
     if not mask.any():
         raise DataError("no observed outcomes to evaluate")
     obs = dataset.subset(np.nonzero(mask)[0])
+    _check_unit_sizes(model.config, obs.n_units)
     y = obs.outcomes
     pred = model.predict_dataset(obs)
     t1 = obs.treatments[:, 0]

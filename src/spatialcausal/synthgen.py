@@ -15,10 +15,11 @@ land-class fields are synthesized from shared latent grid draws so that
 treatment and observed confounders are spatially entangled.
 
 Every generator returns the dataset together with a GroundTruth handle
-that can evaluate true potential outcomes under arbitrary treatment and
-neighborhood overrides; oracle_effects evaluates the dose-mode effects of
-that truth with uniform weights.  Each generator config takes one ``seed``
-and splits it into four random streams seeded ``10 * seed + k``, k = 0..3.
+that holds the true outcome model's parts: the direct slope, the
+interference term and the untreated base; oracle_effects evaluates the
+dose-mode effects of that truth with uniform weights.  Each generator config
+takes one ``seed`` and splits it into four random streams seeded
+``10 * seed + k``, k = 0..3.
 
 The outcome spline is a numpy natural cubic spline with the bits of
 ``scipy.interpolate.CubicSpline``; only its banded solve loads scipy
@@ -131,20 +132,14 @@ class GroundTruth:
 
     ``interference(indices, patches)`` evaluates the true neighborhood term
     for aligned (unit, patch) pairs; ``base`` holds everything that never
-    varies under treatment overrides (confounder term + field + noise).
+    varies under treatment overrides (confounder term + field + noise).  The
+    outcomes are ``beta * t + interference(indices, patches) + base[indices]``.
     """
 
     beta: float
     interference: object
     u: np.ndarray
     base: np.ndarray
-
-    def potential_outcomes(self, indices, t_values, patches) -> np.ndarray:
-        indices = np.asarray(indices, dtype=np.int64)
-        t_values = np.asarray(t_values, dtype=np.float64)
-        return (self.beta * t_values
-                + self.interference(indices, np.asarray(patches, dtype=np.float64))
-                + self.base[indices])
 
 
 @dataclass(frozen=True)

@@ -365,8 +365,9 @@ class TestGen:
         # gen's grids list the units row by row, not in the order they were drawn
         config = load_config(write_ini(tmp_path, ROUTE_CONFIGS[name]))
         ds, truth = cli.generate_dataset(config, 2)
-        y = truth.potential_outcomes(np.arange(ds.n_units), ds.treatments[:, 0],
-                                     ds.patches[:, 0])
+        idx = np.arange(ds.n_units)
+        y = truth.beta * ds.treatments[:, 0] + truth.interference(idx, ds.patches[:, 0]) \
+            + truth.base[idx]
         assert_allclose(y, ds.outcomes, rtol=0, atol=1e-12)
 
     def test_grid_outcome_sparse(self, tmp_path):
@@ -1287,6 +1288,22 @@ MALFORMED_FILES = [
 _GRID_HEADER_OFFSETS = {"origin_x": 16, "origin_y": 24, "resolution": 32}
 
 
+def _assert_one_error_line_under_a_memory_limit(argv, expected):
+    """``python -m spatialcausal argv`` in a child that may map only 1.5 GB
+    exits 2 with one error line that starts with ``expected``."""
+    resource = pytest.importorskip("resource")
+    limit = 1_500_000 * 1024
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run([sys.executable, "-m", "spatialcausal"] + argv, env=_module_env(),
+                          capture_output=True, text=True, timeout=120, preexec_fn=cap)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(expected), proc.stderr
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 class TestMalformedFiles:
     """Every loader ends a malformed file as code<TAB>message, exit 2."""
 
@@ -1329,7 +1346,6 @@ class TestMalformedFiles:
                                                                         tmp_path):
         """The line windows of a huge odd ``d_s`` are stated before numpy
         allocates them; the child may map only 1.5 GB."""
-        resource = pytest.importorskip("resource")
         data = str(tmp_path / "data")
         shutil.copytree(workspace["data"], data)
         manifest = os.path.join(data, "run.manifest")
@@ -1338,20 +1354,40 @@ class TestMalformedFiles:
         assert "d_s = 3" in text
         with open(manifest, "w") as fh:
             fh.write(text.replace("d_s = 3", "d_s = 1000000001"))
-        limit = 1_500_000 * 1024
+        _assert_one_error_line_under_a_memory_limit(
+            ["train", "--config", write_ini(tmp_path, TINY_INI), "--data", data,
+             "--out", str(tmp_path / "out")],
+            "data_error\td_s: the 1 x 1000000060 zero-padded ")
 
-        def cap():
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-        proc = subprocess.run([sys.executable, "-m", "spatialcausal", "train", "--config",
-                               write_ini(tmp_path, TINY_INI), "--data", data,
-                               "--out", str(tmp_path / "out")],
-                              env=_module_env(), capture_output=True, text=True,
-                              timeout=120, preexec_fn=cap)
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.startswith("data_error\td_s: the 1 x 1000000060 zero-padded "), \
-            proc.stderr
-        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("model,expected", [
+        ("linear\ngp = true\nq = 2000", "data_error\tq: the 150000 x q GP features "),
+        ("mlp\nmlp_width = 2048\nmlp_depth = 1",
+         "data_error\tmlp_width: the 150000 x mlp_width MLP activations "),
+    ], ids=["q", "mlp_width"])
+    def test_oversized_unit_arrays_end_as_data_errors_under_a_memory_limit(
+            self, workspace, tmp_path, model, expected, command):
+        """150000 line units, each array over the cap: the units x q GP features
+        and the units x mlp_width activations are stated before numpy allocates
+        them.  ``eval`` reads a checkpoint fitted on the 60-unit dataset."""
+        ini = write_ini(tmp_path, TINY_INI.replace("interference = linear",
+                                                   f"interference = {model}"))
+        argv = ["train", "--config", ini]
+        if command == "eval":
+            small = str(tmp_path / "small")
+            assert cli.main(["train", "--config", ini, "--data", workspace["data"],
+                             "--out", small]) == 0
+            argv = ["eval", "--config", ini, "--ckpt", os.path.join(small, "model.ckpt")]
+        data = tmp_path / "data"
+        data.mkdir()
+        shutil.copy(os.path.join(workspace["data"], "run.manifest"), data)
+        for name in ("treatment_1.grd", "confounder.grd", "outcome.grd"):
+            grid = load_grid(os.path.join(workspace["data"], name))
+            assert grid.data.shape[1:] == (1, 60)
+            save_grid(dataclasses.replace(grid, data=np.tile(grid.data, 2500)),
+                      str(data / name))
+        _assert_one_error_line_under_a_memory_limit(
+            argv + ["--data", str(data), "--out", str(tmp_path / "out")], expected)
 
     @pytest.mark.parametrize("command", ["train", "train_gp", "eval", "effects"])
     @pytest.mark.parametrize("header,expected", [

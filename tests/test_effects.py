@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from spatialcausal import errors
 from spatialcausal.effects import (
     BalancingWeights,
     EffectReport,
@@ -258,6 +259,16 @@ class TestObservedMode:
         ds = make_dataset()
         with pytest.raises(ContractError):
             estimate_effects_observed(linear_model(), ds, 1)
+
+    def test_oversized_mlp_activations_are_a_data_error(self, monkeypatch):
+        """The units x mlp_width activations of the interference net, with the
+        cap lowered to 20 units' worth; the linear confounder net never runs."""
+        model = mlp_model()
+        monkeypatch.setattr(errors, "MAX_ELEMENTS", 160)
+        assert estimate_effects_observed(model, make_dataset(n=20), 0).ie != 0.0
+        with pytest.raises(DataError, match=r"^mlp_width: the 21 x mlp_width MLP activations "
+                                            r"would hold 168 elements"):
+            estimate_effects_observed(model, make_dataset(n=21), 0)
 
 
 class TestDoseMode:

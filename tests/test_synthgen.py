@@ -174,8 +174,9 @@ class TestLineGraph:
 
     def test_observed_outcomes_reproduced_by_truth(self, line_generated):
         ds, truth = line_generated
-        y = truth.potential_outcomes(np.arange(500), ds.treatments[:, 0],
-                                     ds.patches[:, 0])
+        idx = np.arange(500)
+        y = truth.beta * ds.treatments[:, 0] + truth.interference(idx, ds.patches[:, 0]) \
+            + truth.base[idx]
         assert_allclose(y, ds.outcomes, atol=1e-12)
 
     def test_bitwise_determinism(self, line_generated):
@@ -288,8 +289,9 @@ class TestGridGen:
 
     def test_observed_outcomes_reproduced_by_truth(self, grid_generated):
         ds, truth = grid_generated
-        y = truth.potential_outcomes(np.arange(20), ds.treatments[:, 0],
-                                     ds.patches[:, 0])
+        idx = np.arange(20)
+        y = truth.beta * ds.treatments[:, 0] + truth.interference(idx, ds.patches[:, 0]) \
+            + truth.base[idx]
         assert_allclose(y, ds.outcomes, atol=1e-12)
 
     def test_determinism(self, grid_generated):
