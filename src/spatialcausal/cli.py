@@ -761,6 +761,3 @@ def main(argv=None) -> int:
         sys.stderr.write(code + "\t" + re.sub(r"\s*\n\s*", " ", str(exc)) + "\n")
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -39,6 +39,8 @@ from .gp import as_coords
 from .model import SpatialDataset, SpatialModel, _check_unit_sizes
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+# the most elements of the KDE's points x samples array held at once
+_KDE_BLOCK = 2 ** 20
 
 
 @dataclass
@@ -71,9 +73,14 @@ class MarginalDensity:
     bandwidth: float
 
     def density(self, t) -> np.ndarray:
+        """The density at each of ``t``, in blocks of rows of the points x
+        samples array; each row's bits do not depend on the block it is in."""
         t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        z = (t[:, None] - self.values[None, :]) / self.bandwidth
-        out = np.exp(-0.5 * z * z).mean(axis=1) / (self.bandwidth * _SQRT2PI)
+        rows = max(1, _KDE_BLOCK // self.values.size)
+        out = np.empty(len(t))
+        for i in range(0, len(t), rows):
+            z = (t[i:i + rows, None] - self.values[None, :]) / self.bandwidth
+            out[i:i + rows] = np.exp(-0.5 * z * z).mean(axis=1) / (self.bandwidth * _SQRT2PI)
         return out
 
 

@@ -349,15 +349,26 @@ def _restore(model: SpatialModel, snap: list) -> None:
 
 def _check_unit_sizes(config: ModelConfig, n: int, interference_only: bool = False) -> None:
     """Raises ``DataError`` when a forward on ``n`` units would allocate an
-    array over ``errors.MAX_ELEMENTS``: the n x q GP features, or an MLP
-    net's n x mlp_width activations.  ``interference_only`` states only the
-    interference nets' arrays."""
+    array over ``errors.MAX_ELEMENTS``: the n x q GP features, an MLP net's
+    n x mlp_width activations, or a convolution's n x channels maps on the
+    zero-padded patch, which the CNN sizes at every layer and the U-Net at
+    its first level.  ``interference_only`` states only the interference
+    nets' arrays."""
     sizes = []
     if config.gp and not interference_only:
         sizes.append(("q", f"the {n} x q GP features", n * config.q))
     if config.interference == "mlp" or (config.confounder == "mlp" and not interference_only):
         sizes.append(("mlp_width", f"the {n} x mlp_width MLP activations",
                       n * config.mlp_width))
+    if config.interference == "cnn":
+        h, w = (side + 2 for side in config.patch_shape)
+        sizes.append(("cnn_channels", f"the {n} x cnn_channels x {h}x{w} CNN activations",
+                      n * config.cnn_channels * h * w))
+    if config.interference == "unet":
+        mult = 2 ** config.unet_depth
+        h, w = (side + (-side) % mult + 2 for side in config.patch_shape)
+        sizes.append(("unet_base", f"the {n} x unet_base x {h}x{w} U-Net first-level "
+                      "activations", n * config.unet_base * h * w))
     check_sizes(sizes, DataError)
 
 

@@ -34,7 +34,8 @@ from spatialcausal.model import (
     load_model,
     save_model,
 )
-from spatialcausal.raster import extract_units, load_grid, load_manifest, save_grid
+from spatialcausal.raster import (Grid, Manifest, extract_units, load_grid, load_manifest,
+                                  save_grid, save_manifest)
 from spatialcausal.synthgen import GroundTruth, LineGraphConfig, gen_line_graph
 
 TINY_INI = textwrap.dedent("""\
@@ -1288,20 +1289,47 @@ MALFORMED_FILES = [
 _GRID_HEADER_OFFSETS = {"origin_x": 16, "origin_y": 24, "resolution": 32}
 
 
-def _assert_one_error_line_under_a_memory_limit(argv, expected):
-    """``python -m spatialcausal argv`` in a child that may map only 1.5 GB
-    exits 2 with one error line that starts with ``expected``."""
+def _run_under_a_memory_limit(argv):
+    """``python -m spatialcausal argv`` in a child that may map only 1.5 GB."""
     resource = pytest.importorskip("resource")
     limit = 1_500_000 * 1024
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    proc = subprocess.run([sys.executable, "-m", "spatialcausal"] + argv, env=_module_env(),
+    return subprocess.run([sys.executable, "-m", "spatialcausal"] + argv, env=_module_env(),
                           capture_output=True, text=True, timeout=120, preexec_fn=cap)
+
+
+def _assert_one_error_line_under_a_memory_limit(argv, expected):
+    """``argv`` under the memory limit exits 2 with one error line that starts
+    with ``expected``."""
+    proc = _run_under_a_memory_limit(argv)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith(expected), proc.stderr
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def _tile_line_dataset(src, dst, times):
+    """The 60-unit line dataset in ``src`` repeated ``times`` times along its
+    row, without its truth, into directory ``dst``."""
+    dst.mkdir()
+    shutil.copy(os.path.join(src, "run.manifest"), dst)
+    for name in ("treatment_1.grd", "confounder.grd", "outcome.grd"):
+        grid = load_grid(os.path.join(src, name))
+        assert grid.data.shape[1:] == (1, 60)
+        save_grid(dataclasses.replace(grid, data=np.tile(grid.data, times)), str(dst / name))
+
+
+def _write_grid_dataset(dst, side, d_s):
+    """A side x side grid dataset in directory ``dst``, every pixel finite:
+    one treatment, two confounder channels."""
+    dst.mkdir()
+    rng = np.random.default_rng(side)
+    for name, channels in (("treatment_1.grd", 1), ("confounder.grd", 2), ("outcome.grd", 1)):
+        save_grid(Grid(data=rng.normal(size=(channels, side, side))), str(dst / name))
+    save_manifest(Manifest(treatments=("treatment_1.grd",), confounder="confounder.grd",
+                           outcome="outcome.grd", d_s=d_s), str(dst / "run.manifest"))
 
 
 class TestMalformedFiles:
@@ -1379,15 +1407,51 @@ class TestMalformedFiles:
                              "--out", small]) == 0
             argv = ["eval", "--config", ini, "--ckpt", os.path.join(small, "model.ckpt")]
         data = tmp_path / "data"
-        data.mkdir()
-        shutil.copy(os.path.join(workspace["data"], "run.manifest"), data)
-        for name in ("treatment_1.grd", "confounder.grd", "outcome.grd"):
-            grid = load_grid(os.path.join(workspace["data"], name))
-            assert grid.data.shape[1:] == (1, 60)
-            save_grid(dataclasses.replace(grid, data=np.tile(grid.data, 2500)),
-                      str(data / name))
+        _tile_line_dataset(workspace["data"], data, 2500)
         _assert_one_error_line_under_a_memory_limit(
             argv + ["--data", str(data), "--out", str(tmp_path / "out")], expected)
+
+    def test_weights_on_many_units_run_under_a_memory_limit(self, workspace, tmp_path):
+        """Balancing weights on 16020 line units: the KDE's units x units
+        array (2 GB) never exists whole.  The checkpoint is fitted on the
+        60-unit dataset."""
+        data = tmp_path / "data"
+        _tile_line_dataset(workspace["data"], data, 267)
+        ini = write_ini(tmp_path, TINY_INI.replace("grid_size = 5\nb_draws = 8",
+                                                   "mode = observed\nweighted = on"))
+        out = tmp_path / "out"
+        proc = _run_under_a_memory_limit(["effects", "--config", ini, "--ckpt",
+                                          workspace["ckpt"], "--data", str(data),
+                                          "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        with open(out / "effects_weighted.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["mode"], r["effect_type"], r["weighted"]) for r in rows] == [
+            ("observed", kind, "1") for kind in ("DE", "IE", "TE")]
+        assert all(math.isfinite(float(r["estimate"])) for r in rows)
+
+    @pytest.mark.parametrize("model,expected", [
+        ("cnn\ncnn_channels = 64\ncnn_depth = 1",
+         "data_error\tcnn_channels: the 30976 x cnn_channels x 27x27 CNN activations "),
+        ("unet\nunet_base = 16\nunet_depth = 3",
+         "data_error\tunet_base: the 30976 x unet_base x 34x34 U-Net first-level "),
+    ], ids=["cnn", "unet"])
+    def test_oversized_conv_activations_end_as_data_errors_under_a_memory_limit(
+            self, tmp_path, model, expected):
+        """``eval`` on every interior unit of a 200 x 200 grid with d_s = 25,
+        of a net fitted on a 30 x 30 grid: the units x channels maps on the
+        padded patches are stated before numpy allocates them."""
+        ini = write_ini(tmp_path, TINY_INI.replace("interference = linear",
+                                                   f"interference = {model}")
+                        .replace("epochs = 12", "epochs = 1"))
+        small, large = tmp_path / "small", tmp_path / "large"
+        _write_grid_dataset(small, 30, d_s=25)
+        _write_grid_dataset(large, 200, d_s=25)
+        fit = str(tmp_path / "fit")
+        assert cli.main(["train", "--config", ini, "--data", str(small), "--out", fit]) == 0
+        _assert_one_error_line_under_a_memory_limit(
+            ["eval", "--config", ini, "--ckpt", os.path.join(fit, "model.ckpt"),
+             "--data", str(large), "--out", str(tmp_path / "out")], expected)
 
     @pytest.mark.parametrize("command", ["train", "train_gp", "eval", "effects"])
     @pytest.mark.parametrize("header,expected", [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from spatialcausal import errors
+from spatialcausal import effects, errors
 from spatialcausal.effects import (
     BalancingWeights,
     EffectReport,
@@ -43,6 +43,16 @@ def make_dataset(n=12, m=1, seed=0, x_dim=2, t_values=None):
     outcomes = rng.normal(0.0, 1.0, n)
     return SpatialDataset(coords=coords, treatments=treatments, patches=patches,
                           confounders=confounders, outcomes=outcomes, d_s=3)
+
+
+def grid_dataset(n, seed=0):
+    """Units with random 5 x 5 center-zero patches of one treatment."""
+    rng = np.random.default_rng(seed)
+    patches = rng.normal(size=(n, 1, 5, 5))
+    patches[:, :, 2, 2] = 0.0
+    return SpatialDataset(coords=rng.uniform(size=(n, 2)), treatments=rng.normal(size=(n, 1)),
+                          patches=patches, confounders=rng.normal(size=(n, 2)),
+                          outcomes=rng.normal(size=n), d_s=5)
 
 
 def linear_model(alpha=2.0, iw=(0.5, 0.0, -0.25), x_dim=2, seed=0):
@@ -152,6 +162,18 @@ class TestMarginal:
         grid = np.linspace(lo, hi, 4001)
         integral = np.trapezoid(marg.density(grid), grid)
         assert 0.99 < integral < 1.01
+
+    @pytest.mark.parametrize("n", [7, 500, 3001])
+    @pytest.mark.parametrize("rows", [1, 3, 37, 1024])
+    def test_row_blocks_keep_the_bits(self, monkeypatch, n, rows):
+        """Blocks of ``rows`` evaluation points give the one-shot
+        points x samples expression's bits."""
+        marg = marginal_density(make_dataset(n=n, seed=n), 0)
+        t = np.concatenate([marg.values, np.linspace(-4.0, 4.0, 11)])
+        z = (t[:, None] - marg.values[None, :]) / marg.bandwidth
+        oneshot = np.exp(-0.5 * z * z).mean(axis=1) / (marg.bandwidth * math.sqrt(2.0 * math.pi))
+        monkeypatch.setattr(effects, "_KDE_BLOCK", rows * n)
+        assert marg.density(t).tobytes() == oneshot.tobytes()
 
 
 class _Flat(GpsModel):
@@ -269,6 +291,24 @@ class TestObservedMode:
         with pytest.raises(DataError, match=r"^mlp_width: the 21 x mlp_width MLP activations "
                                             r"would hold 168 elements"):
             estimate_effects_observed(model, make_dataset(n=21), 0)
+
+    @pytest.mark.parametrize("interference,key,what,per_unit", [
+        ("cnn", "cnn_channels", "CNN activations", 3 * 7 * 7),
+        ("unet", "unet_base", "U-Net first-level activations", 2 * 8 * 8),
+    ], ids=["cnn", "unet"])
+    def test_oversized_conv_activations_are_a_data_error(self, monkeypatch, interference,
+                                                         key, what, per_unit):
+        """The units x channels maps of a CNN (5 x 5 patches padded to 7 x 7)
+        or a U-Net (padded to 6 x 6, then by its convolution's border), with
+        the cap lowered to 20 units' worth."""
+        model = build_model(ModelConfig(m=1, patch_shape=(5, 5), x_dim=2,
+                                        interference=interference, cnn_channels=3,
+                                        cnn_depth=1, unet_base=2, unet_depth=1, seed=2))
+        monkeypatch.setattr(errors, "MAX_ELEMENTS", 20 * per_unit)
+        assert np.isfinite(estimate_effects_observed(model, grid_dataset(20), 0).ie)
+        with pytest.raises(DataError, match=rf"^{key}: the 21 x {key} x \d+x\d+ {what} "
+                                            rf"would hold {21 * per_unit} elements"):
+            estimate_effects_observed(model, grid_dataset(21), 0)
 
 
 class TestDoseMode:

@@ -35,6 +35,19 @@ def test_package_import_loads_no_scipy():
     assert _scipy_modules_after("import spatialcausal") == set()
 
 
+def test_package_import_loads_every_submodule():
+    """The package binds only its submodules, but importing it still loads
+    each of them, so ``import spatialcausal`` costs what it always did."""
+    _scipy_modules_after(
+        "import spatialcausal, sys\n"
+        "names = ('cli', 'effects', 'engine', 'errors', 'gp', 'model', 'nets',\n"
+        "         'raster', 'synthgen')\n"
+        "missing = [n for n in names if 'spatialcausal.' + n not in sys.modules]\n"
+        "assert not missing, missing\n"
+        "public = sorted(k for k in vars(spatialcausal) if not k.startswith('_'))\n"
+        "assert public == sorted(names), public")
+
+
 def test_package_import_loads_no_thread_pool():
     mods = _scipy_modules_after("import spatialcausal\n"
                                 "import sys, threading\n"

@@ -11,6 +11,7 @@ import numpy.testing as npt
 import pytest
 
 from spatialcausal import engine as E
+from spatialcausal import errors
 from spatialcausal import gp as G
 from spatialcausal import model as M
 from spatialcausal.errors import (ConfigError, ContractError, DataError,
@@ -347,6 +348,46 @@ class TestForwardPath:
             npt.assert_allclose(out.yhat, full[i], rtol=0, atol=1e-12)
             npt.assert_allclose(out.direct + out.interference + out.confounder
                                 + out.spatial, full[i], rtol=0, atol=1e-12)
+
+
+# per unit on 5 x 5 patches: 3 CNN channels on the 7 x 7 padded patch, and
+# 2 U-Net channels on the 6 x 6 patch (padded to a multiple of 2**1) plus its
+# convolution's border
+CONV_UNIT_SIZES = {"cnn": ("cnn_channels", "CNN activations", 3 * 7 * 7),
+                   "unet": ("unet_base", "U-Net first-level activations", 2 * 8 * 8)}
+
+
+class TestConvActivationSizes:
+    """A CNN's or U-Net's unit x channels maps are stated before the forward
+    allocates them, with the cap lowered to 10 units' worth."""
+
+    def _capped(self, monkeypatch, interference):
+        key, what, per_unit = CONV_UNIT_SIZES[interference]
+        model = M.build_model(M.ModelConfig(
+            m=1, patch_shape=(5, 5), x_dim=2, interference=interference,
+            cnn_channels=3, cnn_depth=2, unet_base=2, unet_depth=1, seed=4))
+        monkeypatch.setattr(errors, "MAX_ELEMENTS", 10 * per_unit)
+        message = (rf"^{key}: the 11 x {key} x \d+x\d+ {what} would hold "
+                   rf"{11 * per_unit} elements")
+        return model, message
+
+    @pytest.mark.parametrize("interference", ["cnn", "unet"])
+    def test_train(self, monkeypatch, interference):
+        model, message = self._capped(monkeypatch, interference)
+        cfg = M.TrainConfig(epochs=1)
+        assert len(M.train(model, patch_dataset((5, 5), n=10, m=1), cfg)) == 1
+        with pytest.raises(DataError, match=message):
+            M.train(model, patch_dataset((5, 5), n=11, m=1), cfg)
+        with pytest.raises(DataError, match=message):
+            M.train(model, patch_dataset((5, 5), n=10, m=1), cfg,
+                    val_dataset=patch_dataset((5, 5), n=11, m=1, seed=1))
+
+    @pytest.mark.parametrize("interference", ["cnn", "unet"])
+    def test_evaluate(self, monkeypatch, interference):
+        model, message = self._capped(monkeypatch, interference)
+        assert "all" in M.evaluate(model, patch_dataset((5, 5), n=10, m=1))
+        with pytest.raises(DataError, match=message):
+            M.evaluate(model, patch_dataset((5, 5), n=11, m=1))
 
 
 class TestCheckpoint:
