@@ -27,7 +27,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -167,18 +167,13 @@ def _parse_value(kind: str, raw: str, path: str):
         raise ConfigError(f"{path}: cannot parse {raw!r} as {kind}") from None
 
 
-@dataclass
-class ExperimentConfig:
-    """Schema-validated, fully resolved experiment settings."""
-
-    resolved: dict
-
-    def hash(self) -> str:
-        blob = json.dumps(self.resolved, sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()
+def config_hash(config: dict) -> str:
+    """SHA-256 of the fully resolved ``{section: {key: value}}`` settings."""
+    return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str) -> dict:
+    """An INI file's schema-checked settings: a dict of section -> key -> value."""
     cp = configparser.ConfigParser(interpolation=None)
     try:
         found = cp.read(path, encoding="utf-8")
@@ -228,7 +223,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError("data.sigma_l: the line generator has no sigma_l; remove the key")
     data["split_ratios"] = check_split_ratios(data["split_ratios"], ConfigError,
                                               "data.split_ratios")
-    return ExperimentConfig(resolved=resolved)
+    return resolved
 
 
 def _from_section(cls, section: dict, prefix: str = "", **given):
@@ -275,13 +270,13 @@ def _synthetic_units(generator: str, data: dict, seed: int):
     order = np.lexsort(ds.coords.T)
     truth = GroundTruth(gen_truth.beta,
                         lambda idx, pat: gen_truth.interference(order[idx], pat),
-                        gen_truth.u[order], gen_truth.base[order])
+                        gen_truth.base[order])
     return units_from_grids([t_grid], x_grid, y_grid, ds.d_s), truth
 
 
-def generate_dataset(config: ExperimentConfig, seed: int):
+def generate_dataset(config: dict, seed: int):
     """Dataset plus ground truth (None for manifest-backed data)."""
-    data = config.resolved["data"]
+    data = config["data"]
     if data["generator"] == "manifest":
         return extract_units(load_manifest(data["manifest"])), None
     return _synthetic_units(data["generator"], data, seed)
@@ -292,9 +287,9 @@ def regenerate_truth(sidecar: dict):
     return _synthetic_units(sidecar["generator"], sidecar["data"], sidecar["seed"])
 
 
-def model_config_from(config: ExperimentConfig, dataset: SpatialDataset,
+def model_config_from(config: dict, dataset: SpatialDataset,
                       seed: int) -> ModelConfig:
-    mm = config.resolved["model"]
+    mm = config["model"]
     kernel = _from_section(KernelSpec, mm, "kernel_") if mm["gp"] else None
     return _from_section(ModelConfig, mm, m=dataset.n_treatments,
                          patch_shape=dataset.patch_shape,
@@ -302,8 +297,8 @@ def model_config_from(config: ExperimentConfig, dataset: SpatialDataset,
                          inducing_strategy=mm["inducing"], seed=seed)
 
 
-def train_config_from(config: ExperimentConfig, seed: int) -> TrainConfig:
-    tt = config.resolved["train"]
+def train_config_from(config: dict, seed: int) -> TrainConfig:
+    tt = config["train"]
     return _from_section(TrainConfig, tt, batch_size=tt["batch_size"] or None,
                          patience=tt["patience"] or None, seed=seed)
 
@@ -313,7 +308,7 @@ _VARIANTS = {"off": ("unweighted",), "on": ("weighted",), "both": ("unweighted",
 _ERROR_KEYS = ("de_err", "ie_err", "te_err")
 
 
-def _estimate(model, dataset, config: ExperimentConfig, labels, truth):
+def _estimate(model, dataset, config: dict, labels, truth):
     """The effects stage: (reports, errors), each keyed by the variant ``labels``.
 
     Per treatment the balancing weights are fit once, for the ``weighted``
@@ -324,7 +319,7 @@ def _estimate(model, dataset, config: ExperimentConfig, labels, truth):
     and neighborhood draws so that their difference reflects model error, not
     resampling noise.
     """
-    eff = config.resolved["effects"]
+    eff = config["effects"]
     modes = ("dose", "observed") if eff["mode"] == "both" else (eff["mode"],)
     reports = {label: [] for label in labels}
     errors = dict.fromkeys(labels)
@@ -353,7 +348,7 @@ def _estimate(model, dataset, config: ExperimentConfig, labels, truth):
     return reports, errors
 
 
-def compute_effect_reports(model, dataset, config: ExperimentConfig,
+def compute_effect_reports(model, dataset, config: dict,
                            weighted: bool, truth=None):
     """Per-treatment effect reports plus dose errors vs truth for treatment 0."""
     label = "weighted" if weighted else "unweighted"
@@ -361,11 +356,11 @@ def compute_effect_reports(model, dataset, config: ExperimentConfig,
     return reports[label], errors[label]
 
 
-def fit_model(config: ExperimentConfig, dataset: SpatialDataset, seed: int):
+def fit_model(config: dict, dataset: SpatialDataset, seed: int):
     """Train stage: optional validation split, build, train -> (model, trace)."""
     train_ds, val_ds = dataset, None
-    if config.resolved["train"]["use_split"]:
-        ratios = config.resolved["data"]["split_ratios"]
+    if config["train"]["use_split"]:
+        ratios = config["data"]["split_ratios"]
         train_ds, val_ds, _ = split_dataset(dataset, ratios, 0)
     model = build_model(model_config_from(config, train_ds, seed),
                         coords=train_ds.coords)
@@ -374,10 +369,10 @@ def fit_model(config: ExperimentConfig, dataset: SpatialDataset, seed: int):
     return model, trace
 
 
-def estimate_variants(model, dataset, config: ExperimentConfig, truth=None):
+def estimate_variants(model, dataset, config: dict, truth=None):
     """Effects stage: (reports, errors), each keyed by weighting variant."""
     return _estimate(model, dataset, config,
-                     _VARIANTS[config.resolved["effects"]["weighted"]], truth)
+                     _VARIANTS[config["effects"]["weighted"]], truth)
 
 
 def error_summary(rows) -> dict:
@@ -468,7 +463,7 @@ def _load_truth(data_arg: str, dataset: SpatialDataset):
             record = json.load(fh)
         seed = check("seed", record["seed"], DataError)
         regenerated, truth = regenerate_truth(record)
-    except (ValueError, KeyError, TypeError, SpatialCausalError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError, SpatialCausalError) as exc:
         raise DataError(f"{sidecar}: cannot regenerate truth: {exc!r}") from None
     # the generators' BLAS arithmetic rounds differently at other thread counts
     for field in ("coords", "treatments", "patches", "confounders", "outcomes"):
@@ -479,12 +474,12 @@ def _load_truth(data_arg: str, dataset: SpatialDataset):
     return truth, seed
 
 
-def cmd_gen(config: ExperimentConfig, out_dir: str) -> int:
-    data = config.resolved["data"]
+def cmd_gen(config: dict, out_dir: str) -> int:
+    data = config["data"]
     if data["generator"] == "manifest":
         raise ConfigError("data.generator: gen needs a synthetic generator, "
                           "not 'manifest'")
-    seed = config.resolved["run"]["seeds"][0]
+    seed = config["run"]["seeds"][0]
     ds, _, grids = _synthesize(data["generator"], data, seed)
     os.makedirs(out_dir, exist_ok=True)
     for grid, name in zip(grids, ("treatment_1.grd", "confounder.grd", "outcome.grd")):
@@ -502,9 +497,9 @@ def cmd_gen(config: ExperimentConfig, out_dir: str) -> int:
     return 0
 
 
-def cmd_train(config: ExperimentConfig, data_arg: str, out_dir: str) -> int:
+def cmd_train(config: dict, data_arg: str, out_dir: str) -> int:
     model, trace = fit_model(config, _load_dataset(data_arg),
-                             config.resolved["run"]["seeds"][0])
+                             config["run"]["seeds"][0])
     os.makedirs(out_dir, exist_ok=True)
     save_model(model, os.path.join(out_dir, "model.ckpt"))
     write_trace_csv(trace, os.path.join(out_dir, "loss_trace.csv"))
@@ -512,7 +507,7 @@ def cmd_train(config: ExperimentConfig, data_arg: str, out_dir: str) -> int:
     return 0
 
 
-def cmd_effects(config: ExperimentConfig, ckpt: str | None, data_arg: str | None,
+def cmd_effects(config: dict, ckpt: str | None, data_arg: str | None,
                 out_dir: str) -> int:
     if (ckpt is None) != (data_arg is None):
         raise ConfigError("effects with --ckpt also needs --data" if data_arg is None
@@ -531,14 +526,14 @@ def cmd_effects(config: ExperimentConfig, ckpt: str | None, data_arg: str | None
     # as it ends, and only its report.json row is kept
     start = time.perf_counter()
     per_seed = []
-    for seed in config.resolved["run"]["seeds"]:
+    for seed in config["run"]["seeds"]:
         dataset, truth = generate_dataset(config, seed)
         model, trace = fit_model(config, dataset, seed)
         reports, errors = estimate_variants(model, dataset, config, truth)
         write_effect_tables(out_dir, reports, prefix=f"s{seed}_")
         write_trace_csv(trace, os.path.join(out_dir, f"loss_trace_s{seed}.csv"))
         per_seed.append({"seed": seed, "final_train_mse": trace[-1][1], "errors": errors})
-    report = {"config_hash": config.hash(), "seeds": list(config.resolved["run"]["seeds"]),
+    report = {"config_hash": config_hash(config), "seeds": list(config["run"]["seeds"]),
               "wall_clock_s": time.perf_counter() - start, "per_seed": per_seed,
               "summary": write_error_tables(out_dir, [(r["seed"], r["errors"])
                                                       for r in per_seed])}
@@ -548,7 +543,7 @@ def cmd_effects(config: ExperimentConfig, ckpt: str | None, data_arg: str | None
     return 0
 
 
-def cmd_eval(config: ExperimentConfig, ckpt: str, data_arg: str,
+def cmd_eval(config: dict, ckpt: str, data_arg: str,
              out_dir: str) -> int:
     dataset, model = _load_fitted(ckpt, data_arg)
     metrics = _flatten_metrics(evaluate(model, dataset))
@@ -695,7 +690,7 @@ def cmd_report(out_dir: str) -> int:
                 metrics = json.load(fh)
             lines.append("metrics: " + "  ".join(f"{k} {v:.4g}"
                                                  for k, v in sorted(metrics.items())))
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise DataError(f"malformed run artifact in {out_dir}: {exc!r}") from None
     if not lines:
         raise DataError(f"no run artifacts found in {out_dir}")
@@ -744,8 +739,8 @@ def main(argv=None) -> int:
             return cmd_report(args.out)
         config = load_config(args.config)
         if args.seed is not None:
-            config.resolved["run"]["seeds"] = (check("seed", args.seed, ConfigError, "--seed"),)
-        out_dir = args.out if args.out is not None else config.resolved["run"]["out"]
+            config["run"]["seeds"] = (check("seed", args.seed, ConfigError, "--seed"),)
+        out_dir = args.out if args.out is not None else config["run"]["out"]
         if args.command == "gen":
             return cmd_gen(config, out_dir)
         if args.command == "train":

@@ -47,7 +47,6 @@ _KDE_BLOCK = 2 ** 20
 class GpsModel:
     """Conditional Gaussian t_m | x, s: linear mean on [x; s; 1], fixed spread."""
 
-    m: int
     coef: np.ndarray
     sigma_resid: float
 
@@ -86,7 +85,6 @@ class MarginalDensity:
 
 @dataclass
 class BalancingWeights:
-    m: int
     raw: np.ndarray
     normalized: np.ndarray
     min_gps_density: float
@@ -117,7 +115,7 @@ def fit_gps(dataset: SpatialDataset, m: int) -> GpsModel:
         coef = np.linalg.solve(gram, design.T @ t)
     resid = t - design @ coef
     sigma = max(float(np.std(resid)), 1e-6)
-    return GpsModel(m=m, coef=coef, sigma_resid=sigma)
+    return GpsModel(coef=coef, sigma_resid=sigma)
 
 
 def marginal_density(dataset: SpatialDataset, m: int) -> MarginalDensity:
@@ -143,7 +141,7 @@ def balancing_weights(dataset: SpatialDataset, m: int, gps: GpsModel,
     marg_dens = marginal.density(t)
     raw = marg_dens / np.maximum(gps_dens, 1e-300)
     normalized = raw / raw.mean()
-    return BalancingWeights(m=m, raw=raw, normalized=normalized,
+    return BalancingWeights(raw=raw, normalized=normalized,
                             min_gps_density=float(gps_dens.min()),
                             positivity_violations=violations)
 
@@ -159,7 +157,6 @@ class EffectReport:
     t_grid: np.ndarray | None = None
     de_curve: np.ndarray | None = None
     ie_curve: np.ndarray | None = None
-    n_draws: int = 0
     de_samples: np.ndarray | None = None     # observed: per-unit DE contrasts
     ie_samples: np.ndarray | None = None     # per-unit (observed) or per-draw (dose)
     sample_units: np.ndarray | None = None   # dose: unit supplying each draw's weight
@@ -246,14 +243,13 @@ def dose_inputs(dataset: SpatialDataset, m: int, t_grid: np.ndarray | None = Non
 
 
 def dose_report(m: int, de_curve: np.ndarray, t_grid: np.ndarray, ie_value: float,
-                n_draws: int, weighted: bool) -> EffectReport:
+                weighted: bool) -> EffectReport:
     """Dose-mode report: the DE curve, a flat IE(t), and their grid means."""
     ie_curve = np.full(t_grid.size, ie_value)
     return EffectReport(treatment=m, mode="dose", de=float(np.mean(de_curve)),
                         ie=float(np.mean(ie_curve)),
                         te=float(np.mean(de_curve + ie_curve)), weighted=weighted,
-                        t_grid=t_grid, de_curve=de_curve, ie_curve=ie_curve,
-                        n_draws=int(n_draws))
+                        t_grid=t_grid, de_curve=de_curve, ie_curve=ie_curve)
 
 
 def reweighted(report: EffectReport, dataset: SpatialDataset,
@@ -270,7 +266,7 @@ def reweighted(report: EffectReport, dataset: SpatialDataset,
     if report.mode == "dose":
         ie_value = float(np.average(report.ie_samples, weights=w[report.sample_units]))
         return replace(dose_report(report.treatment, report.de_curve, report.t_grid,
-                                   ie_value, report.n_draws, flag),
+                                   ie_value, flag),
                        ie_samples=report.ie_samples, sample_units=report.sample_units)
     de_units, ie_units = report.de_samples, report.ie_samples
     return replace(report, de=float(np.average(de_units, weights=w)),
@@ -306,8 +302,8 @@ def estimate_effects_dose(model: SpatialModel, dataset: SpatialDataset, m: int,
         model, dataset, m, dataset.patches[draw_indices, m])
     return reweighted(EffectReport(treatment=m, mode="dose", t_grid=t_grid,
                                    de_curve=model.alphas.data[m, 0] * t_grid,
-                                   n_draws=draw_indices.size, ie_samples=drawn_contrasts,
-                                   sample_units=draw_indices), dataset, weights)
+                                   ie_samples=drawn_contrasts, sample_units=draw_indices),
+                     dataset, weights)
 
 
 def effect_error(report: EffectReport, oracle: EffectReport) -> dict:

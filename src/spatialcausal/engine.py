@@ -920,7 +920,6 @@ class GradCheckReport:
 
     def __init__(self, max_rel_err: float, tolerance: float):
         self.max_rel_err = max_rel_err
-        self.tolerance = tolerance
         self.passed = max_rel_err <= tolerance
 
     def __repr__(self) -> str:
@@ -979,7 +978,6 @@ class Optimizer:
         self.params = list(params)
         if not all(p.requires_grad for p in self.params):
             raise ContractError("optimizer parameters must require gradients")
-        self.step_count = 0
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -1003,7 +1001,6 @@ class SGD(Optimizer):
         self.velocity = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
-        self.step_count += 1
         for p, v in zip(self.params, self.velocity):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             v *= self.momentum
@@ -1023,6 +1020,7 @@ class Adam(Optimizer):
         self.lr = float(check("lr", lr, ContractError))
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        self.step_count = 0
 
     def step(self) -> None:
         self.step_count += 1

@@ -120,6 +120,8 @@ class InducingSet:
         object.__setattr__(self, "points", pts)
         if pts.shape[0] < 1:
             raise ContractError("inducing set needs at least one point")
+        if not np.all(np.isfinite(pts)):
+            raise ContractError("inducing points must be finite")
         if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
             raise ContractError("inducing points must be pairwise distinct")
 

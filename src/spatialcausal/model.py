@@ -249,9 +249,19 @@ def build_model(config: ModelConfig, coords: np.ndarray | None = None) -> Spatia
 
 
 def _assemble(config: ModelConfig, inducing: G.InducingSet | None) -> SpatialModel:
-    """Every component of the model once its inducing points are known."""
+    """Every component of the model once its inducing points are known.  The
+    data-sized arrays, the m x 1 coefficients and each net's first weight, are
+    stated first, as ``DataError`` naming the key to lower."""
+    patch_size = int(np.prod(config.patch_shape, dtype=object))     # exact: never wraps
+    sizes = [("m", "the m x 1 direct coefficients", config.m)]
+    for kind, rows, key, net in ((config.interference, patch_size, "patch_shape", "interference"),
+                                 (config.confounder, config.x_dim, "x_dim", "confounder")):
+        if kind in ("linear", "mlp"):
+            width = config.mlp_width if kind == "mlp" else 1
+            sizes.append(("mlp_width" if kind == "mlp" else key,
+                          f"the {rows} x {width} first {net} weight", rows * width))
+    check_sizes(sizes, DataError)
     alphas = Tensor(np.zeros((config.m, 1)), requires_grad=True)
-    patch_size = int(np.prod(config.patch_shape))
     nets = []
     if config.interference != "none":
         for m in range(config.m):
@@ -556,7 +566,7 @@ def load_model(path: str) -> SpatialModel:
         model.noise_sigma = float(head["noise_sigma"])
     except FormatError:
         raise
-    except (KeyError, TypeError, ValueError, SpatialCausalError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError, SpatialCausalError) as exc:
         raise FormatError(f"malformed checkpoint header: {exc!r}") from None
     if (len(blob) - 8 - hlen) % 8:
         raise FormatError(f"parameter stream of {len(blob) - 8 - hlen} bytes is not "

@@ -138,7 +138,6 @@ class GroundTruth:
 
     beta: float
     interference: object
-    u: np.ndarray
     base: np.ndarray
 
 
@@ -214,7 +213,7 @@ def gen_line_graph(config: LineGraphConfig):
 
     dataset = SpatialDataset(coords=s[:, None], treatments=treatments[:, None],
                              patches=patches, confounders=x, outcomes=y, d_s=3)
-    truth = GroundTruth(beta=beta, interference=interference, u=u, base=base)
+    truth = GroundTruth(beta=beta, interference=interference, base=base)
     return dataset, truth
 
 
@@ -351,8 +350,7 @@ def gen_grid(config: GridConfig, treatment_field: np.ndarray | None = None,
     dataset = SpatialDataset(coords=coords, treatments=treatments[:, None],
                              patches=patches, confounders=confounders,
                              outcomes=y, d_s=config.d_s)
-    truth = GroundTruth(beta=config.beta, interference=interference, u=u,
-                        base=base)
+    truth = GroundTruth(beta=config.beta, interference=interference, base=base)
     return dataset, truth
 
 
@@ -372,4 +370,4 @@ def oracle_effects(truth: GroundTruth, dataset: SpatialDataset, m: int,
                       for patch in dataset.patches[draw_indices, m]])
     contrasts = cross - truth.interference(units, np.zeros(shape))[None, :]
     return dose_report(m, truth.beta * t_grid, t_grid, float(contrasts.mean()),
-                       draw_indices.size, weighted=False)
+                       weighted=False)

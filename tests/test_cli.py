@@ -1,10 +1,14 @@
 """Command-line runner: config schema, subcommands, artifacts, exit codes."""
 
+import contextlib
 import csv
 import dataclasses
+import functools
+import io
 import itertools
 import json
 import math
+import operator
 import os
 import random
 import re
@@ -24,7 +28,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from spatialcausal import cli
 from spatialcausal import engine as E
 from spatialcausal import gp as G
-from spatialcausal.cli import ExperimentConfig, load_config
+from spatialcausal.cli import config_hash, load_config
 from spatialcausal.errors import MAX_ELEMENTS, ConfigError, NumericError
 from spatialcausal.model import (
     ModelConfig,
@@ -154,16 +158,16 @@ def workspace(tmp_path_factory):
 class TestConfig:
     def test_defaults_resolved(self, tmp_path):
         config = load_config(write_ini(tmp_path, "[data]\ngenerator = line\n"))
-        assert config.resolved["data"]["n"] == 500
-        assert config.resolved["data"]["d_s"] == 25
-        assert config.resolved["model"]["mlp_width"] == 256
-        assert config.resolved["train"]["lr"] == 0.001
-        assert config.resolved["effects"]["weighted"] == "both"
-        assert config.resolved["run"]["seeds"] == (0,)
+        assert config["data"]["n"] == 500
+        assert config["data"]["d_s"] == 25
+        assert config["model"]["mlp_width"] == 256
+        assert config["train"]["lr"] == 0.001
+        assert config["effects"]["weighted"] == "both"
+        assert config["run"]["seeds"] == (0,)
 
     def test_percent_in_value_kept_literally(self, tmp_path):
         config = load_config(write_ini(tmp_path, "[run]\nout = runs%x/%%y\n"))
-        assert config.resolved["run"]["out"] == "runs%x/%%y"
+        assert config["run"]["out"] == "runs%x/%%y"
 
     def test_unknown_key_rejected_with_path(self, tmp_path):
         with pytest.raises(ConfigError, match="data.bogus"):
@@ -191,14 +195,14 @@ class TestConfig:
 
     def test_seed_list_parsed(self, tmp_path):
         config = load_config(write_ini(tmp_path, "[run]\nseeds = 3, 1, 4\n"))
-        assert config.resolved["run"]["seeds"] == (3, 1, 4)
+        assert config["run"]["seeds"] == (3, 1, 4)
 
     def test_bool_spellings(self, tmp_path):
         for raw, want in (("on", True), ("Off", False), ("true", True),
                           ("0", False)):
             config = load_config(write_ini(tmp_path,
                                            f"[model]\ngp = {raw}\n"))
-            assert config.resolved["model"]["gp"] is want
+            assert config["model"]["gp"] is want
 
 
 # Every [data], [model] and [train] key that lands in a dataclass field, set to
@@ -308,21 +312,30 @@ class TestConfigHash:
             generator = line
             """)
         b = load_config(write_ini(tmp_path, reordered, "b.ini"))
-        assert a.hash() == b.hash()
+        assert config_hash(a) == config_hash(b)
 
     def test_writing_out_a_default_changes_nothing(self, tmp_path):
         a = load_config(write_ini(tmp_path, "[data]\nn = 60\n", "a.ini"))
         b = load_config(write_ini(tmp_path, "[data]\nn = 60\nx_dim = 4\n",
                                   "b.ini"))
-        assert a.hash() == b.hash()
+        assert config_hash(a) == config_hash(b)
 
     def test_meaningful_key_changes_hash(self, tmp_path):
         a = load_config(write_ini(tmp_path, TINY_INI, "a.ini"))
         b = load_config(write_ini(tmp_path,
                                   TINY_INI.replace("lr = 0.05", "lr = 0.01"),
                                   "b.ini"))
-        assert a.hash() != b.hash()
-        assert len(a.hash()) == 64
+        assert config_hash(a) != config_hash(b)
+        assert len(config_hash(a)) == 64
+
+    @pytest.mark.parametrize("name,digest", [
+        ("line_mlp_gp", "6d1c44449b7e110c2d9a6ae6dba933d8b155db39f35906817b894baf3ccedae7"),
+        ("raster_cli", "72b3106411254dd958289b24bca7e1b5acb9ea63d2dbca6570ee68b7e27c0e88"),
+    ])
+    def test_benchmark_config_hashes_are_pinned(self, name, digest):
+        """A benchmark run's report.json names its config by this hash."""
+        path = Path(__file__).parents[1] / "perfbench" / "configs" / f"{name}.ini"
+        assert config_hash(load_config(str(path))) == digest
 
 
 class TestGen:
@@ -611,7 +624,7 @@ def _two_treatment_setup(tmp_path):
                                     confounder="mlp", mlp_width=5, mlp_depth=2, seed=4))
     for p in model.parameters():
         p.data = rng.normal(size=p.data.shape)
-    truth = GroundTruth(beta=1.5, u=np.zeros(n), base=np.zeros(n),
+    truth = GroundTruth(beta=1.5, base=np.zeros(n),
                         interference=lambda idx, pt: np.tanh(pt.sum(axis=-1)) + 0.1 * idx)
     ini = write_ini(tmp_path, TINY_INI.replace(
         "b_draws = 8", "b_draws = 8\nmode = both\nweighted = both"))
@@ -659,7 +672,7 @@ class TestSharedEffectWork:
         monkeypatch.setattr(cli, "oracle_effects", counted("oracle", cli.oracle_effects))
         counts = {}
         for flag in ("on", "off", "both"):
-            config.resolved["effects"]["weighted"] = flag
+            config["effects"]["weighted"] = flag
             calls.update(interference=0, oracle=0)
             cli.estimate_variants(model, dataset, config, truth)
             counts[flag] = dict(calls)
@@ -708,7 +721,7 @@ class TestProtocol:
     def test_report_json_schema(self, proto_dir, workspace):
         rep = json.load(open(os.path.join(proto_dir, "report.json")))
         assert rep["seeds"] == [0, 1]
-        assert rep["config_hash"] == load_config(workspace["ini"]).hash()
+        assert rep["config_hash"] == config_hash(load_config(workspace["ini"]))
         assert len(rep["per_seed"]) == 2
         for rec in rep["per_seed"]:
             assert set(rec["errors"]) == {"unweighted", "weighted"}
@@ -1289,16 +1302,21 @@ MALFORMED_FILES = [
 _GRID_HEADER_OFFSETS = {"origin_x": 16, "origin_y": 24, "resolution": 32}
 
 
-def _run_under_a_memory_limit(argv):
-    """``python -m spatialcausal argv`` in a child that may map only 1.5 GB."""
+def _python_under_a_memory_limit(args):
+    """``python args`` in a child that may map only 1.5 GB."""
     resource = pytest.importorskip("resource")
     limit = 1_500_000 * 1024
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    return subprocess.run([sys.executable, "-m", "spatialcausal"] + argv, env=_module_env(),
-                          capture_output=True, text=True, timeout=120, preexec_fn=cap)
+    return subprocess.run([sys.executable] + args, env=_module_env(), capture_output=True,
+                          text=True, timeout=120, preexec_fn=cap)
+
+
+def _run_under_a_memory_limit(argv):
+    """``python -m spatialcausal argv`` in a child that may map only 1.5 GB."""
+    return _python_under_a_memory_limit(["-m", "spatialcausal"] + argv)
 
 
 def _assert_one_error_line_under_a_memory_limit(argv, expected):
@@ -1386,6 +1404,22 @@ class TestMalformedFiles:
             ["train", "--config", write_ini(tmp_path, TINY_INI), "--data", data,
              "--out", str(tmp_path / "out")],
             "data_error\td_s: the 1 x 1000000060 zero-padded ")
+
+    def test_oversized_first_weight_ends_as_a_data_error_under_a_memory_limit(self, tmp_path):
+        """The benchmark line config on 10 units, its manifest's ``d_s`` raised
+        to 2000001: the MLP's d_s x mlp_width first weight is stated before
+        numpy allocates it."""
+        ini = write_ini(tmp_path, (Path(__file__).parents[1] / "perfbench" / "configs"
+                                   / "line_mlp_gp.ini").read_text().replace("n = 500", "n = 10"))
+        data = tmp_path / "data"
+        assert cli.main(["gen", "--config", ini, "--out", str(data)]) == 0
+        manifest = data / "run.manifest"
+        assert "d_s = 3" in manifest.read_text()
+        manifest.write_text(manifest.read_text().replace("d_s = 3", "d_s = 2000001"))
+        _assert_one_error_line_under_a_memory_limit(
+            ["train", "--config", ini, "--data", str(data), "--out", str(tmp_path / "out")],
+            "data_error\tmlp_width: the 2000001 x 256 first interference weight would hold "
+            f"512000256 elements, over the cap of {MAX_ELEMENTS}\n")
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize("model,expected", [
@@ -1552,3 +1586,117 @@ class TestCorruptionSweep:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert re.fullmatch(rf"{code}\t[^\n]*\n", err), err
+
+
+# each value of a JSON file is replaced by each of these in turn, then dropped
+_JSON_VALUES = {"0": 0, "-1": -1, "2**63": 2 ** 63, "NaN": math.nan, '"a"': "a", "[1]": [1],
+                "10**10": 10 ** 10, "deep": "<deep>"}
+# nested too deeply for the json module to parse
+_DEEP_LIST = "[" * 100000 + "]" * 100000
+
+
+def _json_paths(node, path=()):
+    """The path of every value inside ``node``: each dict value and list item,
+    recursively."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _json_paths(value, path + (key,))
+
+
+def _json_mutations(text):
+    """(label, text) of JSON document ``text`` with each value replaced by each
+    of ``_JSON_VALUES``, then dropped."""
+    for path in _json_paths(json.loads(text)):
+        for label in [*_JSON_VALUES, "drop"]:
+            doc = json.loads(text)
+            parent = functools.reduce(operator.getitem, path[:-1], doc)
+            if label == "drop":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = _JSON_VALUES[label]
+            yield ("/".join(map(str, path)) + "=" + label,
+                   json.dumps(doc).replace('"<deep>"', _DEEP_LIST))
+
+
+def _quiet_main(argv):
+    """(exit status or the exception raised, stderr) of ``cli.main(argv)``, with
+    RuntimeWarnings raised as errors and other warnings kept off stderr."""
+    err = io.StringIO()
+    with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err),
+          warnings.catch_warnings(record=True)):
+        warnings.simplefilter("always")
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            status = cli.main(argv)
+        except Exception as exc:
+            status = repr(exc)[:200]
+    return status, err.getvalue()
+
+
+def _json_mutation_sweep(root):
+    """Runs every mutation of the JSON files of ``json_run`` workspace ``root``
+    through the command that reads it, in this process, and prints the row
+    count and the rows that neither exit 0 nor exit 2 with one error line."""
+    root = Path(root)
+    ini, data, ckpt, runs = (str(root / "exp.ini"), str(root / "data"),
+                             root / "fit" / "model.ckpt", root / "runs")
+    out = ["--out", str(root / "out")]
+    commands = {
+        ckpt: ["eval", "--config", ini, "--ckpt", str(ckpt), "--data", data] + out,
+        root / "data" / "truth.json": ["effects", "--config", ini, "--ckpt", str(ckpt),
+                                       "--data", data] + out,
+        runs / "report.json": ["report", "--out", str(runs)],
+        runs / "metrics.json": ["report", "--out", str(runs)],
+    }
+    rows, failed = 0, []
+    for path, argv in commands.items():
+        good = path.read_bytes()
+        if path == ckpt:
+            (hlen,) = struct.unpack("<I", good[4:8])
+            text, encode = good[8:8 + hlen].decode(), lambda t: _ckpt(t.encode()) + good[8 + hlen:]
+        else:
+            text, encode = good.decode(), str.encode
+        for label, mutated in _json_mutations(text):
+            path.write_bytes(encode(mutated))
+            status, err = _quiet_main(argv)
+            rows += 1
+            if not (status == 0 or status == 2 and re.fullmatch(r"[a-z_]+_error\t[^\n]*\n", err)):
+                failed.append(f"{path.name}:{label}: {status} {err[:200]!r}")
+        path.write_bytes(good)
+    print(json.dumps({"rows": rows, "failed": failed}))
+
+
+@pytest.fixture(scope="module")
+def json_run(tmp_path_factory):
+    """A 60-unit line dataset, an MLP + GP checkpoint trained for one epoch, and
+    a run directory with report.json and metrics.json."""
+    root = tmp_path_factory.mktemp("json_run")
+    ini = write_ini(root, TINY_INI.replace("interference = linear\nconfounder = linear\n",
+                                           "interference = mlp\nconfounder = mlp\n"
+                                           "mlp_width = 8\nmlp_depth = 1\ngp = true\nq = 10\n")
+                    .replace("epochs = 12", "epochs = 1"))
+    data, fit, runs = str(root / "data"), str(root / "fit"), str(root / "runs")
+    for argv in (["gen", "--out", data], ["train", "--data", data, "--out", fit],
+                 ["effects", "--out", runs],
+                 ["eval", "--ckpt", os.path.join(fit, "model.ckpt"), "--data", data,
+                  "--out", runs]):
+        assert cli.main(argv + ["--config", ini]) == 0
+    return root
+
+
+class TestJsonMutationSweep:
+    """Every value of the checkpoint header, truth.json, report.json and
+    metrics.json set to each of ``_JSON_VALUES`` or dropped: its command exits
+    0, or exits 2 with one ``code<TAB>message`` line.  All rows run in one
+    child that may map only 1.5 GB."""
+
+    def test_every_row_exits_0_or_with_one_error_line(self, json_run):
+        proc = _python_under_a_memory_limit(
+            ["-c", f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
+                   f"import test_cli; test_cli._json_mutation_sweep({str(json_run)!r})"])
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["rows"] > 600
+        assert result["failed"] == []

@@ -62,7 +62,7 @@ class TestIniSweep:
         path = tmp_path / "exp.ini"
         path.write_text(f"[{section}]\n{key} = {raw}\n")
         if raw in ACCEPTED.get((section, key), ()):
-            got = cli.load_config(str(path)).resolved[section][key]
+            got = cli.load_config(str(path))[section][key]
             want = float(raw) if cli._SCHEMA[section][key][0] == "float" else int(raw)
             assert got == ((want,) if key == "seeds" else want)
         else:
@@ -75,7 +75,7 @@ class TestIniSweep:
         path.write_text("[data]\n")
         defaults = {s: {k: spec[1] for k, spec in schema.items()}
                     for s, schema in cli._SCHEMA.items()}
-        assert cli.load_config(str(path)).resolved == defaults
+        assert cli.load_config(str(path)) == defaults
 
 
 def _line_data():

@@ -72,9 +72,9 @@ def mlp_model(x_dim=2, seed=3):
     return model
 
 
-def manual_weights(values, m=0):
+def manual_weights(values):
     w = np.asarray(values, dtype=np.float64)
-    return BalancingWeights(m=m, raw=w, normalized=w, min_gps_density=1.0,
+    return BalancingWeights(raw=w, normalized=w, min_gps_density=1.0,
                             positivity_violations=())
 
 
@@ -98,7 +98,7 @@ class TestGps:
         assert gps.sigma_resid == pytest.approx(1e-6)  # noiseless, floored
 
     def test_density_is_normal_pdf(self):
-        gps = GpsModel(m=0, coef=np.zeros(4), sigma_resid=2.0)
+        gps = GpsModel(coef=np.zeros(4), sigma_resid=2.0)
         x = np.zeros((1, 2))
         s = np.zeros((1, 1))
         at_mean = gps.density(np.array([0.0]), x, s)[0]
@@ -118,7 +118,7 @@ class TestGps:
     @pytest.mark.parametrize("shape", [(5,), (4, 1), (5, 1, 1), ()],
                              ids=["one_d", "too_few_rows", "three_d", "scalar"])
     def test_confounders_not_n_by_dx_are_dimension_error(self, shape):
-        gps = GpsModel(m=0, coef=np.zeros(3), sigma_resid=1.0)
+        gps = GpsModel(coef=np.zeros(3), sigma_resid=1.0)
         with pytest.raises(DimensionError) as info:
             gps.density(np.zeros(5), np.zeros(shape), np.zeros((5, 1)))
         assert f"got {shape} and coordinates (5, 1)" in str(info.value)
@@ -178,7 +178,7 @@ class TestMarginal:
 
 class _Flat(GpsModel):
     def __init__(self, value):
-        super().__init__(m=0, coef=np.zeros(4), sigma_resid=1.0)
+        super().__init__(coef=np.zeros(4), sigma_resid=1.0)
         self.value = value
 
     def density(self, t_values, confounders, coords):
@@ -210,7 +210,7 @@ class TestWeights:
 
     def test_positivity_violation_warns(self):
         ds = make_dataset(n=8, t_values=[1.0] * 4 + [1.1] * 4)
-        gps = GpsModel(m=0, coef=np.zeros(4), sigma_resid=1e-6)
+        gps = GpsModel(coef=np.zeros(4), sigma_resid=1e-6)
         with pytest.warns(UserWarning, match="positivity"):
             bw = balancing_weights(ds, 0, gps, _FlatMarginal(0.2))
         assert len(bw.positivity_violations) == 8
@@ -335,7 +335,6 @@ class TestDoseMode:
         rep = estimate_effects_dose(model, ds, 0)
         assert_array_equal(rep.de_curve, 2.0 * rep.t_grid)
         assert rep.de == pytest.approx(np.mean(2.0 * rep.t_grid))
-        assert rep.n_draws == 32
         assert_array_equal(rep.sample_units, dose_draw_indices(10, 32, 0))
 
     def test_indirect_curve_constant_under_additivity(self):

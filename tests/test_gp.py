@@ -96,6 +96,11 @@ class TestInducing:
         with pytest.raises(ContractError):
             G.InducingSet(np.array([[1.0, 2.0], [1.0, 2.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_point_rejected(self, bad):
+        with pytest.raises(ContractError, match="^inducing points must be finite$"):
+            G.InducingSet(np.array([[0.0], [bad]]))
+
 
 class TestNystrom:
     def test_full_rank_exactness(self):

@@ -52,6 +52,7 @@ def test_package_import_loads_no_thread_pool():
     mods = _scipy_modules_after("import spatialcausal\n"
                                 "import sys, threading\n"
                                 "assert 'concurrent.futures' not in sys.modules\n"
+                                "assert 'multiprocessing' not in sys.modules\n"
                                 "assert threading.active_count() == 1")
     assert mods == set()
 

@@ -390,6 +390,59 @@ class TestConvActivationSizes:
             M.evaluate(model, patch_dataset((5, 5), n=11, m=1))
 
 
+# (ModelConfig change from one treatment, linear nets, (3,) patches, x_dim 2,
+# mlp_width 4 and every other size at most 36 elements; the key the error
+# names; the array; its element count)
+FIRST_WEIGHT_SIZES = [
+    ({"m": 40}, "m", "the m x 1 direct coefficients", 40),
+    ({"patch_shape": (41,)}, "patch_shape", "the 41 x 1 first interference weight", 41),
+    ({"interference": "mlp", "patch_shape": (11,)}, "mlp_width",
+     "the 11 x 4 first interference weight", 44),
+    ({"x_dim": 42}, "x_dim", "the 42 x 1 first confounder weight", 42),
+    ({"confounder": "mlp", "x_dim": 11}, "mlp_width", "the 11 x 4 first confounder weight", 44),
+]
+
+
+class TestInputSizedWeights:
+    """The m x 1 coefficients and each net's first weight, whose rows the data
+    sets, are stated before they are allocated, with the cap lowered to just
+    under the array (the model's other arrays stay under it)."""
+
+    @staticmethod
+    def _config(change):
+        return M.ModelConfig(**{"m": 1, "patch_shape": (3,), "x_dim": 2, "interference": "linear",
+                                "confounder": "linear", "mlp_width": 4, "mlp_depth": 1,
+                                "q": 1, "cnn_channels": 1, "cnn_depth": 1, "unet_base": 1,
+                                "unet_depth": 1, **change})
+
+    @pytest.mark.parametrize("change,key,array,count", FIRST_WEIGHT_SIZES,
+                             ids=[row[2].split(" ", 1)[1] for row in FIRST_WEIGHT_SIZES])
+    def test_build_model(self, monkeypatch, change, key, array, count):
+        config = self._config(change)
+        monkeypatch.setattr(errors, "MAX_ELEMENTS", count)
+        M.build_model(config)
+        monkeypatch.setattr(errors, "MAX_ELEMENTS", count - 1)
+        with pytest.raises(DataError, match=rf"^{key}: {array} would hold {count} elements, "
+                                            rf"over the cap of {count - 1}$"):
+            M.build_model(config)
+
+    def test_patch_entries_counted_exactly(self):
+        """A patch whose entries number 2**64 + 2**32, which int64 arithmetic
+        would wrap to 2**32."""
+        with pytest.raises(DataError, match=rf"^patch_shape: the {2 ** 64 + 2 ** 32} x 1 first "):
+            M.build_model(self._config({"patch_shape": (2 ** 32 + 1, 2 ** 32)}))
+
+    @pytest.mark.parametrize("change,key,array,count", FIRST_WEIGHT_SIZES,
+                             ids=[row[2].split(" ", 1)[1] for row in FIRST_WEIGHT_SIZES])
+    def test_load_model(self, tmp_path, monkeypatch, change, key, array, count):
+        path = str(tmp_path / "model.ckpt")
+        M.save_model(M.build_model(self._config(change)), path)
+        monkeypatch.setattr(errors, "MAX_ELEMENTS", count - 1)
+        with pytest.raises(FormatError, match=rf"^malformed checkpoint header: "
+                                              rf"DataError\('{key}: {array} would hold"):
+            M.load_model(path)
+
+
 class TestCheckpoint:
     @pytest.mark.parametrize("gp", ["off", "fixed", "trained"])
     @pytest.mark.parametrize("interference", ["linear", "mlp", "cnn", "unet", "none"])

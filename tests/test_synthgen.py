@@ -186,7 +186,7 @@ class TestLineGraph:
         assert_array_equal(ds.treatments, ds2.treatments)
         assert_array_equal(ds.confounders, ds2.confounders)
         assert truth.beta == truth2.beta
-        assert_array_equal(truth.u, truth2.u)
+        assert_array_equal(truth.base, truth2.base)
 
     def test_seed_splits_into_streams(self):
         # stream k of seed s is seeded 10 * s + k; the confounders are stream 0
@@ -271,7 +271,7 @@ class TestGridGen:
         assert ds.n_units == 20
         assert ds.patches.shape == (20, 1, 11, 11)
         assert ds.confounders.shape == (20, 3)
-        assert truth.u.shape == (20,)
+        assert truth.base.shape == (20,)
 
     def test_onehot_confounders(self, grid_generated):
         ds, _ = grid_generated
@@ -344,8 +344,7 @@ def flat_truth(n, beta, interference=None):
     if interference is None:
         def interference(indices, patches):
             return np.zeros(np.atleast_2d(patches).shape[0])
-    return GroundTruth(beta=beta, interference=interference, u=np.zeros(n),
-                       base=np.zeros(n))
+    return GroundTruth(beta=beta, interference=interference, base=np.zeros(n))
 
 
 def line_style_dataset(n=10, seed=0):
