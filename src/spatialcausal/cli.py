@@ -421,14 +421,6 @@ def write_error_tables(out_dir: str, records) -> dict:
     return summary
 
 
-def _flatten_metrics(metrics: dict) -> dict:
-    out = {}
-    for stratum, vals in metrics.items():
-        out[f"r2_{stratum}"] = vals["r2"]
-        out[f"mae_{stratum}"] = vals["mae"]
-    return out
-
-
 def _resolve_dataset_path(data_arg: str) -> str:
     if os.path.isdir(data_arg):
         return os.path.join(data_arg, "run.manifest")
@@ -546,7 +538,7 @@ def cmd_effects(config: dict, ckpt: str | None, data_arg: str | None,
 def cmd_eval(config: dict, ckpt: str, data_arg: str,
              out_dir: str) -> int:
     dataset, model = _load_fitted(ckpt, data_arg)
-    metrics = _flatten_metrics(evaluate(model, dataset))
+    metrics = evaluate(model, dataset)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "metrics.json")
     with open(path, "w") as fh:
@@ -656,7 +648,7 @@ def cmd_gradcheck() -> int:
     failures = 0
     count = 0
     for name, fn, params in _gradcheck_cases():
-        report = E.finite_diff_check(fn, params, tolerance=1e-4, step=1e-5)
+        report = E.finite_diff_check(fn, params, tolerance=1e-4)
         verdict = "pass" if report.passed else "FAIL"
         print(f"{name}\t{report.max_rel_err:.3e}\t{verdict}")
         count += 1

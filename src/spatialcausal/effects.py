@@ -307,21 +307,21 @@ def estimate_effects_dose(model: SpatialModel, dataset: SpatialDataset, m: int,
 
 
 def effect_error(report: EffectReport, oracle: EffectReport) -> dict:
-    """Mean absolute DE/IE curve gaps and the absolute TE gap."""
+    """Mean absolute DE/IE curve gaps and the absolute TE gap of a dose report
+    against its dose-mode oracle on the same t-grid.  Any other pair of reports
+    raises ``ContractError``: no oracle exists for observed mode."""
     if report.mode != oracle.mode:
         raise ContractError(f"mode mismatch: {report.mode} vs {oracle.mode}")
-    if (report.t_grid is None) != (oracle.t_grid is None):
-        raise ContractError("one report has a t-grid, the other does not")
-    if report.t_grid is not None:
-        if (report.t_grid.shape != oracle.t_grid.shape
-                or not np.allclose(report.t_grid, oracle.t_grid, atol=1e-12)):
-            raise ContractError("t-grids differ between report and oracle")
-        de_err = float(np.mean(np.abs(report.de_curve - oracle.de_curve)))
-        ie_err = float(np.mean(np.abs(report.ie_curve - oracle.ie_curve)))
-    else:
-        de_err = abs(report.de - oracle.de)
-        ie_err = abs(report.ie - oracle.ie)
-    return {"de_err": de_err, "ie_err": ie_err, "te_err": abs(report.te - oracle.te)}
+    if report.mode != "dose":
+        raise ContractError(f"effect errors compare dose reports, got {report.mode}")
+    if report.t_grid is None or oracle.t_grid is None:
+        raise ContractError("a dose report has no t-grid")
+    if (report.t_grid.shape != oracle.t_grid.shape
+            or not np.allclose(report.t_grid, oracle.t_grid, atol=1e-12)):
+        raise ContractError("t-grids differ between report and oracle")
+    return {"de_err": float(np.mean(np.abs(report.de_curve - oracle.de_curve))),
+            "ie_err": float(np.mean(np.abs(report.ie_curve - oracle.ie_curve))),
+            "te_err": abs(report.te - oracle.te)}
 
 
 def weight_diagnostics(weights: BalancingWeights) -> dict:

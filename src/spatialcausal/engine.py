@@ -928,13 +928,15 @@ class GradCheckReport:
 
 
 def finite_diff_check(fn: Callable[[], Tensor], params: Iterable[Tensor],
-                      tolerance: float = 1e-4, step: float = 1e-5) -> GradCheckReport:
+                      tolerance: float = 1e-4) -> GradCheckReport:
     """Compare tape gradients of ``fn`` against central differences.
 
     ``fn`` takes no arguments and recomputes the scalar loss from the current
-    contents of ``params``; each coordinate is perturbed in place by ``step``.
-    The relative error for a coordinate is |a - n| / max(|a|, |n|, 1e-8).
+    contents of ``params``; each coordinate is perturbed in place by 1e-5
+    either way.  The report passes when no coordinate's relative error
+    |a - n| / max(|a|, |n|, 1e-8) exceeds ``tolerance``.
     """
+    step = 1e-5
     params = list(params)
     for p in params:
         if not p.requires_grad:

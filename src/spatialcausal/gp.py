@@ -332,21 +332,12 @@ def grid_draw(root: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_gp_grid(rows: int, cols: int, kernel: KernelSpec, resolution: float,
-                   seed: int, n_draws: int | None = None) -> np.ndarray:
-    """Zero-mean stationary field on a regular grid via circulant embedding.
-
-    ``circulant_root`` factors the embedding once; each draw is one
-    ``grid_draw`` from a single ``default_rng(seed)``, ``seed`` a whole
-    number >= 0.  Returns (rows, cols), or (n_draws, rows, cols) when
-    n_draws, a whole number >= 1, is given.
+                   seed: int) -> np.ndarray:
+    """One zero-mean stationary (rows, cols) field via circulant embedding:
+    ``grid_draw(circulant_root(...), default_rng(seed))``, ``seed`` a whole
+    number >= 0.  To draw many fields, factor the root once and call
+    ``grid_draw`` with one generator.
     """
     check("seed", seed, ContractError)
-    count = 1 if n_draws is None else check("n_draws", n_draws, ContractError)
-    root = circulant_root(rows, cols, kernel, resolution)
-    rng = np.random.default_rng(seed)
-    out = np.empty((count, rows, cols))
-    for k in range(count):
-        out[k] = grid_draw(root, rng)
-    if n_draws is None:
-        return out[0]
-    return out
+    return grid_draw(circulant_root(rows, cols, kernel, resolution),
+                     np.random.default_rng(seed))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -477,10 +477,12 @@ def train(model: SpatialModel, dataset: SpatialDataset, cfg: TrainConfig,
 
 
 def evaluate(model: SpatialModel, dataset: SpatialDataset) -> dict:
-    """R-squared and MAE overall and per treatment-percentile stratum.
+    """R-squared and MAE overall and per treatment-percentile stratum, as the
+    flat ``r2_<stratum>`` and ``mae_<stratum>`` keys of ``metrics.json``.
 
-    Strata split on treatment 1: below its 30th percentile, between, above
-    the 70th.  Empty strata are omitted from the result.
+    The strata are ``all`` and a split on treatment 1: ``low`` below its 30th
+    percentile, ``mid`` between, ``high`` above the 70th.  Empty strata are
+    omitted from the result.
     """
     mask = dataset.observed_mask()
     if not mask.any():
@@ -492,23 +494,19 @@ def evaluate(model: SpatialModel, dataset: SpatialDataset) -> dict:
     t1 = obs.treatments[:, 0]
     lo, hi = np.percentile(t1, [30.0, 70.0])
 
-    def metrics(sel: np.ndarray) -> dict | None:
+    out = {}
+    for name, sel in (("all", np.ones(y.size, dtype=bool)), ("low", t1 < lo),
+                      ("mid", (t1 >= lo) & (t1 <= hi)), ("high", t1 > hi)):
         if not sel.any():
-            return None
+            continue
         yy, pp = y[sel], pred[sel]
         ss_res = float(np.sum((yy - pp) ** 2))
         ss_tot = float(np.sum((yy - yy.mean()) ** 2))
         if ss_tot == 0.0:
-            r2 = 1.0 if ss_res == 0.0 else 0.0
+            out[f"r2_{name}"] = 1.0 if ss_res == 0.0 else 0.0
         else:
-            r2 = 1.0 - ss_res / ss_tot
-        return {"r2": r2, "mae": float(np.mean(np.abs(yy - pp)))}
-
-    out = {"all": metrics(np.ones(y.size, dtype=bool))}
-    for name, sel in (("low", t1 < lo), ("mid", (t1 >= lo) & (t1 <= hi)), ("high", t1 > hi)):
-        m = metrics(sel)
-        if m is not None:
-            out[name] = m
+            out[f"r2_{name}"] = 1.0 - ss_res / ss_tot
+        out[f"mae_{name}"] = float(np.mean(np.abs(yy - pp)))
     return out
 
 
@@ -541,6 +539,10 @@ def save_model(model: SpatialModel, path: str) -> None:
 
 
 def load_model(path: str) -> SpatialModel:
+    """The model ``save_model`` wrote.  The parameter stream is checked against
+    the count the header implies before the header's m treatments are built:
+    a one-treatment model's parameters, plus m - 1 coefficients and m - 1
+    interference nets of that model's sizes."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _CKPT_MAGIC:
@@ -562,29 +564,32 @@ def load_model(path: str) -> SpatialModel:
             fields["kernel"] = G.KernelSpec(**fields["kernel"])
         config = ModelConfig(**fields)
         inducing = G.InducingSet(head["inducing"]) if config.gp else None
-        model = _assemble(config, inducing)
-        model.noise_sigma = float(head["noise_sigma"])
+        model = _assemble(replace(config, m=1), inducing)
+        noise_sigma = float(head["noise_sigma"])
+        per_net = sum(p.data.size for net in model.interference_nets for p in net.params)
+        need = sum(p.data.size for p in model.parameters()) + (config.m - 1) * (1 + per_net)
+        if (len(blob) - 8 - hlen) % 8:
+            raise FormatError(f"parameter stream of {len(blob) - 8 - hlen} bytes is not "
+                              "whole float64 values")
+        stream = np.frombuffer(blob[8 + hlen:], dtype="<f8")
+        if stream.size < need:
+            raise FormatError(f"parameter stream truncated: need {need} values, "
+                              f"have {stream.size}")
+        if stream.size > need:
+            raise FormatError(f"parameter stream has {stream.size - need} trailing values")
+        bad = np.flatnonzero(~np.isfinite(stream))
+        if bad.size:
+            raise FormatError(f"parameter stream holds {bad.size} non-finite values, "
+                              f"the first at value {bad[0]}")
+        if config.m > 1:
+            model = _assemble(config, inducing)
+        model.noise_sigma = noise_sigma
     except FormatError:
         raise
     except (KeyError, TypeError, ValueError, RecursionError, SpatialCausalError) as exc:
         raise FormatError(f"malformed checkpoint header: {exc!r}") from None
-    if (len(blob) - 8 - hlen) % 8:
-        raise FormatError(f"parameter stream of {len(blob) - 8 - hlen} bytes is not "
-                          "whole float64 values")
-    stream = np.frombuffer(blob[8 + hlen:], dtype="<f8")
-    params = model.parameters()
-    need = sum(p.data.size for p in params)
-    if stream.size < need:
-        raise FormatError(f"parameter stream truncated: need {need} values, "
-                          f"have {stream.size}")
-    if stream.size > need:
-        raise FormatError(f"parameter stream has {stream.size - need} trailing values")
-    bad = np.flatnonzero(~np.isfinite(stream))
-    if bad.size:
-        raise FormatError(f"parameter stream holds {bad.size} non-finite values, "
-                          f"the first at value {bad[0]}")
     off = 0
-    for p in params:
+    for p in model.parameters():
         p.data = stream[off:off + p.data.size].reshape(p.data.shape).copy()
         off += p.data.size
     return model

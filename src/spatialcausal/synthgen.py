@@ -161,13 +161,14 @@ class LineGraphConfig:
                 ("x_dim", "the n x x_dim confounders", n * data["x_dim"]))
 
 
-def line_graph_covariance(coords: np.ndarray, sigma_d: float,
-                          sigma_l: float) -> np.ndarray:
-    """Distance-decay covariance with absolute-distance decay.
+def line_graph_covariance(coords: np.ndarray) -> np.ndarray:
+    """Distance-decay covariance of the line generator's positions ``coords``.
 
-    Entries (1/(sigma_d*sqrt(2*pi))) * exp(-|s_i - s_j| / (2*sigma_l^2)):
-    the absolute (not squared) distance in the exponent is deliberate.
+    Entries (1/(sigma_d*sqrt(2*pi))) * exp(-|s_i - s_j| / (2*sigma_l^2)) with
+    sigma_d = sigma_l = 0.5: the absolute (not squared) distance in the
+    exponent is deliberate.
     """
+    sigma_d = sigma_l = 0.5
     s = np.asarray(coords, dtype=np.float64).ravel()
     dist = np.abs(s[:, None] - s[None, :])
     pref = 1.0 / (sigma_d * math.sqrt(2.0 * math.pi))
@@ -180,7 +181,7 @@ def gen_line_graph(config: LineGraphConfig):
     s = np.linspace(0.0, 1.0, n)
     x_seed, u_seed, net_seed, noise_seed = _stream_seeds(config.seed)
     x = np.random.default_rng(x_seed).normal(0.0, 1.0, (n, config.x_dim))
-    cov = line_graph_covariance(s, sigma_d=0.5, sigma_l=0.5)
+    cov = line_graph_covariance(s)
     chol, _ = chol_with_jitter(cov, 1e-10)
     u = chol @ np.random.default_rng(u_seed).standard_normal(n)
 

@@ -1421,6 +1421,25 @@ class TestMalformedFiles:
             "data_error\tmlp_width: the 2000001 x 256 first interference weight would hold "
             f"512000256 elements, over the cap of {MAX_ELEMENTS}\n")
 
+    def test_header_m_past_the_stream_ends_before_the_nets_are_built(self, workspace,
+                                                                     tmp_path):
+        """The 60-unit linear checkpoint holds 7 values; its header's ``m`` set
+        to 2**24 implies 4 more per extra treatment.  The stream is rejected
+        before 2**24 nets are built; the child may map only 1.5 GB."""
+        blob = Path(workspace["ckpt"]).read_bytes()
+        (hlen,) = struct.unpack("<I", blob[4:8])
+        assert len(blob) == 8 + hlen + 7 * 8
+        head = json.loads(blob[8:8 + hlen])
+        assert head["config"]["m"] == 1
+        head["config"]["m"] = 2 ** 24
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(_ckpt(json.dumps(head).encode()) + blob[8 + hlen:])
+        _assert_one_error_line_under_a_memory_limit(
+            ["eval", "--config", workspace["ini"], "--ckpt", str(ckpt), "--data",
+             workspace["data"], "--out", str(tmp_path / "out")],
+            f"format_error\tparameter stream truncated: need {7 + (2 ** 24 - 1) * 4} values, "
+            "have 7\n")
+
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize("model,expected", [
         ("linear\ngp = true\nq = 2000", "data_error\tq: the 150000 x q GP features "),
@@ -1635,6 +1654,15 @@ def _quiet_main(argv):
     return status, err.getvalue()
 
 
+def _failed_row(argv):
+    """None when ``cli.main(argv)`` exits 0, or exits 2 with one
+    ``code<TAB>message`` line; else its status and the start of its stderr."""
+    status, err = _quiet_main(argv)
+    if status == 0 or status == 2 and re.fullmatch(r"[a-z_]+_error\t[^\n]*\n", err):
+        return None
+    return f"{status} {err[:200]!r}"
+
+
 def _json_mutation_sweep(root):
     """Runs every mutation of the JSON files of ``json_run`` workspace ``root``
     through the command that reads it, in this process, and prints the row
@@ -1660,10 +1688,10 @@ def _json_mutation_sweep(root):
             text, encode = good.decode(), str.encode
         for label, mutated in _json_mutations(text):
             path.write_bytes(encode(mutated))
-            status, err = _quiet_main(argv)
+            failure = _failed_row(argv)
             rows += 1
-            if not (status == 0 or status == 2 and re.fullmatch(r"[a-z_]+_error\t[^\n]*\n", err)):
-                failed.append(f"{path.name}:{label}: {status} {err[:200]!r}")
+            if failure:
+                failed.append(f"{path.name}:{label}: {failure}")
         path.write_bytes(good)
     print(json.dumps({"rows": rows, "failed": failed}))
 
@@ -1699,4 +1727,101 @@ class TestJsonMutationSweep:
         assert proc.returncode == 0, proc.stderr[-2000:]
         result = json.loads(proc.stdout.splitlines()[-1])
         assert result["rows"] > 600
+        assert result["failed"] == []
+
+
+# each u32 size of a grid header, and each float64 field, is set to each of these
+_GRID_SIZE_OFFSETS = {"rows": 4, "cols": 8, "channels": 12}
+_GRID_SIZES = (0, 1, 2 ** 31, 2 ** 32 - 1)
+_GRID_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e308, 5e-324)
+# each run.manifest value is set to each of these, then its line is dropped
+_MANIFEST_VALUES = ("0", "-1", "2.5", "nan", "inf", "1e400", "", "a", "../x.grd", "3,3,3",
+                    "0.5,0.5", "99999999999999999999", "1,1,1,")
+
+
+def _grid_mutations(blob):
+    """(label, bytes) of grid file ``blob`` with each header size and each
+    float field set to each of its values."""
+    for fields, fmt, values in ((_GRID_SIZE_OFFSETS, "<I", _GRID_SIZES),
+                                (_GRID_HEADER_OFFSETS, "<d", _GRID_FLOATS)):
+        for name, offset in fields.items():
+            for value in values:
+                packed = struct.pack(fmt, value)
+                yield f"{name}={value}", blob[:offset] + packed + blob[offset + len(packed):]
+
+
+def _manifest_mutations(blob):
+    """(label, bytes) of manifest ``blob`` with each key's value set to each of
+    ``_MANIFEST_VALUES``, then its line dropped."""
+    lines = blob.decode().splitlines(keepends=True)
+    for k, line in enumerate(lines):
+        key, sep, _ = line.partition(" = ")
+        if sep:
+            for value in [*_MANIFEST_VALUES, None]:
+                edit = [] if value is None else [f"{key} = {value}\n"]
+                yield f"{key}={value}", "".join(lines[:k] + edit + lines[k + 1:]).encode()
+
+
+def _grid_manifest_sweep(*roots):
+    """Runs every mutation of the grids and manifest of each workspace in
+    ``roots``, laid out as ``json_run``'s, through ``train``, ``eval`` and
+    ``effects --ckpt``, in this process, and prints the row count and the rows
+    that neither exit 0 nor exit 2 with one error line."""
+    rows, failed = 0, []
+    for root in map(Path, roots):
+        common = ["--config", str(root / "exp.ini"), "--data", str(root / "data"),
+                  "--out", str(root / "out")]
+        ckpt = ["--ckpt", str(root / "fit" / "model.ckpt")]
+        commands = (["train"] + common, ["eval"] + ckpt + common, ["effects"] + ckpt + common)
+        for name in ("treatment_1.grd", "confounder.grd", "outcome.grd", "run.manifest"):
+            path = root / "data" / name
+            good = path.read_bytes()
+            mutations = _manifest_mutations if name == "run.manifest" else _grid_mutations
+            for label, mutated in mutations(good):
+                path.write_bytes(mutated)
+                for argv in commands:
+                    failure = _failed_row(argv)
+                    rows += 1
+                    if failure:
+                        failed.append(f"{root.name}/{name}:{label}:{argv[0]}: {failure}")
+            path.write_bytes(good)
+    print(json.dumps({"rows": rows, "failed": failed}))
+
+
+@pytest.fixture(scope="module")
+def grid_gen_run(tmp_path_factory):
+    """``json_run``'s layout for the grid generator: a 24 x 24 grid (d_s = 3,
+    30 units) and a CNN + trained-lengthscale GP checkpoint trained for one
+    epoch."""
+    root = tmp_path_factory.mktemp("grid_gen_run")
+    text = ROUTE_CONFIGS["grid_unet_gp"]
+    for old, new in (("d_s = 5", "d_s = 3"), ("n_units = 60", "n_units = 30"),
+                     ("unet\nunet_base = 2\nunet_depth = 1", "cnn\ncnn_channels = 2\n"
+                                                              "cnn_depth = 1"),
+                     ("epochs = 3", "epochs = 1")):
+        assert old in text
+        text = text.replace(old, new)
+    ini = write_ini(root, text)
+    data, fit = str(root / "data"), str(root / "fit")
+    assert cli.main(["gen", "--config", ini, "--out", data]) == 0
+    assert cli.main(["train", "--config", ini, "--data", data, "--out", fit]) == 0
+    return root
+
+
+class TestGridManifestMutationSweep:
+    """Each u32 size and float64 field of the three grids' headers set to each
+    of ``_GRID_SIZES`` or ``_GRID_FLOATS``, and each manifest value set to each
+    of ``_MANIFEST_VALUES`` or dropped, in ``json_run`` (line generator, MLP +
+    GP) and ``grid_gen_run``: ``train``, ``eval`` and ``effects --ckpt`` each
+    exit 0, or exit 2 with one ``code<TAB>message`` line.  All rows run in one
+    child that may map only 1.5 GB."""
+
+    def test_every_row_exits_0_or_with_one_error_line(self, json_run, grid_gen_run):
+        roots = [str(json_run), str(grid_gen_run)]
+        proc = _python_under_a_memory_limit(
+            ["-c", f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
+                   f"import test_cli; test_cli._grid_manifest_sweep(*{roots!r})"])
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["rows"] == 2 * 3 * (3 * (3 * 4 + 3 * 7) + 6 * 14)
         assert result["failed"] == []

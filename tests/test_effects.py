@@ -530,15 +530,15 @@ class TestErrorsAndCsv:
         with pytest.raises(ContractError):
             effect_error(a, obs)
 
-    def test_observed_error_absolute(self):
+    def test_observed_reports_rejected(self):
+        # no oracle exists for observed mode, so only dose reports are compared
         obs_a = EffectReport(treatment=0, mode="observed", de=1.0, ie=0.5,
                              te=1.5, weighted=False)
         obs_b = EffectReport(treatment=0, mode="observed", de=1.2, ie=0.1,
                              te=1.3, weighted=False)
-        err = effect_error(obs_a, obs_b)
-        assert err["de_err"] == pytest.approx(0.2)
-        assert err["ie_err"] == pytest.approx(0.4)
-        assert err["te_err"] == pytest.approx(0.2)
+        with pytest.raises(ContractError, match="^effect errors compare dose reports, "
+                                                "got observed$"):
+            effect_error(obs_a, obs_b)
 
     def test_csv_layout(self, tmp_path):
         ds = make_dataset(n=10, seed=21)

@@ -278,8 +278,7 @@ class TestConv2d:
         b = E.Tensor(rng.normal(size=3), requires_grad=True)
         g = E.Tensor(rng.normal(size=(2, 3, 3, 5)))
         report = E.finite_diff_check(
-            lambda: E.tsum(E.mul(E.conv2d(x, w, b), g)), [x, w, b],
-            tolerance=1e-4, step=1e-5)
+            lambda: E.tsum(E.mul(E.conv2d(x, w, b), g)), [x, w, b], tolerance=1e-4)
         assert report.passed, report
 
 
@@ -565,7 +564,7 @@ class TestFiniteDiff:
     @pytest.mark.parametrize("kind,fn,params", cli._gradcheck_cases(),
                              ids=lambda v: v if isinstance(v, str) else "")
     def test_every_op_kind(self, kind, fn, params):
-        report = E.finite_diff_check(fn, params, tolerance=1e-4, step=1e-5)
+        report = E.finite_diff_check(fn, params, tolerance=1e-4)
         assert report.passed, f"{kind}: max rel err {report.max_rel_err:.3e}"
 
     def test_constant_fn_passes_with_zero_grads(self):

@@ -273,8 +273,8 @@ class TestEvaluate:
         model.alphas.data[0, 0] = 1.5
         out = M.evaluate(model, data)
         for stratum in ("all", "low", "mid", "high"):
-            assert out[stratum]["r2"] == pytest.approx(1.0)
-            assert out[stratum]["mae"] == pytest.approx(0.0)
+            assert out[f"r2_{stratum}"] == pytest.approx(1.0)
+            assert out[f"mae_{stratum}"] == pytest.approx(0.0)
 
     def test_constant_prediction_r2_zero(self):
         data = line_dataset(n=30, seed=3)
@@ -282,7 +282,7 @@ class TestEvaluate:
         model = M.build_model(M.ModelConfig(m=1, patch_shape=(3,), x_dim=2,
                                             interference="none", confounder="linear"))
         out = M.evaluate(model, data)  # all-zero model predicts the mean (0)
-        assert out["all"]["r2"] == pytest.approx(0.0, abs=1e-12)
+        assert out["r2_all"] == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_built_mae(self):
         coords = np.arange(4.0)[:, None]
@@ -298,7 +298,7 @@ class TestEvaluate:
         model.confounder_net.params[0].data = np.array([[1.0]])
         model.confounder_net.params[1].data = np.array([1.0])
         out = M.evaluate(model, data)
-        assert out["all"]["mae"] == pytest.approx(0.25)
+        assert out["mae_all"] == pytest.approx(0.25)
 
 
 def patch_dataset(shape, n=24, m=2, seed=0):
@@ -385,7 +385,7 @@ class TestConvActivationSizes:
     @pytest.mark.parametrize("interference", ["cnn", "unet"])
     def test_evaluate(self, monkeypatch, interference):
         model, message = self._capped(monkeypatch, interference)
-        assert "all" in M.evaluate(model, patch_dataset((5, 5), n=10, m=1))
+        assert "r2_all" in M.evaluate(model, patch_dataset((5, 5), n=10, m=1))
         with pytest.raises(DataError, match=message):
             M.evaluate(model, patch_dataset((5, 5), n=11, m=1))
 

@@ -123,19 +123,19 @@ class TestSplineFn:
 class TestLineGraphCovariance:
     def test_diagonal_prefactor(self):
         s = np.linspace(0.0, 1.0, 10)
-        cov = line_graph_covariance(s, 0.5, 0.5)
+        cov = line_graph_covariance(s)
         assert_allclose(np.diag(cov), 1.0 / (0.5 * math.sqrt(2.0 * math.pi)))
         assert np.diag(cov)[0] == pytest.approx(0.797885, abs=1e-6)
 
     def test_symmetric_positive_diagonal(self):
         s = np.linspace(0.0, 1.0, 50)
-        cov = line_graph_covariance(s, 0.5, 0.5)
+        cov = line_graph_covariance(s)
         assert_array_equal(cov, cov.T)
         assert np.all(np.diag(cov) > 0)
 
     def test_absolute_distance_decay(self):
         # exponent uses |ds| / (2 sigma_l^2), not the squared distance
-        cov = line_graph_covariance(np.array([0.0, 1.0]), 0.5, 0.5)
+        cov = line_graph_covariance(np.array([0.0, 1.0]))
         expected = (1.0 / (0.5 * math.sqrt(2.0 * math.pi))) * math.exp(-2.0)
         assert cov[0, 1] == pytest.approx(expected, rel=1e-12)
 
