@@ -140,9 +140,6 @@ _SCHEMA = {
     },
 }
 
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
-
 
 def _parse_value(kind: str, raw: str, path: str):
     raw = raw.strip()
@@ -152,19 +149,20 @@ def _parse_value(kind: str, raw: str, path: str):
         if kind == "float":
             return float(raw)
         if kind == "bool":
-            low = raw.lower()
-            if low in _TRUE:
-                return True
-            if low in _FALSE:
-                return False
-            raise ValueError(raw)
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         if kind == "intlist":
             return tuple(int(x) for x in raw.split(","))
         if kind == "floatlist":
             return tuple(float(x) for x in raw.split(","))
         return raw
-    except ValueError:
+    except (ValueError, KeyError):
         raise ConfigError(f"{path}: cannot parse {raw!r} as {kind}") from None
+
+
+def _domain_field(key: str, kind: str) -> str:
+    """The ``DOMAINS`` field that each value of INI key ``key`` is checked as:
+    the key less its ``kernel_`` prefix, and a list key's singular."""
+    return key.removeprefix("kernel_")[:-1 if kind.endswith("list") else None]
 
 
 def config_hash(config: dict) -> str:
@@ -200,10 +198,8 @@ def load_config(path: str) -> dict:
                 values[key] = val
             else:
                 values[key] = default
-            # a list key is the plural of the field that each element is checked as
-            listed = kind.endswith("list")
-            name = key.removeprefix("kernel_")[:-1 if listed else None]
-            for item in values[key] if listed else (values[key],):
+            name = _domain_field(key, kind)
+            for item in values[key] if kind.endswith("list") else (values[key],):
                 if name in DOMAINS:
                     check(name, None if item == 0 and name in UNSET else item,
                           ConfigError, f"{section}.{key}")

@@ -234,10 +234,13 @@ class GpTerm:
     def values_op(self, coords, features: np.ndarray | None = None) -> Tensor:
         """(n, 1) adjustment values; differentiable in w (and l if trainable).
 
-        ``features``, when given, are ``features_op(coords).data`` solved
-        earlier under the current map, so none is solved here.
+        ``features``, when given, are rows of features solved earlier under
+        the current map, which have the bits of a solve on ``coords`` alone
+        unless there is one row: OpenBLAS solves a single right-hand side
+        through another kernel, so one row is solved here.
         """
-        feats = self.features_op(coords) if features is None else Tensor(features)
+        feats = (self.features_op(coords) if features is None or len(features) == 1
+                 else Tensor(features))
         return E.matmul(feats, self.weights)
 
     def features_np(self, coords) -> np.ndarray:

@@ -382,14 +382,6 @@ def _check_unit_sizes(config: ModelConfig, n: int, interference_only: bool = Fal
     check_sizes(sizes, DataError)
 
 
-def _feature_rows(features: np.ndarray | None, idx=slice(None)) -> np.ndarray | None:
-    """Rows ``idx`` of GP features solved once, with the bits of a solve on
-    them alone; None for one row, which the GP term then solves, because
-    OpenBLAS solves a single right-hand side through another kernel."""
-    rows = None if features is None else features[idx]
-    return rows if rows is not None and rows.shape[0] > 1 else None
-
-
 def train(model: SpatialModel, dataset: SpatialDataset, cfg: TrainConfig,
           val_dataset: SpatialDataset | None = None) -> list:
     """Minimize MSE on observed-outcome units; returns the per-epoch loss trace.
@@ -402,8 +394,8 @@ def train(model: SpatialModel, dataset: SpatialDataset, cfg: TrainConfig,
     A fixed GP lengthscale makes the GP features of the training and
     validation units constants of the fit: each set's features are solved
     once, and every step, validation pass and the closing ``noise_sigma``
-    prediction take their rows (``_feature_rows``).  The lengthscale leaf is
-    then no parameter, so nothing here changes the map they were solved with.
+    prediction pass their rows to ``GpTerm.values_op``.  The lengthscale leaf
+    is then no parameter, so nothing here changes the map they were solved with.
     """
     mask = dataset.observed_mask()
     if not mask.any():
@@ -446,7 +438,7 @@ def train(model: SpatialModel, dataset: SpatialDataset, cfg: TrainConfig,
                 with E.Tape() as tape:
                     pred = model.forward_batch(obs.treatments[idx], obs.patches[idx],
                                                obs.confounders[idx], obs.coords[idx],
-                                               _feature_rows(feats, idx))
+                                               None if feats is None else feats[idx])
                     loss = E.mse(pred, Tensor(y[idx]))
                 lv = loss.item()
                 tape.backward(loss)
@@ -457,7 +449,7 @@ def train(model: SpatialModel, dataset: SpatialDataset, cfg: TrainConfig,
         train_mse = sq_sum / n
         val_mse = np.nan
         if val_obs is not None:
-            resid = model.predict_dataset(val_obs, _feature_rows(val_feats)) - val_obs.outcomes
+            resid = model.predict_dataset(val_obs, val_feats) - val_obs.outcomes
             val_mse = float(np.mean(resid * resid))
             if val_mse < best_val - 1e-12:
                 best_val = val_mse
@@ -471,7 +463,7 @@ def train(model: SpatialModel, dataset: SpatialDataset, cfg: TrainConfig,
             break
     if best_snap is not None:
         _restore(model, best_snap)
-    resid = model.predict_dataset(obs, _feature_rows(feats)) - obs.outcomes
+    resid = model.predict_dataset(obs, feats) - obs.outcomes
     model.noise_sigma = float(np.std(resid))
     return trace
 

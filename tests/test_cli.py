@@ -1,5 +1,6 @@
 """Command-line runner: config schema, subcommands, artifacts, exit codes."""
 
+import configparser
 import contextlib
 import csv
 import dataclasses
@@ -198,11 +199,14 @@ class TestConfig:
         assert config["run"]["seeds"] == (3, 1, 4)
 
     def test_bool_spellings(self, tmp_path):
-        for raw, want in (("on", True), ("Off", False), ("true", True),
-                          ("0", False)):
+        for raw, want in (("on", True), ("Off", False), ("true", True), ("0", False),
+                          ("1", True), ("YES", True), ("no", False), ("False", False)):
             config = load_config(write_ini(tmp_path,
                                            f"[model]\ngp = {raw}\n"))
             assert config["model"]["gp"] is want
+        for raw in ("y", "2", "none", ""):
+            with pytest.raises(ConfigError, match=f"^model.gp: cannot parse {raw!r} as bool$"):
+                load_config(write_ini(tmp_path, f"[model]\ngp = {raw}\n"))
 
 
 # Every [data], [model] and [train] key that lands in a dataclass field, set to
@@ -1824,4 +1828,96 @@ class TestGridManifestMutationSweep:
         assert proc.returncode == 0, proc.stderr[-2000:]
         result = json.loads(proc.stdout.splitlines()[-1])
         assert result["rows"] == 2 * 3 * (3 * (3 * 4 + 3 * 7) + 6 * 14)
+        assert result["failed"] == []
+
+
+# each INI value is set to each of these in turn, written as INI text: the JSON
+# sweep's scalars, then inf, an empty value and a list
+_INI_VALUES = ("0", "-1", str(2 ** 63), "nan", "a", str(10 ** 10), "inf", "", "1,2")
+# rows whose values are valid and only make training long: they run gen alone
+_INI_GEN_ONLY = {f"train.epochs={2 ** 63}", f"train.epochs={10 ** 10}"}
+# each perfbench config shrunk to a few units, narrow nets and one or two epochs
+_INI_SHRINK = {
+    "line_mlp_gp": {"n": "20", "mlp_width": "4", "q": "10", "epochs": "2"},
+    "raster_cli": {"rows": "24", "cols": "24", "d_s": "5", "n_units": "20", "unet_base": "2",
+                   "mlp_width": "4", "q": "10", "epochs": "1"},
+}
+
+
+def _ini_mutations(text):
+    """(label, text) of INI ``text`` with each key of ``cli._SCHEMA`` set to each
+    of ``_INI_VALUES``, appended to its section when ``text`` lacks it, then, for
+    each key ``text`` sets, its line dropped."""
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_string(text)
+    for section, schema in cli._SCHEMA.items():
+        for key in schema:
+            line = re.search(rf"(?m)^{key} = .*\n", text) if cp.has_option(section, key) else None
+            for value in [*_INI_VALUES, None]:
+                if line is None and value is None:
+                    continue
+                edit = "" if value is None else f"{key} = {value}\n"
+                if line is not None:
+                    mutated = text[:line.start()] + edit + text[line.end():]
+                elif cp.has_section(section):
+                    head = re.search(rf"(?m)^\[{section}\]\n", text)
+                    mutated = text[:head.end()] + edit + text[head.end():]
+                else:
+                    mutated = text + f"\n[{section}]\n{edit}"
+                yield f"{section}.{key}={'drop' if value is None else value}", mutated
+
+
+def _ini_sweep(root):
+    """Runs every mutation of each shrunk config in ``ini_run`` workspace
+    ``root`` through ``gen``, and through ``train`` on the config's dataset, in
+    this process, and prints the row count and the rows that neither exit 0
+    nor exit 2 with one error line."""
+    rows, failed = 0, []
+    for name in _INI_SHRINK:
+        work = Path(root) / name
+        ini = work / "row.ini"
+        for label, text in _ini_mutations((work / "exp.ini").read_text()):
+            ini.write_text(text)
+            commands = [["gen", "--out", str(work / "gen")]]
+            if label not in _INI_GEN_ONLY:
+                commands.append(["train", "--data", str(work / "data"),
+                                 "--out", str(work / "fit")])
+            for argv in commands:
+                failure = _failed_row(argv + ["--config", str(ini)])
+                rows += 1
+                if failure:
+                    failed.append(f"{name}:{label}:{argv[0]}: {failure}")
+    print(json.dumps({"rows": rows, "failed": failed}))
+
+
+@pytest.fixture(scope="module")
+def ini_run(tmp_path_factory):
+    """Each perfbench config shrunk by ``_INI_SHRINK``, with the dataset that
+    ``gen`` writes from it."""
+    root = tmp_path_factory.mktemp("ini_run")
+    for name, shrink in _INI_SHRINK.items():
+        text = (Path(__file__).parents[1] / "perfbench" / "configs" / f"{name}.ini").read_text()
+        for key, value in shrink.items():
+            text, cut = re.subn(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+            assert cut == 1, key
+        (root / name).mkdir()
+        ini = write_ini(root / name, text)
+        assert cli.main(["gen", "--config", ini, "--out", str(root / name / "data")]) == 0
+    return root
+
+
+class TestIniMutationSweep:
+    """Each key of ``cli._SCHEMA`` set to each of ``_INI_VALUES``, and each key
+    of the config dropped, in each perfbench config shrunk by ``_INI_SHRINK``:
+    ``gen``, and ``train`` unless the row is in ``_INI_GEN_ONLY``, each exit 0,
+    or exit 2 with one ``code<TAB>message`` line.  All rows run in one child
+    that may map only 1.5 GB."""
+
+    def test_every_row_exits_0_or_with_one_error_line(self, ini_run):
+        proc = _python_under_a_memory_limit(
+            ["-c", f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
+                   f"import test_cli; test_cli._ini_sweep({str(ini_run)!r})"])
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["rows"] > 1400
         assert result["failed"] == []

@@ -605,22 +605,24 @@ class TestFeatureTable:
         train, valid = (data.subset(np.arange(33)), data.subset(np.arange(33, 41))) if val \
             else (data, None)
         table = _fit_bytes(train, "fixed", batch_size, valid)
-        monkeypatch.setattr(M, "_feature_rows", lambda features, idx=None: None)
+        values_op = G.GpTerm.values_op
+        monkeypatch.setattr(G.GpTerm, "values_op",
+                            lambda term, coords, features=None: values_op(term, coords))
         assert _fit_bytes(train, "fixed", batch_size, valid) == table
 
     def test_gathered_rows_match_a_solve_on_the_rows_alone(self):
         rng = np.random.default_rng(0)
         coords = rng.uniform(0.0, 1.0, size=(300, 2))
         term = G.GpTerm(G.select_inducing(coords, 36), G.KernelSpec("rbf", 1.0, 0.3, 1e-8))
+        term.weights.data[:] = rng.normal(size=term.weights.data.shape)
         table = term.features_op(coords).data
         for size in (1, 2, 3, 7, 64, 299, 300):
             for _ in range(3):
                 idx = rng.choice(300, size=size, replace=False)
-                rows = M._feature_rows(table, idx)
-                if size == 1:       # OpenBLAS solves one row through another kernel
-                    assert rows is None
-                else:
-                    assert rows.tobytes() == term.features_op(coords[idx]).data.tobytes(), size
+                solved = term.values_op(coords[idx]).data.tobytes()
+                assert term.values_op(coords[idx], table[idx]).data.tobytes() == solved, size
+        # OpenBLAS solves one row through another kernel, so one row is solved
+        assert np.isfinite(term.values_op(coords[:1], np.full((1, 36), np.nan)).data).all()
 
     @pytest.mark.parametrize("val", [False, True])
     def test_fixed_lengthscale_solves_once_per_set(self, monkeypatch, val):
