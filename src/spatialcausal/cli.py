@@ -46,7 +46,7 @@ from .effects import (
     reweighted,
     write_effects_csv,
 )
-from .errors import ConfigError, DataError, SpatialCausalError, DOMAINS, UNSET, check, check_sizes
+from .errors import ConfigError, DataError, SpatialCausalError, DOMAINS, check, check_sizes
 from .gp import KERNEL_FAMILIES, KernelSpec, GpTerm, select_inducing
 from .model import (
     CONFOUNDER_KINDS,
@@ -83,49 +83,40 @@ from .synthgen import (
     synth_fields,
 )
 
-# section -> key -> (type, default[, choices])
+def _keys(cls, prefix: str = "", omit: tuple = (), **choices) -> dict:
+    """INI key -> (type, default[, choices]) for each field of dataclass ``cls``
+    but ``seed`` and ``omit``: the key is ``prefix`` plus the field's name, its
+    type and default are the field's annotation and default, and ``choices``
+    gives a field's allowed values by name."""
+    return {prefix + f.name: (f.type, f.default, choices[f.name]) if f.name in choices
+            else (f.type, f.default)
+            for f in fields(cls) if f.name not in ("seed", *omit)}
+
+
+# section -> key -> (type, default[, choices]).  A key that fills a config
+# field takes its type and default from the field; a key given again keeps its
+# first position, with the INI default that differs from the library's.
 _SCHEMA = {
     "data": {
         "generator": ("str", "line", ("line", "grid", "manifest")),
         "manifest": ("str", ""),
-        "n": ("int", 500),
-        "x_dim": ("int", 4),
-        "noise_sigma": ("float", 0.1),
-        "rows": ("int", 256),
-        "cols": ("int", 256),
+        **_keys(LineGraphConfig),
+        **_keys(GridConfig),
         "d_s": ("int", 25),
-        "n_units": ("int", 500),
-        "x_channels": ("int", 4),
-        "sigma_l": ("float", 10.0),
-        "field_lengthscale": ("float", 10.0),
-        "beta": ("float", -4.0),
         "split_ratios": ("floatlist", SPLIT_RATIOS),
     },
     "model": {
-        "interference": ("str", "linear", INTERFERENCE_KINDS),
-        "confounder": ("str", "linear", CONFOUNDER_KINDS),
-        "gp": ("bool", False),
-        "mlp_width": ("int", 256),
-        "mlp_depth": ("int", 3),
-        "cnn_channels": ("int", 64),
-        "cnn_depth": ("int", 9),
-        "unet_base": ("int", 16),
-        "unet_depth": ("int", 3),
+        **_keys(ModelConfig, omit=("m", "patch_shape", "x_dim", "kernel", "inducing_strategy"),
+                interference=INTERFERENCE_KINDS, confounder=CONFOUNDER_KINDS),
+        **_keys(KernelSpec, "kernel_"),
         "kernel_family": ("str", "rbf", KERNEL_FAMILIES),
-        "kernel_sigma": ("float", 1.0),
         "kernel_lengthscale": ("float", 0.5),
         "kernel_noise": ("float", 0.5),
-        "q": ("int", 100),
         "inducing": ("str", "grid", ("grid", "subsample")),
-        "train_lengthscale": ("bool", False),
     },
     "train": {
-        "optimizer": ("str", "auto", OPTIMIZERS),
-        "lr": ("float", 0.001),
+        **_keys(TrainConfig, optimizer=OPTIMIZERS),
         "epochs": ("int", 200),
-        "batch_size": ("int", 0),
-        "momentum": ("float", 0.99),
-        "patience": ("int", 0),
         "use_split": ("bool", False),
     },
     "effects": {
@@ -201,8 +192,7 @@ def load_config(path: str) -> dict:
             name = _domain_field(key, kind)
             for item in values[key] if kind.endswith("list") else (values[key],):
                 if name in DOMAINS:
-                    check(name, None if item == 0 and name in UNSET else item,
-                          ConfigError, f"{section}.{key}")
+                    check(name, item, ConfigError, f"{section}.{key}")
         resolved[section] = values
     data = resolved["data"]
     # like every key, the sizes of the generator the run ignores are checked too
@@ -294,14 +284,13 @@ def model_config_from(config: dict, dataset: SpatialDataset,
 
 
 def train_config_from(config: dict, seed: int) -> TrainConfig:
-    tt = config["train"]
-    return _from_section(TrainConfig, tt, batch_size=tt["batch_size"] or None,
-                         patience=tt["patience"] or None, seed=seed)
+    return _from_section(TrainConfig, config["train"], seed=seed)
 
 
 # [effects] weighted -> the weighting variants it runs, in output order
 _VARIANTS = {"off": ("unweighted",), "on": ("weighted",), "both": ("unweighted", "weighted")}
 _ERROR_KEYS = ("de_err", "ie_err", "te_err")
+_ERROR_HEADER = ["seed", *_ERROR_KEYS, "de_std", "ie_std", "te_std"]
 
 
 def _estimate(model, dataset, config: dict, labels, truth):
@@ -346,7 +335,10 @@ def _estimate(model, dataset, config: dict, labels, truth):
 
 def compute_effect_reports(model, dataset, config: dict,
                            weighted: bool, truth=None):
-    """Per-treatment effect reports plus dose errors vs truth for treatment 0."""
+    """Per-treatment effect reports plus dose errors vs truth for treatment 0.
+
+    Kept only because ``perfbench/workloads.py`` calls it by name.
+    """
     label = "weighted" if weighted else "unweighted"
     reports, errors = _estimate(model, dataset, config, (label,), truth)
     return reports[label], errors[label]
@@ -409,7 +401,7 @@ def write_error_tables(out_dir: str, records) -> dict:
         stats = summary[label] = error_summary(rows)
         with open(os.path.join(out_dir, f"errors_{label}.csv"), "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["seed", "de_err", "ie_err", "te_err", "de_std", "ie_std", "te_std"])
+            w.writerow(_ERROR_HEADER)
             for seed, errs in rows:
                 w.writerow([seed] + [csv_float(errs[k]) for k in _ERROR_KEYS] + [""] * 3)
             w.writerow(["mean"] + [csv_float(stats[f"{k}_{stat}"])
@@ -672,13 +664,16 @@ def cmd_report(out_dir: str) -> int:
             if name.startswith("errors_") and name.endswith(".csv"):
                 with open(os.path.join(out_dir, name)) as fh:
                     rows = list(csv.reader(fh))
+                if rows[:1] != [_ERROR_HEADER] or rows[-1][:1] != ["mean"]:
+                    raise ValueError(f"{name} lacks its header or its mean row")
                 lines.append(f"{name}: {len(rows) - 2} seed rows + summary")
         if os.path.exists(metrics_path):
             with open(metrics_path, encoding="utf-8") as fh:
                 metrics = json.load(fh)
             lines.append("metrics: " + "  ".join(f"{k} {v:.4g}"
                                                  for k, v in sorted(metrics.items())))
-    except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError,
+            csv.Error) as exc:
         raise DataError(f"malformed run artifact in {out_dir}: {exc!r}") from None
     if not lines:
         raise DataError(f"no run artifacts found in {out_dir}")

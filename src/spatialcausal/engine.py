@@ -571,11 +571,13 @@ def _column_tiles(src: np.ndarray, kh: int, kw: int, wp: int, span: int):
         yield j, tile
 
 
-def conv2d(x, w, bias=None, padding: int = 0) -> Tensor:
+def conv2d(x, w, bias=None, padding: int | tuple = 0) -> Tensor:
     """2-d convolution, stride 1, square kernel, optional bias and zero padding.
 
     ``x`` is (n, c_in, h, w); ``w`` is (c_out, c_in, kh, kw); ``bias`` is
-    (c_out,).  The padded input is laid out channel-major, flattened over
+    (c_out,); ``padding`` is one width for every side or (top, bottom, left,
+    right), each checked as ``padding``.  The padded input is laid out
+    channel-major, flattened over
     (n, hp, wp) and followed by ``reach`` zeros, so what kernel offset
     (di, dj) sees at output column j is ``xf[:, j + di * wp + dj]``.  The
     output columns are cut into tiles whose kh * kw shifted copies of the
@@ -602,15 +604,19 @@ def conv2d(x, w, bias=None, padding: int = 0) -> Tensor:
         inputs, bd = (x, w, b), b.data
         if bd.shape != (cout,):
             raise DimensionError(f"conv2d bias must have shape ({cout},), got {bd.shape}")
-    p = int(check("padding", padding, ContractError))
-    ho, wo = h + 2 * p - kh + 1, wdt + 2 * p - kw + 1
+    sides = padding if isinstance(padding, tuple) else (padding,) * 4
+    if len(sides) != 4:
+        raise ContractError(f"padding: must be one width or 4 sides, got {padding}")
+    top, bottom, left, right = (int(check("padding", side, ContractError)) for side in sides)
+    hp, wp = h + top + bottom, wdt + left + right
+    ho, wo = hp - kh + 1, wp - kw + 1
     if ho <= 0 or wo <= 0:
-        raise DimensionError(f"kernel {kh}x{kw} too large for input {h}x{wdt} pad {p}")
-    hp, wp = h + 2 * p, wdt + 2 * p
+        raise DimensionError(f"kernel {kh}x{kw} too large for input {h}x{wdt} pad {padding}")
+    inner = np.s_[:, :, top:top + h, left:left + wdt]   # the input within the padded map
     span = n * hp * wp
     reach = (kh - 1) * wp + kw - 1
     xf = np.zeros((cin, span + reach), dtype=np.float64)
-    xf[:, :span].reshape(cin, n, hp, wp)[:, :, p:p + h, p:p + wdt] = xd.transpose(1, 0, 2, 3)
+    xf[:, :span].reshape(cin, n, hp, wp)[inner] = xd.transpose(1, 0, 2, 3)
     wmat = wd.reshape(cout, -1)
     acc = np.empty((cout, span), dtype=np.float64)
     for j, tile in _column_tiles(xf, kh, kw, wp, span):
@@ -637,7 +643,7 @@ def conv2d(x, w, bias=None, padding: int = 0) -> Tensor:
                 np.matmul(wflip, tile, out=gxf[:, cols])
         gw = gwf.reshape(cin, cout, kh, kw)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
         gx = None if gxf is None else (
-            gxf.reshape(cin, n, hp, wp)[:, :, p:p + h, p:p + wdt].transpose(1, 0, 2, 3))
+            gxf.reshape(cin, n, hp, wp)[inner].transpose(1, 0, 2, 3))
         return (gx, gw) if bd is None else (gx, gw, gl.sum(axis=1))
 
     return _record("conv2d", inputs, out, vjp)

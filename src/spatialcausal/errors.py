@@ -57,11 +57,11 @@ def _whole(low: int, odd: bool = False):
 # field -> (whole number?, the bound as messages state it, its test); a real
 # must also be finite, so NaN and inf never reach the test
 DOMAINS = {
-    **dict.fromkeys(("seed", "split_seed"), _whole(0)),
+    **dict.fromkeys(("seed", "split_seed", "batch_size", "patience"), _whole(0)),
     **dict.fromkeys((
         "m", "x_dim", "rows", "cols", "n_units", "mlp_width", "mlp_depth",
         "cnn_channels", "cnn_depth", "unet_base", "unet_depth", "q", "epochs",
-        "batch_size", "patience", "grid_size", "b_draws", "in_dim", "n_draws"),
+        "grid_size", "b_draws", "in_dim", "n_draws"),
         _whole(1)),
     "x_channels": _whole(2),
     "n": _whole(3),
@@ -78,8 +78,6 @@ DOMAINS = {
     "momentum": (False, "in [0, 1)", lambda v: 0 <= v < 1),
     **dict.fromkeys(("beta", "origin_x", "origin_y"), (False, "finite", lambda v: True)),
 }
-# fields that None leaves unset (0 in a config file)
-UNSET = ("batch_size", "patience")
 # the most elements one array that a generator or model config sizes may hold
 # (2 GiB of float64); fixed, so a config is accepted or rejected alike on every
 # machine
@@ -98,8 +96,6 @@ def check(name: str, value, error, label: str | None = None):
     with a message that starts with ``label`` (default: ``name``).  No domain
     holds a bool or a value that is not a real number."""
     whole, bound, test = DOMAINS[name]
-    if value is None and name in UNSET:
-        return value
     if isinstance(value, bool) or not isinstance(value, Integral if whole else Real):
         bound = "a whole number" if whole else "a real number"
         value = value if isinstance(value, Real) else repr(value)

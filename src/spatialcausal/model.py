@@ -327,11 +327,11 @@ def predict(model: SpatialModel, dataset: SpatialDataset, index: int,
 class TrainConfig:
     epochs: int
     lr: float = 0.001
-    batch_size: int | None = None       # None = full batch
+    batch_size: int = 0                 # 0 = full batch
     optimizer: str = "auto"             # one of OPTIMIZERS
     momentum: float = 0.99
     seed: int = 0
-    patience: int | None = None         # early stopping on validation MSE
+    patience: int = 0                   # early stopping on validation MSE; 0 = none
 
     def __post_init__(self) -> None:
         check_fields(self, ContractError)
@@ -387,7 +387,7 @@ def train(model: SpatialModel, dataset: SpatialDataset, cfg: TrainConfig,
     """Minimize MSE on observed-outcome units; returns the per-epoch loss trace.
 
     Trace rows are (epoch, train_mse, val_mse) with val_mse NaN when no
-    validation set is given.  With a validation set and ``patience`` set,
+    validation set is given.  With a validation set and ``patience`` above 0,
     training stops after that many non-improving epochs and the best
     parameters (by validation MSE) are restored.
 
@@ -403,7 +403,7 @@ def train(model: SpatialModel, dataset: SpatialDataset, cfg: TrainConfig,
     obs = dataset.subset(np.nonzero(mask)[0])
     n = obs.n_units
     y = obs.outcomes.reshape(-1, 1)
-    batch = n if cfg.batch_size is None else min(cfg.batch_size, n)
+    batch = min(cfg.batch_size or n, n)
     opt = _make_optimizer(model, cfg)
     rng = np.random.default_rng(cfg.seed)
     val_obs = None
@@ -454,12 +454,12 @@ def train(model: SpatialModel, dataset: SpatialDataset, cfg: TrainConfig,
             if val_mse < best_val - 1e-12:
                 best_val = val_mse
                 stale = 0
-                if cfg.patience is not None:
+                if cfg.patience:
                     best_snap = _snapshot(model)
             else:
                 stale += 1
         trace.append((epoch, train_mse, val_mse))
-        if (cfg.patience is not None and val_obs is not None and stale >= cfg.patience):
+        if cfg.patience and val_obs is not None and stale >= cfg.patience:
             break
     if best_snap is not None:
         _restore(model, best_snap)

@@ -98,11 +98,12 @@ def build_unet(base_channels: int, depth: int, seed: int) -> Network:
     Each level applies conv-conv then 2x2 max pooling on the way down; the way
     up is nearest upsampling, concatenation with the matching skip, conv-conv.
     Input sides must be odd; inputs whose sides are not divisible by 2**depth
-    are zero padded before the encoder.  The forward returns (n, 1): the value
-    the full output map holds at the input's center pixel.  Encoder and
-    bottleneck run on whole maps, which pooling needs; each decoder conv runs
-    only on the rows and columns the next layer reads, zero padded where they
-    meet the map's edge, so each decoder feature is bit for bit the full-map one.
+    are zero padded to such sides by the first convolution.  The forward
+    returns (n, 1): the value the full output map holds at the input's center
+    pixel.  Encoder and bottleneck run on whole maps, which pooling needs;
+    each decoder conv runs only on the rows and columns the next layer reads,
+    zero padded where they meet the map's edge, so each decoder feature is
+    bit for bit the full-map one.
     """
     _check(base_channels=("unet_base", base_channels), depth=("unet_depth", depth),
            seed=("seed", seed))
@@ -186,8 +187,8 @@ def _unet_forward(net: Network, x: Tensor) -> Tensor:
     mult = 2 ** depth
     pad_h = (-h_in) % mult
     pad_w = (-w_in) % mult
-    if pad_h or pad_w:
-        x = E.pad2d(x, pad_h // 2, pad_h - pad_h // 2, pad_w // 2, pad_w - pad_w // 2)
+    # the first conv zero pads the input to sides divisible by 2**depth, and 1 more
+    first = (1 + pad_h // 2, 1 + pad_h - pad_h // 2, 1 + pad_w // 2, 1 + pad_w - pad_w // 2)
 
     idx = 0
 
@@ -200,16 +201,13 @@ def _unet_forward(net: Network, x: Tensor) -> Tensor:
     def window_conv(h, src, dst):
         """conv + relu from input window ``src`` to output window ``dst``, zero
         padded only where ``src`` stops at the map's edge."""
-        pads = [side for (s0, s1), (d0, d1) in zip(src, dst)
-                for side in (s0 - d0 + 1, d1 + 1 - s1)]
-        if len(set(pads)) == 1:
-            return E.relu(conv(h, pad=pads[0]))
-        return E.relu(conv(E.pad2d(h, *pads), pad=0))
+        return E.relu(conv(h, pad=tuple(side for (s0, s1), (d0, d1) in zip(src, dst)
+                                        for side in (s0 - d0 + 1, d1 + 1 - s1))))
 
     skips = []
     h = x
-    for _ in range(depth):
-        h = E.relu(conv(h))
+    for lvl in range(depth):
+        h = E.relu(conv(h, pad=first if lvl == 0 else 1))
         h = E.relu(conv(h))
         skips.append(h)
         h = E.maxpool2(h)
@@ -222,7 +220,7 @@ def _unet_forward(net: Network, x: Tensor) -> Tensor:
     win = tuple((c, c + 1) for c in (pad_h // 2 + h_in // 2, pad_w // 2 + w_in // 2))
     windows = []
     for lvl in range(depth):
-        sides = [s >> lvl for s in x.data.shape[2:]]
+        sides = [(h_in + pad_h) >> lvl, (w_in + pad_w) >> lvl]
         mid = _grow(win, sides)
         cat = _grow(mid, sides)
         windows.append((cat, mid, win))

@@ -35,13 +35,14 @@ from spatialcausal.model import (
     ModelConfig,
     SpatialDataset,
     SpatialModel,
+    TrainConfig,
     build_model,
     load_model,
     save_model,
 )
 from spatialcausal.raster import (Grid, Manifest, extract_units, load_grid, load_manifest,
                                   save_grid, save_manifest)
-from spatialcausal.synthgen import GroundTruth, LineGraphConfig, gen_line_graph
+from spatialcausal.synthgen import GridConfig, GroundTruth, LineGraphConfig, gen_line_graph
 
 TINY_INI = textwrap.dedent("""\
     [data]
@@ -284,9 +285,28 @@ class TestConfigMapping:
         assert tc.seed == 5
 
     def test_zero_batch_size_and_patience_mean_none(self, tmp_path):
+        # 0 is full batch and no early stopping, in the INI file and in TrainConfig
         config = load_config(write_ini(tmp_path, "[train]\nbatch_size = 0\npatience = 0\n"))
         tc = cli.train_config_from(config, 0)
-        assert tc.batch_size is None and tc.patience is None
+        assert (tc.batch_size, tc.patience) == (0, 0)
+        assert tc == TrainConfig(epochs=200)
+
+    def test_fielded_keys_take_the_field_type_and_default(self):
+        # the INI defaults that differ from the library's on purpose
+        overrides = {("data", "d_s"): 25, ("model", "kernel_family"): "rbf",
+                     ("model", "kernel_lengthscale"): 0.5, ("model", "kernel_noise"): 0.5,
+                     ("train", "epochs"): 200}
+        holders = {"data": [("", LineGraphConfig), ("", GridConfig)],
+                   "model": [("", ModelConfig), ("kernel_", G.KernelSpec)],
+                   "train": [("", TrainConfig)]}
+        for section, classes in holders.items():
+            for prefix, cls in classes:
+                for field in dataclasses.fields(cls):
+                    spec = cli._SCHEMA[section].get(prefix + field.name)
+                    if spec is None:
+                        continue
+                    default = overrides.get((section, prefix + field.name), field.default)
+                    assert spec[:2] == (field.type, default), (section, field.name)
 
 
 class TestConfigHash:
@@ -701,6 +721,12 @@ def _module_env(**extra):
     return env
 
 
+# the rows of an errors_<variant>.csv that write_error_tables writes
+_ERROR_HEADER = ["seed", "de_err", "ie_err", "te_err", "de_std", "ie_std", "te_std"]
+_ERROR_SEED_ROW = ["0", "0.1", "0.2", "0.3", "", "", ""]
+_ERROR_MEAN_ROW = ["mean", "0.1", "0.2", "0.3", "0", "0", "0"]
+
+
 class TestProtocol:
     def test_per_seed_artifacts(self, proto_dir):
         names = set(os.listdir(proto_dir))
@@ -868,6 +894,21 @@ class TestProtocol:
         assert "weighted:" in text
         out = capsys.readouterr().out
         assert "seeds: [0, 1]" in out
+
+    @pytest.mark.parametrize("rows", [
+        [], [_ERROR_HEADER], [_ERROR_HEADER, _ERROR_SEED_ROW], [["x" * 200000]],
+        [_ERROR_HEADER, _ERROR_SEED_ROW, _ERROR_MEAN_ROW]],
+        ids=["empty", "header_only", "no_mean_row", "field_over_csv_limit", "valid"])
+    def test_report_checks_the_error_table_shape(self, tmp_path, capsys, rows):
+        text = "".join(",".join(row) + "\n" for row in rows)
+        (tmp_path / "errors_weighted.csv").write_text(text)
+        status = cli.main(["report", "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        if rows and rows[-1] is _ERROR_MEAN_ROW:
+            assert (status, out) == (0, "errors_weighted.csv: 1 seed rows + summary\n")
+        else:
+            assert status == 2
+            assert err.startswith(f"data_error\tmalformed run artifact in {tmp_path}: "), err
 
     def test_seed_flag_overrides_seed_list(self, workspace, tmp_path):
         out = str(tmp_path / "one")
@@ -1568,7 +1609,13 @@ def grid_run(tmp_path_factory):
 
 class TestCorruptionSweep:
     """A truncated or bit-flipped input ends ``effects --ckpt`` as exit 0, or as
-    exit 2 with one ``code<TAB>message`` line, never as an uncaught exception."""
+    exit 2 with one ``code<TAB>message`` line, never as an uncaught exception.
+
+    Kept beside the structure-aware sweeps, which edit only grid and manifest
+    headers and values and JSON values: only these random flips and cuts reach
+    a flip inside a grid's float payload or the ``SCKP`` parameter stream, a
+    flip that leaves ``truth.json`` invalid UTF-8 or broken JSON, and a cut in
+    the middle of a payload."""
 
     @pytest.mark.parametrize("name,truncate,where", _corruptions(),
                              ids=[f"{k}-{name}-{'cut' if cut else 'flip'}"

@@ -259,7 +259,9 @@ class TestArgumentDomains:
 
     @pytest.mark.parametrize("value,error", [
         (1.5, "padding: must be a whole number, got 1.5"),
-        (-1, "padding: must be >= 0, got -1")])
+        (-1, "padding: must be >= 0, got -1"),
+        ((0, 0, -1, 0), "padding: must be >= 0, got -1"),
+        ((1, 2), "padding: must be one width or 4 sides, got (1, 2)")])
     def test_bad_conv_padding(self, value, error):
         with pytest.raises(ContractError) as err:
             E.conv2d(MAP, np.ones((1, 2, 3, 3)), padding=value)

@@ -170,9 +170,15 @@ class TestBackward:
         assert w.grad is None
 
 
+def _sides(padding):
+    """(top, bottom, left, right) of conv2d's ``padding``."""
+    return padding if isinstance(padding, tuple) else (padding,) * 4
+
+
 def _conv_reference(x, w, g, padding):
     """Direct nested-loop convolution of x by w, and the gradients of sum(out * g)."""
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    top, bottom, left, right = _sides(padding)
+    xp = np.pad(x, ((0, 0), (0, 0), (top, bottom), (left, right)))
     n, _, hp, wp = xp.shape
     kh, kw = w.shape[2:]
     out = np.zeros((n, w.shape[0], hp - kh + 1, wp - kw + 1))
@@ -185,7 +191,7 @@ def _conv_reference(x, w, g, padding):
                 out[b, :, i, j] = np.tensordot(w, patch, axes=3)
                 gw += g[b, :, i, j, None, None, None] * patch
                 gxp[b, :, i:i + kh, j:j + kw] += np.tensordot(g[b, :, i, j], w, axes=1)
-    gx = gxp[:, :, padding:hp - padding, padding:wp - padding]
+    gx = gxp[:, :, top:hp - bottom, left:wp - right]
     return out, gx, gw
 
 
@@ -197,7 +203,7 @@ def _conv_taped(x, w, g, padding):
     return out.data, tape
 
 
-# (n, c_in, h, w, c_out, k, padding)
+# (n, c_in, h, w, c_out, k, padding), padding one width or (top, bottom, left, right)
 CONV_SHAPES = [
     (2, 3, 5, 5, 4, 1, 0),
     (2, 3, 6, 6, 2, 3, 0),
@@ -212,6 +218,11 @@ CONV_SHAPES = [
     (4, 3, 30, 30, 5, 3, 1),
     (8, 1, 30, 30, 5, 3, 1),
     (3, 4, 16, 16, 1, 1, 0),
+    (2, 2, 6, 5, 3, 3, (1, 0, 2, 1)),
+    (1, 3, 5, 7, 2, 3, (0, 2, 1, 0)),
+    (3, 2, 4, 4, 2, 1, (1, 1, 0, 3)),
+    (2, 2, 5, 5, 3, 3, (1, 1, 1, 1)),
+    (4, 3, 29, 30, 5, 3, (2, 1, 1, 0)),
 ]
 # shapes whose input spans several column tiles, the last one partial
 MULTI_TILE = [(4, 3, 30, 30, 5, 3, 1), (8, 1, 30, 30, 5, 3, 1)]
@@ -219,13 +230,16 @@ MULTI_TILE = [(4, 3, 30, 30, 5, 3, 1), (8, 1, 30, 30, 5, 3, 1)]
 
 class TestConv2d:
     @pytest.mark.parametrize("shape", CONV_SHAPES,
-                             ids=["n{}_c{}_{}x{}_f{}_k{}_p{}".format(*s) for s in CONV_SHAPES])
+                             ids=["n{}_c{}_{}x{}_f{}_k{}_p{}".format(
+                                 *s[:6], "-".join(map(str, np.atleast_1d(s[6]))))
+                                  for s in CONV_SHAPES])
     def test_matches_nested_loop_reference(self, shape):
         n, cin, h, wdt, cout, k, pad = shape
-        rng = np.random.default_rng(sum(shape))
+        top, bottom, left, right = _sides(pad)
+        rng = np.random.default_rng(sum(shape[:6]) + sum(np.atleast_1d(pad)))
         x = E.Tensor(rng.normal(size=(n, cin, h, wdt)), requires_grad=True)
         w = E.Tensor(rng.normal(size=(cout, cin, k, k)), requires_grad=True)
-        g = rng.normal(size=(n, cout, h + 2 * pad - k + 1, wdt + 2 * pad - k + 1))
+        g = rng.normal(size=(n, cout, h + top + bottom - k + 1, wdt + left + right - k + 1))
         ref_out, ref_gx, ref_gw = _conv_reference(x.data, w.data, g, pad)
         out, _ = _conv_taped(x, w, g, pad)
         npt.assert_allclose(out, ref_out, rtol=1e-12, atol=1e-12)

@@ -257,9 +257,12 @@ class TestTrain:
                         val_dataset=val_data)
         assert len(trace) == 1 + 3
         assert len({row[2] for row in trace}) == 1
-        with pytest.raises(ContractError):
-            M.train(model, train_data, M.TrainConfig(epochs=5, patience=0),
-                    val_dataset=val_data)
+        # patience 0 never stops early; None and -1 are no patience
+        assert len(M.train(model, train_data, M.TrainConfig(epochs=5, patience=0),
+                           val_dataset=val_data)) == 5
+        for patience in (None, -1):
+            with pytest.raises(ContractError):
+                M.TrainConfig(epochs=5, patience=patience)
 
 
 class TestEvaluate:
@@ -598,8 +601,8 @@ class TestFeatureTable:
     solving them per batch."""
 
     # 41 = 5 * 8 + 1 and 33 = 4 * 8 + 1 units: batches of 8 end in a one-row batch
-    @pytest.mark.parametrize("batch_size,val", [(None, False), (8, False), (1, False),
-                                                (None, True), (8, True)])
+    @pytest.mark.parametrize("batch_size,val", [(0, False), (8, False), (1, False),
+                                                (0, True), (8, True)])
     def test_training_bytes_match_per_batch_solving(self, monkeypatch, batch_size, val):
         data = patch_dataset((3,), n=41, m=2, seed=5)
         train, valid = (data.subset(np.arange(33)), data.subset(np.arange(33, 41))) if val \
@@ -628,7 +631,7 @@ class TestFeatureTable:
     def test_fixed_lengthscale_solves_once_per_set(self, monkeypatch, val):
         data = patch_dataset((3,), n=40, m=1, seed=5)
         calls = _count_solves(monkeypatch)
-        _fit_bytes(data, "fixed", None, data.subset(np.arange(7)) if val else None, epochs=4)
+        _fit_bytes(data, "fixed", 0, data.subset(np.arange(7)) if val else None, epochs=4)
         assert calls == ([40, 7] if val else [40])
 
     def test_one_row_batches_solve_their_own_row(self, monkeypatch):
@@ -641,7 +644,7 @@ class TestFeatureTable:
     def test_trained_lengthscale_solves_per_forward(self, monkeypatch, val):
         data = patch_dataset((3,), n=40, m=1, seed=5)
         calls = _count_solves(monkeypatch)
-        _fit_bytes(data, "trained", None, data.subset(np.arange(7)) if val else None, epochs=4)
+        _fit_bytes(data, "trained", 0, data.subset(np.arange(7)) if val else None, epochs=4)
         # four steps, four validation passes when there is a split, the closing prediction
         assert calls == ([40, 7] * 4 if val else [40] * 4) + [40]
 
@@ -655,7 +658,7 @@ class TestFeatureTable:
             assert not any(isinstance(v, np.ndarray) and v.shape == (20, 6)
                            for v in vars(obj).values())
 
-    @pytest.mark.parametrize("batch_size", [None, 8])
+    @pytest.mark.parametrize("batch_size", [0, 8])
     def test_the_map_the_features_were_solved_with_lasts_the_fit(self, monkeypatch,
                                                                   batch_size):
         """The features are solved under the map built before the first step;

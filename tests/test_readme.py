@@ -1,17 +1,23 @@
-"""README.md states the command line, the INI settings, the error codes and
-the engine's op kinds in tables and blocks that are checked here against the
-code: the argparse parser, ``cli._SCHEMA``, ``errors.DOMAINS``, the
-``SpatialCausalError`` subclasses and ``engine.op_kinds()``."""
+"""README.md states the command line, the INI settings, the error codes, the
+engine's op kinds and the file formats' fixed parts in tables, blocks and
+sentences that are checked here against the code: the argparse parser,
+``cli._SCHEMA``, ``errors.DOMAINS``, the ``SpatialCausalError`` subclasses,
+``engine.op_kinds()``, and the files that ``save_grid``, ``save_manifest``
+and ``save_model`` write."""
 
 import argparse
+import configparser
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spatialcausal import cli
 from spatialcausal import engine as E
-from spatialcausal.errors import DOMAINS, UNSET, SpatialCausalError
+from spatialcausal import model as M
+from spatialcausal import raster as R
+from spatialcausal.errors import DOMAINS, SpatialCausalError
 
 README = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
 SETTINGS_HEADER = "| Key | Type | Default | Domain | Notes |"
@@ -58,7 +64,7 @@ def _domain_cell(section, key):
     name = cli._domain_field(key, kind)
     if name not in DOMAINS:
         return ""
-    bound = DOMAINS[name][1] + (", or 0 for none" if name in UNSET else "")
+    bound = DOMAINS[name][1]
     return "each " + bound if kind.endswith("list") else bound
 
 
@@ -127,3 +133,57 @@ def test_op_kinds_listed():
                         re.DOTALL)
     assert listing, "README lists no engine op kinds"
     assert tuple(re.findall(r"`(\w+)`", listing.group(1))) == E.op_kinds()
+
+
+def _format_bullet(name):
+    """The File formats bullet ``* <name>: ...``, its lines joined by spaces."""
+    match = re.search(rf"(?ms)^\* {re.escape(name)}: (.*?)(?=^\* |\Z)",
+                      _chapter("### File formats"))
+    assert match, f"File formats has no {name!r} bullet"
+    return " ".join(match.group(1).split())
+
+
+def _named(pattern, text):
+    """The groups of ``pattern``'s first match in ``text``."""
+    match = re.search(pattern, text)
+    assert match, f"no {pattern!r} in {text!r}"
+    return match.groups()
+
+
+class TestFileFormats:
+    def test_checkpoint_magic_version_and_header_keys(self, tmp_path):
+        text = _format_bullet("Checkpoints")
+        version, magic = _named(r"^format version (\d+)\. A 4-byte magic `(\w+)`", text)
+        (keys,) = _named(r"JSON header with the keys (.*?): ", text)
+        path = tmp_path / "model.ckpt"
+        M.save_model(M.build_model(M.ModelConfig(m=1, patch_shape=(3,), x_dim=2)), str(path))
+        blob = path.read_bytes()
+        assert blob[:4] == magic.encode() == M._CKPT_MAGIC
+        assert int(version) == M._CKPT_VERSION
+        model = M.load_model(str(path))
+        assert re.findall(r"`(\w+)`", keys) == list(M._model_header(model))
+
+    def test_grid_magic_and_header_fields(self, tmp_path):
+        text = _format_bullet("Grids")
+        (magic,) = _named(r"A 4-byte magic `(\w+)`", text)
+        (header,) = _named(r"little-endian header of fields (.*?), then", text)
+        groups = re.findall(r"((?:`\w+`(?:,| and)? )+)\((u32|float64) each\)", header)
+        names = [(name, {"u32": "I", "float64": "d"}[kind])
+                 for names, kind in groups for name in re.findall(r"`(\w+)`", names)]
+        assert R._HEADER.format == "<4s" + "".join(code for _, code in names)
+        assert magic.encode() == R._MAGIC
+        grid = R.Grid(data=np.zeros((2, 3, 5)), origin_x=0.25, origin_y=0.5, resolution=0.75)
+        R.save_grid(grid, str(tmp_path / "g.grd"))
+        written = R._HEADER.unpack_from((tmp_path / "g.grd").read_bytes())
+        assert written == (R._MAGIC, *(getattr(grid, name) for name, _ in names))
+
+    def test_manifest_keys(self, tmp_path):
+        text = _format_bullet("Manifest")
+        section, keys = _named(r"one `\[(\w+)\]` section with the keys (.*?): ", text)
+        path = tmp_path / "run.manifest"
+        R.save_manifest(R.Manifest(treatments=("t1.grd", "t2.grd"), confounder="x.grd",
+                                   outcome="y.grd", d_s=3), str(path))
+        written = configparser.ConfigParser(interpolation=None)
+        written.read(path, encoding="utf-8")
+        assert written.sections() == [section]
+        assert re.findall(r"`([\w.]+)`", keys) == list(written[section])
