@@ -46,7 +46,8 @@ from .effects import (
     reweighted,
     write_effects_csv,
 )
-from .errors import ConfigError, DataError, SpatialCausalError, DOMAINS, check, check_sizes
+from .errors import (ConfigError, DataError, SpatialCausalError, DOMAINS, check, check_sizes,
+                     parse_value)
 from .gp import KERNEL_FAMILIES, KernelSpec, GpTerm, select_inducing
 from .model import (
     CONFOUNDER_KINDS,
@@ -132,24 +133,6 @@ _SCHEMA = {
 }
 
 
-def _parse_value(kind: str, raw: str, path: str):
-    raw = raw.strip()
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
-        if kind == "intlist":
-            return tuple(int(x) for x in raw.split(","))
-        if kind == "floatlist":
-            return tuple(float(x) for x in raw.split(","))
-        return raw
-    except (ValueError, KeyError):
-        raise ConfigError(f"{path}: cannot parse {raw!r} as {kind}") from None
-
-
 def _domain_field(key: str, kind: str) -> str:
     """The ``DOMAINS`` field that each value of INI key ``key`` is checked as:
     the key less its ``kernel_`` prefix, and a list key's singular."""
@@ -183,7 +166,7 @@ def load_config(path: str) -> dict:
         for key, spec in schema.items():
             kind, default = spec[0], spec[1]
             if key in raw:
-                val = _parse_value(kind, raw[key], f"{section}.{key}")
+                val = parse_value(kind, raw[key], f"{section}.{key}")
                 if len(spec) > 2 and val not in spec[2]:
                     raise ConfigError(f"{section}.{key}: {val!r} not one of {spec[2]}")
                 values[key] = val

@@ -489,13 +489,13 @@ def bias_add(x, b) -> Tensor:
 
 def relu(x) -> Tensor:
     x = as_tensor(x)
-    # one pass over x, which may be a strided view (conv2d's output); the mask
-    # is read from the contiguous result and is False for NaN and -0.0 alike
+    # one pass over x, which may be a strided view (conv2d's output); as in
+    # dense, the vjp reads the mask back from the contiguous result, and it is
+    # False for NaN and -0.0 alike
     out = np.maximum(x.data, 0.0)
-    mask = out > 0.0
 
     def vjp(g):
-        return (g * mask,)
+        return (g * (out > 0.0),)
 
     return _record("relu", (x,), out, vjp)
 

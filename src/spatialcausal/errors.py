@@ -1,7 +1,9 @@
-"""Exception hierarchy shared by all spatialcausal modules, the domain of
-every numeric setting, keyed by field name, with the one check against it,
-and the one cap on the arrays that generator and model settings size."""
+"""Exception hierarchy shared by all spatialcausal modules, the one parser of
+the typed values in INI files, the domain of every numeric setting, keyed by
+field name, with the one check against it, and the one cap on the arrays that
+generator and model settings size."""
 
+import configparser
 import math
 from numbers import Integral, Real
 
@@ -46,6 +48,26 @@ class ConfigError(SpatialCausalError):
     """An experiment configuration is malformed or inconsistent."""
 
     code = "config_error"
+
+
+def parse_value(kind: str, raw: str, path: str):
+    """INI value ``raw`` as ``kind``: int, float, bool, intlist, floatlist (comma
+    separated) or str; raises ``ConfigError`` naming ``path`` if it does not parse."""
+    raw = raw.strip()
+    try:
+        if kind == "int":
+            return int(raw)
+        if kind == "float":
+            return float(raw)
+        if kind == "bool":
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+        if kind == "intlist":
+            return tuple(int(x) for x in raw.split(","))
+        if kind == "floatlist":
+            return tuple(float(x) for x in raw.split(","))
+        return raw
+    except (ValueError, KeyError):
+        raise ConfigError(f"{path}: cannot parse {raw!r} as {kind}") from None
 
 
 def _whole(low: int, odd: bool = False):

@@ -21,12 +21,13 @@ import os
 import struct
 import warnings
 from dataclasses import dataclass
+from itertools import count, takewhile
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (MAX_ELEMENTS, ConfigError, ContractError, DataError, DimensionError,
-                     FormatError, check_fields, check_sizes)
+                     FormatError, check_fields, check_sizes, parse_value)
 from .model import SpatialDataset
 
 _MAGIC = b"GRD1"
@@ -254,32 +255,23 @@ def load_manifest(path: str) -> Manifest:
     def resolve(p: str) -> str:
         return p if os.path.isabs(p) else os.path.join(base, p)
 
-    def number(kind, key: str, raw: str):
-        try:
-            return kind(raw)
-        except ValueError:
-            raise ConfigError(f"manifest {key}: cannot parse {raw!r} as "
-                              f"{kind.__name__}") from None
-
-    t_keys = sorted((k for k in keys if k.startswith("treatment.")),
-                    key=lambda k: number(int, k, k.split(".", 1)[1]))
-    known = set(t_keys) | {"confounder", "outcome", "d_s", "split.seed",
-                           "split.ratios"}
-    unknown = set(keys) - known
+    # treatment.1, treatment.2, ... up to the first missing number
+    t_keys = list(takewhile(keys.__contains__, (f"treatment.{i}" for i in count(1))))
+    unknown = set(keys) - set(t_keys) - {"confounder", "outcome", "d_s", "split.seed",
+                                         "split.ratios"}
     if unknown:
         raise ConfigError(f"unknown manifest keys: {sorted(unknown)}")
-    for req in ("confounder", "outcome", "d_s"):
+    for req in ("treatment.1", "confounder", "outcome", "d_s"):
         if req not in keys:
             raise ConfigError(f"manifest missing required key '{req}'")
-    if not t_keys:
-        raise ConfigError("manifest missing treatment.<i> keys")
-    ratios = SPLIT_RATIOS if "split.ratios" not in keys else tuple(
-        number(float, "split.ratios", r) for r in keys["split.ratios"].split(","))
+    ratios = SPLIT_RATIOS if "split.ratios" not in keys else parse_value(
+        "floatlist", keys["split.ratios"], "manifest split.ratios")
     return Manifest(treatments=tuple(resolve(keys[k]) for k in t_keys),
                     confounder=resolve(keys["confounder"]),
                     outcome=resolve(keys["outcome"]),
-                    d_s=number(int, "d_s", keys["d_s"]),
-                    split_seed=number(int, "split.seed", keys.get("split.seed", "0")),
+                    d_s=parse_value("int", keys["d_s"], "manifest d_s"),
+                    split_seed=parse_value("int", keys.get("split.seed", "0"),
+                                           "manifest split.seed"),
                     split_ratios=ratios)
 
 

@@ -1311,6 +1311,12 @@ MALFORMED_FILES = [
      lambda t: t.replace("split.seed = 0", "split.seed = zero"), "config_error"),
     ("manifest_treatment_index_not_int", "run.manifest",
      lambda t: t.replace("treatment.1", "treatment.x"), "config_error"),
+    ("manifest_treatment_index_zero_padded", "run.manifest",
+     lambda t: t.rstrip() + "\ntreatment.01 = treatment_1.grd\n", "config_error"),
+    ("manifest_treatment_index_gap", "run.manifest",
+     lambda t: t.rstrip() + "\ntreatment.3 = treatment_1.grd\n", "config_error"),
+    ("manifest_treatment_index_from_two", "run.manifest",
+     lambda t: t.replace("treatment.1", "treatment.2"), "config_error"),
     ("manifest_split_ratios_not_float", "run.manifest",
      lambda t: t.replace("0.6,0.2,0.2", "0.6,0.2,rest"), "config_error"),
     ("manifest_duplicate_key", "run.manifest",

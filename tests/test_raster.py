@@ -1,5 +1,6 @@
 import inspect
 import os
+import re
 import struct
 
 import numpy as np
@@ -258,6 +259,26 @@ class TestManifest:
                         "outcome = y.grd\nd_s = 3\nmystery = 1\n")
         with pytest.raises(ConfigError, match="mystery"):
             load_manifest(str(path))
+
+    @pytest.mark.parametrize("key", ["treatment.0", "treatment.01", "treatment.+1",
+                                     "treatment.-2", "treatment.1_0", "treatment.x",
+                                     "treatment.3"])
+    def test_stray_treatment_key_rejected(self, tmp_path, key):
+        """Treatments are numbered from 1 with no gap; any other ``treatment.*``
+        key is unknown, even one that ``int`` would read as a number."""
+        path = tmp_path / "bad.manifest"
+        path.write_text(f"[manifest]\ntreatment.1 = t.grd\n{key} = u.grd\n"
+                        "confounder = x.grd\noutcome = y.grd\nd_s = 3\n")
+        with pytest.raises(ConfigError, match=re.escape(repr(key))):
+            load_manifest(str(path))
+
+    def test_treatments_load_in_numeric_order(self, tmp_path):
+        order = [10, 2, 1, 9, 3, 8, 4, 7, 5, 6]
+        path = tmp_path / "run.manifest"
+        path.write_text("[manifest]\n" + "".join(f"treatment.{i} = t{i}.grd\n" for i in order)
+                        + "confounder = x.grd\noutcome = y.grd\nd_s = 3\n")
+        assert [os.path.basename(p) for p in load_manifest(str(path)).treatments] \
+            == [f"t{i}.grd" for i in range(1, 11)]
 
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "missing.manifest"

@@ -17,7 +17,7 @@ from spatialcausal import cli
 from spatialcausal import engine as E
 from spatialcausal import model as M
 from spatialcausal import raster as R
-from spatialcausal.errors import DOMAINS, SpatialCausalError
+from spatialcausal.errors import DOMAINS, SpatialCausalError, parse_value
 
 README = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
 SETTINGS_HEADER = "| Key | Type | Default | Domain | Notes |"
@@ -92,7 +92,7 @@ class TestSettingsTables:
         row = next(row for row in _settings_tables()[section] if _unquote(row[0]) == key)
         kind, default = cli._SCHEMA[section][key][:2]
         assert row[1] == kind
-        assert cli._parse_value(kind, _unquote(row[2]), f"{section}.{key}") == default
+        assert parse_value(kind, _unquote(row[2]), f"{section}.{key}") == default
         assert row[3] == _domain_cell(section, key)
 
 
