@@ -46,8 +46,8 @@ from .effects import (
     reweighted,
     write_effects_csv,
 )
-from .errors import (ConfigError, DataError, SpatialCausalError, DOMAINS, check, check_sizes,
-                     parse_value)
+from .errors import (ConfigError, DataError, OutOfMemoryError, SpatialCausalError, DOMAINS,
+                     check, check_sizes, parse_value)
 from .gp import KERNEL_FAMILIES, KernelSpec, GpTerm, select_inducing
 from .model import (
     CONFOUNDER_KINDS,
@@ -716,7 +716,10 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return cmd_eval(config, args.ckpt, args.data, out_dir)
         raise ConfigError(f"unknown command {args.command}")
-    except (SpatialCausalError, OSError) as exc:
+    except (SpatialCausalError, OSError, MemoryError) as exc:
+        if isinstance(exc, MemoryError):
+            exc = OutOfMemoryError(f"{args.command} ran out of memory: "
+                                   f"{exc or 'an allocation failed'}")
         code = exc.code if isinstance(exc, SpatialCausalError) else "data_error"
         # configparser's messages span lines, and each error must print as one
         sys.stderr.write(code + "\t" + re.sub(r"\s*\n\s*", " ", str(exc)) + "\n")

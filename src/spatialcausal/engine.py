@@ -551,24 +551,52 @@ def elu(x) -> Tensor:
 _TILE_BYTES = 512 << 10
 
 
-def _column_tiles(src: np.ndarray, kh: int, kw: int, wp: int, span: int):
-    """Yield ``(j, tile)`` over blocks of ``span`` output columns.
+def _row_tiles(src: np.ndarray, kh: int, kw: int):
+    """Yield ``(j, b, tile)`` over the output positions of the valid kh x kw
+    convolution of ``src``, a C-contiguous (c, hp, wp, n) map.
 
-    ``tile[(c, di, dj), t]`` is ``src[c, j + di * wp + dj + t]``: the kh * kw
-    shifted copies of ``src`` for columns j .. j + b - 1, gathered through one
-    strided view into a buffer reused by every block.
+    Output row i holds wo * n positions, and what kernel offset (di, dj) sees
+    at them is the contiguous run ``src[c, i + di, dj:dj + wo]``.  A tile is
+    as many whole output rows as fit in ``_TILE_BYTES``, or one slice of a
+    row longer than that: its (c * kh * kw, b) im2col columns, output
+    positions j .. j + b - 1 in row-major order, are gathered through one
+    strided view into a buffer reused by every tile.  The tile's width is b
+    rounded up to a multiple of 8, with zero columns: OpenBLAS computes a
+    GEMM's last columns through another kernel when its width leaves 1 to 4
+    modulo 8, and a position's value would then depend on where it sits.
     """
-    c = src.shape[0]
+    c, hp, wp, n = src.shape
+    ho, run = hp - kh + 1, (wp - kw + 1) * n
     rows = c * kh * kw
-    block = min(span, max(1, _TILE_BYTES // (8 * rows)))
-    buf = np.empty(rows * block, dtype=np.float64)
-    strides = (src.strides[0], 8 * wp, 8, 8)
-    for j in range(0, span, block):
-        b = min(block, span - j)
-        tile = buf[:rows * b].reshape(rows, b)
-        tile.reshape(c, kh, kw, b)[...] = np.ndarray(
-            (c, kh, kw, b), np.float64, buffer=src, offset=8 * j, strides=strides)
-        yield j, tile
+    block = max(8, _TILE_BYTES // (64 * rows) * 8)
+    if run == 0:
+        return
+    if run <= block:
+        per = block // run
+        spans = [(i, min(per, ho - i), 0, run) for i in range(0, ho, per)]
+    else:
+        spans = [(i, 1, t, min(block, run - t)) for i in range(ho) for t in range(0, run, block)]
+    buf = np.empty(rows * (max(r * length for _, r, _, length in spans) + 7))
+    strides = (src.strides[0], 8 * wp * n, 8 * n, 8 * wp * n, 8)
+    for i, r, t, length in spans:
+        b = r * length
+        tile = buf[:rows * (-(-b // 8) * 8)].reshape(rows, -1)
+        tile[:, :b].reshape(c, kh, kw, r, length)[...] = np.ndarray(
+            (c, kh, kw, r, length), np.float64, buffer=src,
+            offset=8 * (i * wp * n + t), strides=strides)
+        tile[:, b:] = 0.0
+        yield i * run + t, b, tile
+
+
+def _gemm_tile(a: np.ndarray, tile: np.ndarray, out: np.ndarray, j: int, b: int) -> None:
+    """``out[:, j:j + b] = a @ tile[:, :b]``, through one GEMM over all of the
+    tile's columns.  The zero columns' results land on the next tile's
+    positions, which that tile overwrites; where no tile follows, the GEMM
+    writes into a buffer of its own."""
+    if j + tile.shape[1] <= out.shape[1]:
+        np.matmul(a, tile, out=out[:, j:j + tile.shape[1]])
+    else:
+        out[:, j:j + b] = (a @ tile)[:, :b]
 
 
 def conv2d(x, w, bias=None, padding: int | tuple = 0) -> Tensor:
@@ -576,21 +604,18 @@ def conv2d(x, w, bias=None, padding: int | tuple = 0) -> Tensor:
 
     ``x`` is (n, c_in, h, w); ``w`` is (c_out, c_in, kh, kw); ``bias`` is
     (c_out,); ``padding`` is one width for every side or (top, bottom, left,
-    right), each checked as ``padding``.  The padded input is laid out
-    channel-major, flattened over
-    (n, hp, wp) and followed by ``reach`` zeros, so what kernel offset
-    (di, dj) sees at output column j is ``xf[:, j + di * wp + dj]``.  The
-    output columns are cut into tiles whose kh * kw shifted copies of the
-    input take at most ``_TILE_BYTES``.  Each tile gathers its
-    (c_in * kh * kw, block) im2col columns into one reused buffer and runs
-    one (c_out, c_in * kh * kw) GEMM on them, and the bias is added into the
-    channel-major result.  The whole im2col matrix never exists.  The
-    backward pass runs the same tile loop over the output gradient, laid out
-    like ``xf`` with ``reach`` leading zeros: each gradient tile serves one
-    GEMM with the flipped kernel for the input gradient and one with the
-    input's columns for the weight gradient.  Outputs whose window wraps past
-    a row or image edge are computed and dropped.  One ``conv2d`` node is
-    recorded, with inputs (x, w) or (x, w, bias).
+    right), each checked as ``padding``.  Maps are laid out channel-major
+    with the batch innermost: the input is padded into a (c_in, hp, wp, n)
+    array, and the output is a (c_out, ho, wo, n) array seen as (n, c_out,
+    ho, wo).  One (c_out, c_in * kh * kw) GEMM runs per ``_row_tiles`` tile
+    of whole output rows, so only real output positions are computed, and
+    the bias is added once.  The whole im2col matrix never exists.  The
+    input gradient is the same computation with the flipped kernel, on the
+    output gradient zero padded to the rows and columns that reach a real
+    input position; each of its tiles also serves one GEMM with the input's
+    columns for the weight gradient.  For a constant input, the weight
+    gradient instead gathers tiles of the input's c_in * kh * kw rows.  One
+    ``conv2d`` node is recorded, with inputs (x, w) or (x, w, bias).
     """
     x, w = as_tensor(x), as_tensor(w)
     xd, wd = x.data, w.data
@@ -612,58 +637,59 @@ def conv2d(x, w, bias=None, padding: int | tuple = 0) -> Tensor:
     ho, wo = hp - kh + 1, wp - kw + 1
     if ho <= 0 or wo <= 0:
         raise DimensionError(f"kernel {kh}x{kw} too large for input {h}x{wdt} pad {padding}")
-    inner = np.s_[:, :, top:top + h, left:left + wdt]   # the input within the padded map
-    span = n * hp * wp
-    reach = (kh - 1) * wp + kw - 1
-    xf = np.zeros((cin, span + reach), dtype=np.float64)
-    xf[:, :span].reshape(cin, n, hp, wp)[inner] = xd.transpose(1, 0, 2, 3)
+    xp = np.zeros((cin, hp, wp, n), dtype=np.float64)
+    xp[:, top:top + h, left:left + wdt] = xd.transpose(1, 2, 3, 0)
     wmat = wd.reshape(cout, -1)
-    acc = np.empty((cout, span), dtype=np.float64)
-    for j, tile in _column_tiles(xf, kh, kw, wp, span):
-        blk = acc[:, j:j + tile.shape[1]]
-        np.matmul(wmat, tile, out=blk)
-        if bd is not None:
-            blk += bd[:, None]
-    out = acc.reshape(cout, n, hp, wp)[:, :, :ho, :wo].transpose(1, 0, 2, 3)
+    acc = np.empty((cout, ho * wo * n), dtype=np.float64)
+    for j, b, tile in _row_tiles(xp, kh, kw):
+        _gemm_tile(wmat, tile, acc, j, b)
+    if bd is not None:
+        acc += bd[:, None]
 
     def vjp(g):
-        # g sits at gext[:, reach:]; the leading zeros give every offset a full-length slice
-        gext = np.zeros((cout, reach + span), dtype=np.float64)
-        gl = gext[:, reach:]
-        gl.reshape(cout, n, hp, wp)[:, :, :ho, :wo] = g.transpose(1, 0, 2, 3)
-        # gradient tile rows are (c_out, di', dj') with di' = kh - 1 - di: the
+        gl = np.ascontiguousarray(g.transpose(1, 2, 3, 0))
+        gb = () if bd is None else (gl.reshape(cout, -1).sum(axis=1),)
+        if not x.requires_grad:
+            gw = np.zeros((cout, cin * kh * kw), dtype=np.float64)
+            gf = gl.reshape(cout, -1)
+            for j, b, tile in _row_tiles(xp, kh, kw):
+                gw += gf[:, j:j + b] @ tile[:, :b].T
+            return (None, gw.reshape(wd.shape)) + gb
+        # input row y reads output rows y + r0 .. y + r0 + kh - 1 of g, which
+        # sit at rows y .. y + kh - 1 of gp; columns likewise
+        r0, c0 = top - kh + 1, left - kw + 1
+        gp = np.zeros((cout, h + kh - 1, wdt + kw - 1, n), dtype=np.float64)
+        gp[:, max(-r0, 0):ho - r0, max(-c0, 0):wo - c0] = gl[:, max(r0, 0):r0 + h + kh - 1,
+                                                             max(c0, 0):c0 + wdt + kw - 1]
+        # gp's tile rows are (c_out, di', dj') with di' = kh - 1 - di: the
         # flipped kernel's layout, in which the weight gradient is gathered too
         wflip = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
+        xf = np.ascontiguousarray(xd.transpose(1, 2, 3, 0)).reshape(cin, -1)
         gwf = np.zeros_like(wflip)
-        gxf = np.empty((cin, span), dtype=np.float64) if x.requires_grad else None
-        for j, tile in _column_tiles(gext, kh, kw, wp, span):
-            cols = slice(j, j + tile.shape[1])
-            gwf += xf[:, cols] @ tile.T
-            if gxf is not None:
-                np.matmul(wflip, tile, out=gxf[:, cols])
+        gxf = np.empty((cin, h * wdt * n), dtype=np.float64)
+        for j, b, tile in _row_tiles(gp, kh, kw):
+            gwf += xf[:, j:j + b] @ tile[:, :b].T
+            _gemm_tile(wflip, tile, gxf, j, b)
+        gx = gxf.reshape(cin, h, wdt, n).transpose(3, 0, 1, 2)
         gw = gwf.reshape(cin, cout, kh, kw)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        gx = None if gxf is None else (
-            gxf.reshape(cin, n, hp, wp)[inner].transpose(1, 0, 2, 3))
-        return (gx, gw) if bd is None else (gx, gw, gl.sum(axis=1))
+        return (gx, gw) + gb
 
-    return _record("conv2d", inputs, out, vjp)
+    return _record("conv2d", inputs, acc.reshape(cout, ho, wo, n).transpose(3, 0, 1, 2), vjp)
 
 
-def _lead_order(a: np.ndarray) -> tuple:
-    """The axis order that puts a 4-d array's two leading axes in memory order.
-
-    conv2d's outputs, and the ops applied to them, are laid out (c, n, h, w).
-    """
-    return (1, 0, 2, 3) if a.strides[1] > a.strides[0] else (0, 1, 2, 3)
+def _batch_inner(a: np.ndarray) -> np.ndarray:
+    """A (n, c, h, w) array's values as a C-contiguous (c, h, w, n) array: a
+    view when ``a`` is laid out that way already, as conv2d's output is."""
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0))
 
 
 def _later_wins(first: np.ndarray, later: np.ndarray, nan: bool) -> np.ndarray:
-    """Where ``later`` takes a window's max from ``first`` as ``argmax`` would:
-    it is greater, or it is NaN and ``first`` is not."""
+    """-1 where ``later`` takes a window's max from ``first`` as ``argmax``
+    would (it is greater, or it is NaN and ``first`` is not), else 0 (int64)."""
     wins = later > first
     if nan:
         wins |= np.isnan(later) & ~np.isnan(first)
-    return wins
+    return np.subtract(0, wins, dtype=np.int64)
 
 
 def maxpool2(x) -> Tensor:
@@ -672,15 +698,14 @@ def maxpool2(x) -> Tensor:
     Each window's output is the value ``argmax`` picks in the scan order
     (0,0), (0,1), (1,0), (1,1): the first maximum, so ties of equal values,
     -0.0 and +0.0 among them, go to the first position scanned, and the first
-    NaN beats every number.  The input is read in memory order, (n, c) or
-    (c, n) then (h, w) (another layout is copied first), as one flat array
-    whose stride-2 views of even and odd elements are the left and right
-    columns of every window.  One comparison of those views picks each
-    window row's winner.  The two rows are then compared by ``np.maximum`` of
-    their pairs; its sign of a zero may be either operand's, which no
-    comparison sees, and it keeps NaN.  The output bytes are taken from each
-    window's winning position, and the vjp writes ``g`` to those positions of
-    a zeroed gradient, +0.0 everywhere else.
+    NaN beats every number.  The input is read laid out (c, h, w, n) (another
+    layout is copied first), and the four positions of every window are four
+    stride-2 views of it.  One comparison per window row picks its winner;
+    the two rows are then compared by ``np.maximum`` of their pairs, whose
+    sign of a zero may be either operand's, which no comparison sees, and
+    which keeps NaN.  The output, laid out (c, h, w, n), takes each window's
+    bytes from its winning position, and the vjp writes ``g`` to those
+    positions of a zeroed gradient, +0.0 everywhere else.
     """
     x = as_tensor(x)
     xd = x.data
@@ -689,80 +714,74 @@ def maxpool2(x) -> Tensor:
     h, w = xd.shape[2:]
     if h % 2 or w % 2:
         raise DimensionError(f"maxpool2 requires even spatial sides, got {h}x{w}")
-    h2, w2 = h // 2, w // 2
-    order = _lead_order(xd)
-    xm = np.ascontiguousarray(xd.transpose(order))  # a view, not a copy, for both layouts
-    flat = xm.reshape(-1)
-    rows = xm.shape[0] * xm.shape[1] * h2
-    left, right = flat[0::2], flat[1::2]
-    row_max = np.maximum(left, right).reshape(rows, 2, w2)
-    nan = bool(np.isnan(row_max).any())
-    right_wins = _later_wins(left, right, nan)
-    bottom_wins = _later_wins(row_max[:, 0], row_max[:, 1], nan)
-    # index into left/right of each window's winning row, then into flat
-    pair = np.arange(left.size).reshape(rows, 2, w2)[:, 0] + w2 * bottom_wins
-    pos = pair + pair
-    pos += right_wins.take(pair)
-    out = flat.take(pos).reshape(xm.shape[:2] + (h2, w2)).transpose(order)
+    xm = _batch_inner(xd)
+    c, n = xm.shape[0], xm.shape[3]
+    q00, q01, q10, q11 = (xm[:, i::2, j::2] for i in (0, 1) for j in (0, 1))
+    upper, lower = np.maximum(q00, q01), np.maximum(q10, q11)
+    nan = bool(np.isnan(upper).any() or np.isnan(lower).any())
+    down = _later_wins(upper, lower, nan)
+    top, bottom = _later_wins(q00, q01, nan), _later_wins(q10, q11, nan)
+    right = top ^ ((top ^ bottom) & down)   # the winning row's column
+    # each winner's index in xm: its window's first position, plus w * n in
+    # the lower row and n in the right column
+    first = np.arange(c * h * w // 2).reshape(c, h, w // 2)[:, ::2, :, None]
+    pos = (2 * n) * first + np.arange(n)
+    pos += down & (w * n)
+    pos += right & n
+    out = xm.reshape(-1).take(pos)
 
     def vjp(g):
         gx = np.zeros(xm.shape, dtype=np.float64)
-        gx.reshape(-1)[pos] = g.transpose(order).reshape(pos.shape)
-        return (gx.transpose(order),)
+        gx.reshape(-1)[pos] = _batch_inner(g)
+        return (gx.transpose(3, 0, 1, 2),)
 
-    return _record("maxpool2", (x,), out, vjp)
+    return _record("maxpool2", (x,), out.transpose(3, 0, 1, 2), vjp)
 
 
 def upsample2(x) -> Tensor:
     """Nearest-neighbor upsampling by a factor of 2 in both spatial dimensions.
 
-    The vjp sums each 2x2 window of ``g`` with the bytes of
-    ``g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))``.  With gij the stride-2
-    view ``g[:, :, i::2, j::2]``, that sum adds (g00 + g01) + (g10 + g11),
-    and ((g00 + g01) + g10) + g11 for a one-column input (the U-Net's lowest
-    level at d_s = 3).  It starts from
-    +0.0, so a window of four -0.0 sums to +0.0; here 0.0 is added last.
-    The column pairs g00 + g01 and g10 + g11 are the even plus the odd
-    elements of ``g`` read flat in memory order.  Of two NaNs in a window,
-    the one kept may differ: numpy's choice varies with the layout of ``g``.
+    The output is laid out (c, h, w, n).  The vjp sums each 2x2 window of
+    ``g`` as ``g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))``, which starts
+    from +0.0, so a window of four -0.0 sums to +0.0.  numpy orders the sum
+    by the layout of ``g``: laid out (c, h, w, n), as the U-Net's gradients
+    are, with gij the stride-2 view ``g[:, :, i::2, j::2]``, it adds ((g00 +
+    g01) + g10) + g11 at every position of the batch, into a result laid out
+    the same way.
     """
     x = as_tensor(x)
     xd = x.data
     if xd.ndim != 4:
         raise DimensionError(f"upsample2 expects 4-d input, got {xd.shape}")
-    h, w = xd.shape[2:]
-    out = np.repeat(np.repeat(xd, 2, axis=2), 2, axis=3)
+    n, c, h, w = xd.shape
+    out = np.repeat(np.repeat(xd.transpose(1, 2, 3, 0), 2, axis=1), 2, axis=2)
 
     def vjp(g):
-        if w == 1:
-            g00, g01, g10, g11 = (g[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1))
-            gx = g00 + g01
-            gx += g10
-            gx += g11
-        else:
-            order = _lead_order(g)
-            gm = np.ascontiguousarray(g.transpose(order))
-            flat = gm.reshape(-1)
-            cols = (flat[0::2] + flat[1::2]).reshape(gm.shape[0] * gm.shape[1] * h, 2, w)
-            gx = (cols[:, 0] + cols[:, 1]).reshape(gm.shape[:2] + (h, w)).transpose(order)
-        gx += 0.0
-        return (gx,)
+        return (g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)),)
 
-    return _record("upsample2", (x,), out, vjp)
+    return _record("upsample2", (x,), out.transpose(3, 0, 1, 2), vjp)
 
 
 def concat_channels(xs: Sequence) -> Tensor:
+    """Join (n, c_k, h, w) maps along the channels into a map laid out (c, h, w, n)."""
     xs = tuple(as_tensor(x) for x in xs)
     if not xs:
         raise DimensionError("concat_channels needs at least one input")
     if any(x.data.ndim != 4 for x in xs):
         raise DimensionError("concat_channels expects 4-d inputs")
-    splits = np.cumsum([x.data.shape[1] for x in xs])[:-1]
+    n, _, h, w = xs[0].data.shape
+    if any((x.data.shape[0],) + x.data.shape[2:] != (n, h, w) for x in xs):
+        raise DimensionError(f"concat_channels expects equal n, h and w, got "
+                             f"{[x.data.shape for x in xs]}")
+    splits = np.cumsum([x.data.shape[1] for x in xs])
+    out = np.empty((int(splits[-1]), h, w, n), dtype=np.float64)
+    for x, stop in zip(xs, splits):
+        out[stop - x.data.shape[1]:stop] = x.data.transpose(1, 2, 3, 0)
 
     def vjp(g):
-        return tuple(np.split(g, splits, axis=1))
+        return tuple(np.split(g, splits[:-1], axis=1))
 
-    return _record("concat", xs, np.concatenate([x.data for x in xs], axis=1), vjp)
+    return _record("concat", xs, out.transpose(3, 0, 1, 2), vjp)
 
 
 def pad2d(x, top: int, bottom: int, left: int, right: int) -> Tensor:
@@ -799,7 +818,7 @@ def crop2d(x, r0: int, r1: int, c0: int, c1: int) -> Tensor:
         gx[:, :, r0:r1, c0:c1] = g
         return (gx,)
 
-    return _record("crop2d", (x,), xd[:, :, r0:r1, c0:c1].copy(), vjp)
+    return _record("crop2d", (x,), xd[:, :, r0:r1, c0:c1].copy(order="K"), vjp)
 
 
 def center_pixel(x) -> Tensor:
@@ -831,7 +850,9 @@ def global_avg_pool(x) -> Tensor:
     area = float(h * w)
 
     def vjp(g):
-        return (np.broadcast_to(g[:, :, None, None] / area, xd.shape).copy(),)
+        gx = np.empty_like(xd)
+        gx[...] = (g / area)[:, :, None, None]
+        return (gx,)
 
     return _record("gap2d", (x,), xd.mean(axis=(2, 3)), vjp)
 

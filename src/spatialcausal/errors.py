@@ -50,6 +50,12 @@ class ConfigError(SpatialCausalError):
     code = "config_error"
 
 
+class OutOfMemoryError(SpatialCausalError):
+    """A command's arrays do not fit in the memory the process may map."""
+
+    code = "memory_error"
+
+
 def parse_value(kind: str, raw: str, path: str):
     """INI value ``raw`` as ``kind``: int, float, bool, intlist, floatlist (comma
     separated) or str; raises ``ConfigError`` naming ``path`` if it does not parse."""

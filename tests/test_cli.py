@@ -1515,6 +1515,49 @@ class TestMalformedFiles:
         _assert_one_error_line_under_a_memory_limit(
             argv + ["--data", str(data), "--out", str(tmp_path / "out")], expected)
 
+    def test_out_of_memory_ends_as_one_line_naming_the_command(self, tmp_path):
+        """Line ``gen`` at n = 9000 holds 9000 x 9000 arrays, each under the
+        cap, that together do not fit in the child's 1.5 GB."""
+        out = tmp_path / "out"
+        _assert_one_error_line_under_a_memory_limit(
+            ["gen", "--config", write_ini(tmp_path, TINY_INI.replace("n = 60", "n = 9000")),
+             "--out", str(out)],
+            "memory_error\tgen ran out of memory: Unable to allocate ")
+        assert not out.exists()
+
+    def test_out_of_memory_on_a_branch_thread_ends_as_one_line(self, workspace, tmp_path):
+        """``train`` on 150000 line units with a 1536-wide MLP confounder: its
+        first activations (1.8 GB, under the cap) fail to allocate on the
+        branch pool's thread, in a child that may map 1.5 GB, runs a pool of
+        two branches on any CPU count, and prints the failing thread's name."""
+        ini = write_ini(tmp_path, TINY_INI.replace(
+            "confounder = linear", "confounder = mlp\nmlp_width = 1536\nmlp_depth = 1"))
+        data = tmp_path / "data"
+        _tile_line_dataset(workspace["data"], data, 2500)
+        child = textwrap.dedent("""\
+            import sys, threading
+            from spatialcausal import cli, engine, nets
+            engine._WIDTH = 2
+            mlp = nets._FORWARD["mlp"]
+
+            def forward(net, x):
+                try:
+                    return mlp(net, x)
+                except MemoryError:
+                    print("MemoryError on", threading.current_thread().name)
+                    raise
+
+            nets._FORWARD["mlp"] = forward
+            sys.exit(cli.main(sys.argv[1:]))
+            """)
+        proc = _python_under_a_memory_limit(
+            ["-c", child, "train", "--config", ini, "--data", str(data),
+             "--out", str(tmp_path / "out")])
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout.startswith("MemoryError on spatialcausal_"), proc.stdout
+        assert proc.stderr.startswith("memory_error\ttrain ran out of memory: Unable to allocate ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
     def test_weights_on_many_units_run_under_a_memory_limit(self, workspace, tmp_path):
         """Balancing weights on 16020 line units: the KDE's units x units
         array (2 GB) never exists whole.  The checkpoint is fitted on the

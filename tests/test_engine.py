@@ -203,6 +203,12 @@ def _conv_taped(x, w, g, padding):
     return out.data, tape
 
 
+def _batch_inner(a):
+    """``a`` laid out (c, h, w, n), as conv2d's outputs and the maps of the
+    U-Net and patch CNN are."""
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+
+
 # (n, c_in, h, w, c_out, k, padding), padding one width or (top, bottom, left, right)
 CONV_SHAPES = [
     (2, 3, 5, 5, 4, 1, 0),
@@ -223,9 +229,21 @@ CONV_SHAPES = [
     (3, 2, 4, 4, 2, 1, (1, 1, 0, 3)),
     (2, 2, 5, 5, 3, 3, (1, 1, 1, 1)),
     (4, 3, 29, 30, 5, 3, (2, 1, 1, 0)),
+    (9, 1, 29, 30, 5, 3, 1),
+    (3, 16, 4, 60, 2, 5, 2),
 ]
-# shapes whose input spans several column tiles, the last one partial
-MULTI_TILE = [(4, 3, 30, 30, 5, 3, 1), (8, 1, 30, 30, 5, 3, 1)]
+# shapes whose output spans several tiles, each reaching one case: several
+# whole rows per tile with a partial last tile (c3); GEMM widths that are not
+# multiples of 8, the last tile's too (c1); one output row split over tiles,
+# its last slice 20 positions wide (c16)
+MULTI_TILE = [(4, 3, 30, 30, 5, 3, 1), (9, 1, 29, 30, 5, 3, 1), (3, 16, 4, 60, 2, 5, 2)]
+
+
+def _tiles(shape):
+    """(first position, width, tile width) of each forward tile of ``shape``."""
+    n, cin, h, wdt, _, k, pad = shape
+    src = np.zeros((cin, h + 2 * pad, wdt + 2 * pad, n))
+    return [(j, b, tile.shape[1]) for j, b, tile in E._row_tiles(src, k, k)]
 
 
 class TestConv2d:
@@ -237,21 +255,32 @@ class TestConv2d:
         n, cin, h, wdt, cout, k, pad = shape
         top, bottom, left, right = _sides(pad)
         rng = np.random.default_rng(sum(shape[:6]) + sum(np.atleast_1d(pad)))
-        x = E.Tensor(rng.normal(size=(n, cin, h, wdt)), requires_grad=True)
+        xd = rng.normal(size=(n, cin, h, wdt))
         w = E.Tensor(rng.normal(size=(cout, cin, k, k)), requires_grad=True)
-        g = rng.normal(size=(n, cout, h + top + bottom - k + 1, wdt + left + right - k + 1))
-        ref_out, ref_gx, ref_gw = _conv_reference(x.data, w.data, g, pad)
-        out, _ = _conv_taped(x, w, g, pad)
-        npt.assert_allclose(out, ref_out, rtol=1e-12, atol=1e-12)
-        npt.assert_allclose(x.grad, ref_gx, rtol=1e-12, atol=1e-12)
-        npt.assert_allclose(w.grad, ref_gw, rtol=1e-12, atol=1e-12)
+        gd = rng.normal(size=(n, cout, h + top + bottom - k + 1, wdt + left + right - k + 1))
+        ref_out, ref_gx, ref_gw = _conv_reference(xd, w.data, gd, pad)
+        # the input and the output gradient in C order, then laid out (c, h, w, n)
+        for lay in (np.ascontiguousarray, _batch_inner):
+            w.zero_grad()
+            x = E.Tensor(lay(xd), requires_grad=True)
+            out, _ = _conv_taped(x, w, lay(gd), pad)
+            npt.assert_allclose(out, ref_out, rtol=1e-12, atol=1e-12)
+            npt.assert_allclose(x.grad, ref_gx, rtol=1e-12, atol=1e-12)
+            npt.assert_allclose(w.grad, ref_gw, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("shape", MULTI_TILE, ids=["c3", "c1"])
-    def test_shape_spans_several_tiles(self, shape):
-        n, cin, h, wdt, _, k, pad = shape
-        span = n * (h + 2 * pad) * (wdt + 2 * pad)
-        block = E._TILE_BYTES // (8 * cin * k * k)
-        assert span > block and span % block
+    @pytest.mark.parametrize("case", range(3), ids=["c3", "c1", "c16"])
+    def test_shape_spans_several_tiles(self, case):
+        n, _, _, wdt, _, k, pad = MULTI_TILE[case]
+        run = (wdt + 2 * pad - k + 1) * n    # one output row's positions
+        tiles = _tiles(MULTI_TILE[case])
+        widths = [b for _, b, _ in tiles]
+        assert len(tiles) > 1
+        if case == 0:
+            assert all(b % run == 0 and b > run for b in widths) and widths[-1] < widths[0]
+        elif case == 1:
+            assert all(b % 8 and width == b + 8 - b % 8 for _, b, width in tiles)
+        else:
+            assert max(widths) < run and any(j % run for j, _, _ in tiles) and widths[-1] == 20
 
     def test_bias_folds_into_one_node(self):
         n, cin, h, wdt, cout, k, pad = MULTI_TILE[0]
@@ -426,11 +455,13 @@ def _pool_values(rng, shape, kind):
 
 
 def _laid_out(a, layout):
-    """``a`` with the strides the U-Net hands over: C order, channel-major as
-    conv2d's and relu's outputs are, or concat's vjp output for a second input
-    cut from a channel-major gradient."""
+    """``a`` with the strides an op may be handed: C order, (c, h, w, n) as
+    conv2d's and relu's outputs are, (c, n, h, w), or concat's vjp output for
+    a second input cut from a (c, n, h, w) gradient."""
     if layout == "contiguous":
         return a.copy()
+    if layout == "batch_inner":
+        return _batch_inner(a)
     if layout == "channel_major":
         return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
     n, _, h, w = a.shape
@@ -460,7 +491,7 @@ class TestPoolingBytes:
     """maxpool2 and upsample2 against the formulas they replaced, byte for byte."""
 
     @pytest.mark.parametrize("kind", POOL_KINDS)
-    @pytest.mark.parametrize("layout", ["contiguous", "channel_major"])
+    @pytest.mark.parametrize("layout", ["contiguous", "batch_inner", "channel_major"])
     @pytest.mark.parametrize("shape", MAXPOOL_SHAPES, ids=lambda s: "x".join(map(str, s)))
     def test_maxpool_matches_argmax(self, shape, layout, kind):
         rng = np.random.default_rng(sum(shape) + len(kind))
@@ -472,7 +503,7 @@ class TestPoolingBytes:
         shape_g = ref_out.shape
         g = np.where(rng.random(shape_g) < 0.5, rng.normal(size=shape_g),
                      _pool_values(rng, shape_g, "signed_zeros"))
-        for g_layout in ("contiguous", "channel_major", "concat_split"):
+        for g_layout in ("contiguous", "batch_inner", "channel_major", "concat_split"):
             laid = _laid_out(g, g_layout)
             _assert_same_bits(tape.nodes[0].vjp(laid)[0], ref_vjp(laid))
 
@@ -492,7 +523,8 @@ class TestPoolingBytes:
         assert not np.signbit(grad).any() and np.count_nonzero(grad) == 6
 
     @pytest.mark.parametrize("kind", POOL_KINDS)
-    @pytest.mark.parametrize("layout", ["contiguous", "channel_major", "concat_split"])
+    @pytest.mark.parametrize("layout", ["contiguous", "batch_inner", "channel_major",
+                                        "concat_split"])
     @pytest.mark.parametrize("shape", UPSAMPLE_SHAPES, ids=lambda s: "x".join(map(str, s)))
     def test_upsample_vjp_matches_reshape_sum(self, shape, layout, kind):
         rng = np.random.default_rng(sum(shape) + len(kind))

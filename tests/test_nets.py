@@ -216,6 +216,17 @@ class TestUnet:
         for g, r in zip(grads, ref_grads, strict=True):
             npt.assert_allclose(g, r, rtol=1e-12, atol=1e-12 * np.abs(r).max())
 
+    def test_value_does_not_depend_on_batch_position(self):
+        # OpenBLAS computes a GEMM's last columns through another kernel when
+        # its width leaves 1 to 4 modulo 8; conv2d's GEMMs are 8 columns wide
+        # or a multiple of that, so each unit's value is the same alone and
+        # at any position of a batch.
+        net = N.build_unet(4, depth=2, seed=0)
+        x = np.random.default_rng(0).normal(size=(61, 1, 15, 15))
+        batch = net.forward(x).data
+        alone = np.concatenate([net.forward(x[i:i + 1]).data for i in range(len(x))])
+        assert batch.tobytes() == alone.tobytes()
+
     def test_edge_windows_are_zero_padded(self):
         # At side 5 and depth 3 the decoder windows reach the map's edge, where
         # their convs pad only the sides that stop there: the value and every
